@@ -24,13 +24,11 @@ from .operators import (
     LinOp,
     ProxFn,
     Projection,
-    estimate_norm,
     group_replicate_op,
     identity_op,
     linop_adjoint,
     linop_forward,
     overlapping_group_lasso,
-    power_iteration_norm,
     project,
     prox_apply,
     prox_conjugate,
@@ -72,7 +70,6 @@ __all__ = [
     "compute_stepsizes",
     "cp_reconstruct",
     "default_benchmark_config",
-    "estimate_norm",
     "factorize",
     "frobenius_norm_sq",
     "generate_synthetic",
@@ -86,7 +83,6 @@ __all__ = [
     "mse",
     "objective",
     "overlapping_group_lasso",
-    "power_iteration_norm",
     "project",
     "prox_apply",
     "prox_conjugate",

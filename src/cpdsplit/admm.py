@@ -1,24 +1,24 @@
-"""Alternating optimization with an ADMM inner solver, the comparison
-baseline.
+"""The ADMM inner solver, the comparison baseline.
 
-The outer loop matches the primal-dual driver; the per-mode subproblem is
-solved in scaled form with a Cholesky factorization of (W^T W + rho I)
-computed once per mode visit and reused by every inner iteration.  The
+It plugs into the driver's outer loop (:func:`cpdsplit.driver.alternate`),
+which owns the mode visits, the trace and the stop rule.  Each visit solves
+the mode's subproblem in scaled form with a Cholesky factorization of
+(W^T W + rho I) computed once and reused by every inner iteration.  The
 auxiliary variable Z absorbs both the regularizer and the hard constraint,
 which restricts this solver to separable regularizers composed with the
 identity: structured operators and masked data are rejected, that is the
 gap the primal-dual solver exists to fill.
 """
 
-import time
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .driver import FitResult, _StopRule, _prepare, _trace_entry, init_factors
+from .driver import alternate
 from .operators import project, prox_apply
-from .tensor import FactorSet, khatri_rao, matricize
+from .tensor import khatri_rao  # noqa: F401  (perfbench/worker.py traces admm.khatri_rao)
 
 _SUPPORTED_PROX = ("zero", "l1", "squared_frobenius")
 
@@ -99,7 +99,7 @@ def solve_subproblem_admm(state, spec, W, Yd, n_inner):
 
 
 def ao_admm_factorize(Y, mask, specs, cfg, truth=None, rho=None):
-    """Baseline CP decomposition: the same outer loop and trace schema as
+    """Baseline CP decomposition: the outer loop and trace schema of
     :func:`cpdsplit.driver.factorize`, with the ADMM inner solver.
 
     Parameters
@@ -122,49 +122,19 @@ def ao_admm_factorize(Y, mask, specs, cfg, truth=None, rho=None):
         raise UnsupportedSpecError("masked data is not supported by this baseline")
     if rho is not None and not rho > 0:
         raise ValueError("rho must be positive, got %r" % (rho,))
-    Y, mask, specs = _prepare(Y, mask, specs, cfg, truth)
     rank = int(cfg.rank)
-    Yd = [matricize(Y, d) for d in (1, 2, 3)]
-    init = init_factors(Y.shape, rank, cfg.seed)
-    states = []
-    for d in range(3):
-        F = np.ascontiguousarray(init.factors[d].T)
-        states.append(AdmmState(F=F, Z=F.copy(), U=np.zeros_like(F), rho=1.0))
-    started = time.perf_counter()
-    trace = []
-    stop_reason = "iteration_cap"
-    rule = _StopRule(cfg.stop_metric, cfg.stop_tol)
-    outer = 0
-    for k in range(1, int(cfg.max_outer) + 1):
-        for d in range(3):
-            i, j = (a for a in range(3) if a != d)
-            W = khatri_rao(states[i].Z.T, states[j].Z.T)
-            trace_bound = float(np.vdot(W, W))
-            if trace_bound <= 0:
-                raise ValueError(
-                    "mode %d subproblem degenerated: the other factors have a "
-                    "zero Khatri-Rao product (likely over-regularization)"
-                    % (d + 1,)
-                )
-            states[d].rho = rho if rho is not None else trace_bound / rank
-            states[d] = solve_subproblem_admm(
-                states[d], specs[d], W, Yd[d], cfg.n_inner
-            )
-        outer = k
-        fset = FactorSet(tuple(np.ascontiguousarray(s.Z.T) for s in states))
-        rec = _trace_entry(k, started, Y, mask, fset, specs, truth)
-        trace.append(rec)
-        if rule.fired(rec.objective, rec.mse_raw):
-            stop_reason = "converged"
-            break
-    return FitResult(
-        factors=FactorSet(tuple(np.ascontiguousarray(s.Z.T) for s in states)),
-        duals=[s.U for s in states],
-        trace=trace,
-        outer_iterations=outer,
-        stop_reason=stop_reason,
-        counters={
-            "inner_iterations": 3 * outer * int(cfg.n_inner),
-            "cholesky_factorizations": sum(s.n_factorizations for s in states),
-        },
+
+    def start(F, spec):
+        return AdmmState(F=F, Z=F.copy(), U=np.zeros_like(F), rho=1.0)
+
+    def visit(state, spec, W, Yd, Md, trace_bound):
+        state.rho = rho if rho is not None else trace_bound / rank
+        return solve_subproblem_admm(state, spec, W, Yd, cfg.n_inner)
+
+    result, states = alternate(
+        Y, mask, specs, cfg, truth, start, visit, attrgetter("Z"), attrgetter("U")
     )
+    result.counters["cholesky_factorizations"] = sum(
+        s.n_factorizations for s in states
+    )
+    return result

@@ -23,7 +23,6 @@ import numpy as np
 
 from .admm import ao_admm_factorize
 from .driver import DriverConfig, ModeSpec, TraceRecord, factorize
-from .metrics import mse  # noqa: F401  (re-exported: the metric lives with the harness)
 from .operators import LinOp, ProxFn, Projection, overlapping_group_lasso
 from .tensor import FactorSet, cp_reconstruct
 
@@ -296,18 +295,17 @@ def read_trace_csv(path):
 
 # -- experiment orchestration ---------------------------------------------
 
-def _run_arm(algo, n_inner, Y, mask, specs, cfg, truth):
-    driver_cfg = replace(cfg.driver, n_inner=n_inner)
-    started = time.perf_counter()
+def run_solver(algo, Y, mask, specs, cfg, truth=None, rho=None):
+    """Fit with the solver named ``algo`` (one of ALGORITHMS); ``rho`` is
+    the ADMM penalty override and is ignored by the primal-dual solver."""
     if algo == "aopds":
-        result = factorize(Y, mask, specs, driver_cfg, truth)
-    else:
-        result = ao_admm_factorize(Y, mask, specs, driver_cfg, truth, rho=cfg.admm_rho)
-    wall = time.perf_counter() - started
-    return result, wall
+        return factorize(Y, mask, specs, cfg, truth)
+    if algo == "aoadmm":
+        return ao_admm_factorize(Y, mask, specs, cfg, truth, rho=rho)
+    raise ValueError("algorithm must be one of %r, got %r" % (ALGORITHMS, algo))
 
 
-def _arm_summary(name, result, wall, threshold):
+def arm_summary(name, result, wall, threshold):
     aligned = [r.mse_aligned for r in result.trace if r.mse_aligned is not None]
     raw = [r.mse_raw for r in result.trace if r.mse_raw is not None]
     best_aligned = min(aligned) if aligned else None
@@ -336,7 +334,7 @@ def _arm_summary(name, result, wall, threshold):
     return summary
 
 
-def _environment():
+def environment():
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -362,12 +360,15 @@ def run_experiment(cfg):
     for algo in cfg.algorithms:
         for n_inner in cfg.inner_iters:
             name = "%s_n%d" % (algo, n_inner)
-            result, wall = _run_arm(algo, n_inner, Y, mask, specs, cfg, truth)
+            driver_cfg = replace(cfg.driver, n_inner=n_inner)
+            started = time.perf_counter()
+            result = run_solver(algo, Y, mask, specs, driver_cfg, truth, cfg.admm_rho)
+            wall = time.perf_counter() - started
             write_trace_csv(out_dir / (name + ".csv"), result.trace)
-            arms.append(_arm_summary(name, result, wall, cfg.mse_threshold))
+            arms.append(arm_summary(name, result, wall, cfg.mse_threshold))
     summary = {
         "config": cfg.to_dict(),
-        "environment": _environment(),
+        "environment": environment(),
         "arms": arms,
     }
     with open(out_dir / "summary.json", "w") as fh:

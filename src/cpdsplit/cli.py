@@ -7,21 +7,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .admm import ao_admm_factorize
 from .bench import (
+    ALGORITHMS,
     ExperimentConfig,
     SyntheticSpec,
+    arm_summary,
     benchmark_mode_dicts,
     default_benchmark_config,
+    environment,
     generate_synthetic,
     mode_spec_from_dict,
     report_table,
     run_experiment,
+    run_solver,
     write_trace_csv,
-    _arm_summary,
-    _environment,
 )
-from .driver import DriverConfig, factorize
+from .driver import DriverConfig
 from .tensor import FactorSet
 from .tensorio import read_mask, read_tensor, write_mask, write_tensor
 
@@ -113,10 +114,7 @@ def _cmd_factorize(args):
     dcfg = DriverConfig(**driver_cfg)
     mode_dicts = cfg.get("modes", benchmark_mode_dicts())
     specs = [mode_spec_from_dict(m, n) for m, n in zip(mode_dicts, Y.shape)]
-    if args.algo == "aopds":
-        result = factorize(Y, mask, specs, dcfg, truth)
-    else:
-        result = ao_admm_factorize(Y, mask, specs, dcfg, truth, rho=cfg.get("admm_rho"))
+    result = run_solver(args.algo, Y, mask, specs, dcfg, truth, cfg.get("admm_rho"))
     name = "%s_n%d" % (args.algo, dcfg.n_inner)
     write_trace_csv(out / (name + ".csv"), result.trace)
     np.savez(
@@ -126,9 +124,9 @@ def _cmd_factorize(args):
         f3=result.factors.factors[2],
     )
     summary = {
-        "environment": _environment(),
+        "environment": environment(),
         "driver": driver_cfg,
-        "arms": [_arm_summary(name, result, result.trace[-1].elapsed_sec, None)],
+        "arms": [arm_summary(name, result, result.trace[-1].elapsed_sec, None)],
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -206,7 +204,7 @@ def main(argv=None):
 
     p = sub.add_parser("factorize", help="run one solver on files or synthetic data")
     p.add_argument("--config", help="JSON config (modes/driver/synthetic sections)")
-    p.add_argument("--algo", choices=("aopds", "aoadmm"), default="aopds")
+    p.add_argument("--algo", choices=ALGORITHMS, default="aopds")
     p.add_argument("--tensor", help="input .tns3 file (else synthetic data)")
     p.add_argument("--mask", help="input .msk3 file")
     p.add_argument("--truth", help="ground-truth .npz (f1, f2, f3)")
@@ -224,7 +222,7 @@ def main(argv=None):
 
     p = sub.add_parser("bench", help="run the full algorithm/inner-iteration sweep")
     p.add_argument("--config", help="JSON experiment config")
-    p.add_argument("--algo", choices=("aopds", "aoadmm"))
+    p.add_argument("--algo", choices=ALGORITHMS)
     p.add_argument("--inner-iters", dest="inner_iters", help="comma list, e.g. 3,5,7")
     p.add_argument("--seed", type=int)
     p.add_argument("--rank", type=int)

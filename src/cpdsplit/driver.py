@@ -1,16 +1,19 @@
-"""Alternating optimization over the three modes with the primal-dual
-inner solver.
+"""Alternating optimization over the three modes, and the primal-dual
+front end.
 
-Each outer iteration visits modes 1..3 in order.  A visit rebuilds the
-Khatri-Rao product W of the other two factors (ascending mode order), the
-trace bound trace(W^T W), and the step sizes, then advances the mode's
-warm-started inner state by a fixed number of primal-dual iterations.  One
-trace row (wall-clock seconds, objective, factor MSE when the ground truth
-is known) is recorded per outer iteration.
+:func:`alternate` is the one outer loop; an inner solver plugs into it with
+a start state, a per-visit update and the factor it exposes (the
+primal-dual solver here, the ADMM baseline in :mod:`cpdsplit.admm`).  Each
+outer iteration visits modes 1..3 in order.  A visit rebuilds the
+Khatri-Rao product W of the other two factors (ascending mode order) and
+the trace bound trace(W^T W), then hands the mode's warm-started state to
+the inner solver.  One trace row (wall-clock seconds, objective, factor
+MSE when the ground truth is known) is recorded per outer iteration.
 """
 
 import time
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -20,7 +23,6 @@ from .operators import (
     LinOp,
     ProxFn,
     Projection,
-    estimate_norm,
     linop_forward,
     linop_output_cols,
     prox_value,
@@ -189,6 +191,9 @@ def _prepare(Y, mask, specs, cfg, truth):
             raise ValueError("mask must be a boolean array of the data's shape")
         if mask.all():
             mask = None
+        elif np.any(Y, where=~mask):
+            # the objective and the products W^T Y_d read every entry of Y
+            Y = np.where(mask, Y, 0.0)
     if truth is not None:
         if truth.rank != cfg.rank:
             raise ValueError(
@@ -203,10 +208,6 @@ def _prepare(Y, mask, specs, cfg, truth):
     return Y, mask, specs
 
 
-def _factors_from(states):
-    return FactorSet(tuple(np.ascontiguousarray(s.F.T) for s in states))
-
-
 def _trace_entry(k, started, Y, mask, fset, specs, truth):
     obj = objective(Y, mask, fset, specs)
     if not np.isfinite(obj):
@@ -218,6 +219,67 @@ def _trace_entry(k, started, Y, mask, fset, specs, truth):
     return TraceRecord(k, time.perf_counter() - started, obj, raw, aligned)
 
 
+def alternate(Y, mask, specs, cfg, truth, start, visit, factor, dual):
+    """The outer loop shared by every inner solver.
+
+    Parameters
+    ----------
+    Y, mask, specs, cfg, truth : as in :func:`factorize`.
+    start : callable (F0, spec) -> state
+        Inner-solver state from the seeded initial R x N_d factor.
+    visit : callable (state, spec, W, Yd, Md, trace_bound) -> state
+        One mode visit: advance the warm-started state by cfg.n_inner
+        iterations against the Khatri-Rao product W of the other factors.
+    factor, dual : callable state -> ndarray
+        The feasible R x N_d factor the solver exposes, and its dual.
+
+    Returns
+    -------
+    (FitResult, list of the three final states)
+    """
+    Y, mask, specs = _prepare(Y, mask, specs, cfg, truth)
+    Yd = [matricize(Y, d) for d in (1, 2, 3)]
+    Md = [matricize(mask, d) for d in (1, 2, 3)] if mask is not None else [None] * 3
+    init = init_factors(Y.shape, int(cfg.rank), cfg.seed)
+    states = [
+        start(np.ascontiguousarray(f.T), spec) for f, spec in zip(init.factors, specs)
+    ]
+
+    def factors():
+        return FactorSet(tuple(np.ascontiguousarray(factor(s).T) for s in states))
+
+    started = time.perf_counter()
+    trace = []
+    stop_reason = "iteration_cap"
+    rule = _StopRule(cfg.stop_metric, cfg.stop_tol)
+    for k in range(1, int(cfg.max_outer) + 1):
+        for d in range(3):
+            i, j = (a for a in range(3) if a != d)
+            W = khatri_rao(factor(states[i]).T, factor(states[j]).T)
+            trace_bound = float(np.vdot(W, W))
+            if trace_bound <= 0:
+                raise ValueError(
+                    "mode %d subproblem degenerated: the other factors have a "
+                    "zero Khatri-Rao product (likely over-regularization)"
+                    % (d + 1,)
+                )
+            states[d] = visit(states[d], specs[d], W, Yd[d], Md[d], trace_bound)
+        rec = _trace_entry(k, started, Y, mask, factors(), specs, truth)
+        trace.append(rec)
+        if rule.fired(rec.objective, rec.mse_raw):
+            stop_reason = "converged"
+            break
+    result = FitResult(
+        factors=factors(),
+        duals=[dual(s) for s in states],
+        trace=trace,
+        outer_iterations=len(trace),
+        stop_reason=stop_reason,
+        counters={"inner_iterations": 3 * len(trace) * int(cfg.n_inner)},
+    )
+    return result, states
+
+
 def factorize(Y, mask, specs, cfg, truth=None):
     """Constrained CP decomposition by alternating optimization with the
     primal-dual inner solver.
@@ -225,7 +287,7 @@ def factorize(Y, mask, specs, cfg, truth=None):
     Parameters
     ----------
     Y : ndarray, shape (N1, N2, N3)
-        Data tensor; missing entries must already be zeroed.
+        Data tensor; entries the mask leaves unobserved are ignored.
     mask : ndarray of bool or None
         Sampling mask; None or all-true means fully observed.
     specs : sequence of three ModeSpec
@@ -241,52 +303,20 @@ def factorize(Y, mask, specs, cfg, truth=None):
         per-outer-iteration trace, and the stop reason ('converged' or
         'iteration_cap').
     """
-    Y, mask, specs = _prepare(Y, mask, specs, cfg, truth)
-    dims = Y.shape
     rank = int(cfg.rank)
-    Yd = [matricize(Y, d) for d in (1, 2, 3)]
-    Md = [matricize(mask, d) for d in (1, 2, 3)] if mask is not None else [None] * 3
-    op_norms = []
-    states = []
-    init = init_factors(dims, rank, cfg.seed)
-    for d, spec in enumerate(specs):
-        has_dual = spec.regularizer.kind != "zero"
-        op_norms.append(estimate_norm(spec.operator) if has_dual else 0.0)
-        dual = np.zeros((rank, linop_output_cols(spec.operator))) if has_dual else None
-        states.append(
-            pds.SubproblemState(F=np.ascontiguousarray(init.factors[d].T), G=dual)
-        )
-    started = time.perf_counter()
-    trace = []
-    stop_reason = "iteration_cap"
-    rule = _StopRule(cfg.stop_metric, cfg.stop_tol)
-    outer = 0
-    for k in range(1, int(cfg.max_outer) + 1):
-        for d in range(3):
-            i, j = (a for a in range(3) if a != d)
-            W = khatri_rao(states[i].F.T, states[j].F.T)
-            trace_bound = float(np.vdot(W, W))
-            if trace_bound <= 0:
-                raise ValueError(
-                    "mode %d subproblem degenerated: the other factors have a "
-                    "zero Khatri-Rao product (likely over-regularization)"
-                    % (d + 1,)
-                )
-            steps = pds.compute_stepsizes(trace_bound, op_norms[d])
-            states[d] = pds.solve_subproblem(
-                states[d], specs[d], W, Yd[d], Md[d], steps, cfg.n_inner
-            )
-        outer = k
-        rec = _trace_entry(k, started, Y, mask, _factors_from(states), specs, truth)
-        trace.append(rec)
-        if rule.fired(rec.objective, rec.mse_raw):
-            stop_reason = "converged"
-            break
-    return FitResult(
-        factors=_factors_from(states),
-        duals=[s.G for s in states],
-        trace=trace,
-        outer_iterations=outer,
-        stop_reason=stop_reason,
-        counters={"inner_iterations": 3 * outer * int(cfg.n_inner)},
+
+    def start(F, spec):
+        if spec.operator is None:
+            return pds.SubproblemState(F=F)
+        G = np.zeros((rank, linop_output_cols(spec.operator)))
+        return pds.SubproblemState(F=F, G=G)
+
+    def visit(state, spec, W, Yd, Md, trace_bound):
+        op_norm = spec.operator.norm_bound if spec.operator is not None else 0.0
+        steps = pds.compute_stepsizes(trace_bound, op_norm)
+        return pds.solve_subproblem(state, spec, W, Yd, Md, steps, cfg.n_inner)
+
+    result, _ = alternate(
+        Y, mask, specs, cfg, truth, start, visit, attrgetter("F"), attrgetter("G")
     )
+    return result

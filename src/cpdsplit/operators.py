@@ -290,53 +290,6 @@ def linop_adjoint(op, y):
     return out
 
 
-def power_iteration_norm(op, iters=500, tol=1e-12, seed=0):
-    """Estimate ||L*L|| (the largest eigenvalue of the adjoint-composed
-    operator) by power iteration on one random row vector.
-
-    Parameters
-    ----------
-    op : LinOp with declared n_cols.
-    iters : int
-        Iteration cap.
-    tol : float
-        Relative change in the Rayleigh quotient that stops the loop.
-    seed : int
-        Seed for the start vector.
-    """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    if op.n_cols is None:
-        raise ValueError("operator has no declared input width")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((1, op.n_cols))
-    estimate = 0.0
-    for _ in range(iters):
-        z = linop_adjoint(op, linop_forward(op, x))
-        xx = float(np.vdot(x, x))
-        new = float(np.vdot(x, z)) / xx
-        nz = float(np.sqrt(np.vdot(z, z)))
-        if nz == 0.0:
-            return 0.0
-        x = z / nz
-        if abs(new - estimate) <= tol * max(1.0, abs(new)):
-            estimate = new
-            break
-        estimate = new
-    return estimate
-
-
-def estimate_norm(op, iters=100, tol=1e-9):
-    """Upper bound on ||L*L||: the exact cached closed form for the catalog
-    kinds (identity 1, row_difference 4 >= the true norm, group_replicate max
-    block coverage); a power-iteration estimate scaled by 1.01 otherwise."""
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    if op.norm_bound is not None:
-        return op.norm_bound
-    return 1.01 * power_iteration_norm(op, iters=iters, tol=tol)
-
-
 def overlapping_group_lasso(groups, weight, n_cols):
     """Build the (ProxFn, LinOp) pair realizing a sum of l2 norms over
     possibly overlapping column groups: replicate the shared columns into

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import cpdsplit.admm as admm_mod
 import cpdsplit.driver as driver_mod
 import cpdsplit.pds as pds
+from cpdsplit.admm import ao_admm_factorize
 from cpdsplit.driver import DriverConfig, ModeSpec, factorize, init_factors, objective
 from cpdsplit.operators import Projection, ProxFn, identity_op, row_difference_op
 from cpdsplit.tensor import FactorSet, cp_reconstruct
@@ -103,30 +105,47 @@ def test_single_outer_iteration_hits_cap():
     assert res.counters["inner_iterations"] == 6
 
 
-def test_inner_solver_is_warm_started():
-    # the driver must hand each mode's previous state back to the solver
+@pytest.mark.parametrize(
+    "module, name, fit",
+    [
+        (pds, "solve_subproblem", factorize),
+        (admm_mod, "solve_subproblem_admm", ao_admm_factorize),
+    ],
+    ids=["pds", "admm"],
+)
+def test_inner_solver_is_warm_started(module, name, fit, monkeypatch):
+    # the outer loop must hand each mode's previous state back to the solver
     Y, truth = _small_problem(seed=4)
     cfg = DriverConfig(rank=2, n_inner=1, max_outer=3, stop_tol=1e-30,
                        stop_metric="objective_rel_change", seed=6)
     seen = []
-    real = pds.solve_subproblem
+    real = getattr(module, name)
 
-    def spy(state, spec, W, Yd, mask, steps, n_inner):
-        out = real(state, spec, W, Yd, mask, steps, n_inner)
+    def spy(state, *args):
+        out = real(state, *args)
         seen.append((state, out))
         return out
 
-    try:
-        pds.solve_subproblem = spy
-        factorize(Y, None, _plain_specs(), cfg)
-    finally:
-        pds.solve_subproblem = real
+    monkeypatch.setattr(module, name, spy)
+    fit(Y, None, _plain_specs(), cfg)
     assert len(seen) == 9
     # each mode's call in round k receives the object returned in round k-1
     for mode in range(3):
         calls = seen[mode::3]
         for (prev_in, prev_out), (next_in, _) in zip(calls, calls[1:]):
             assert next_in is prev_out
+
+
+@pytest.mark.parametrize("fit", [factorize, ao_admm_factorize], ids=["pds", "admm"])
+def test_over_regularization_degenerates_with_clear_error(fit):
+    # the stock regularization with the mode-1 l1 weight raised to 1e6
+    Y, _ = _small_problem(seed=0, dims=(12, 11, 10))
+    c = Projection("nonnegative")
+    crushed = ModeSpec(c, ProxFn("l1", 1e6), identity_op())
+    frob = ModeSpec(c, ProxFn("squared_frobenius", 2.0), identity_op())
+    cfg = DriverConfig(rank=2, stop_metric="objective_rel_change", seed=1)
+    with pytest.raises(ValueError, match="degenerated"):
+        fit(Y, None, (crushed, frob, frob), cfg)
 
 
 def test_factorize_is_deterministic():
@@ -204,6 +223,21 @@ def test_masked_fit_and_full_mask_equivalence():
     b = factorize(Y, None, _nonneg_specs(), cfg)
     for fa, fb in zip(a.factors.factors, b.factors.factors):
         assert np.array_equal(fa, fb)
+
+
+def test_unobserved_entries_are_ignored():
+    rng = np.random.default_rng(15)
+    Y, truth = _small_problem(seed=15, dims=(12, 11, 10), noise=0.05)
+    mask = rng.random(Y.shape) < 0.6
+    cfg = DriverConfig(rank=2, n_inner=3, max_outer=10, seed=16)
+    dirty = np.where(mask, Y, 100.0 * rng.standard_normal(Y.shape))
+    kept = dirty.copy()
+    a = factorize(dirty, mask, _nonneg_specs(), cfg, truth)
+    b = factorize(np.where(mask, Y, 0.0), mask, _nonneg_specs(), cfg, truth)
+    assert np.array_equal(dirty, kept)
+    for fa, fb in zip(a.factors.factors, b.factors.factors):
+        assert np.array_equal(fa, fb)
+    assert [t.objective for t in a.trace] == [t.objective for t in b.trace]
 
 
 def test_shape_and_spec_mismatches_raise():

@@ -7,14 +7,12 @@ from cpdsplit.operators import (
     LinOp,
     Projection,
     ProxFn,
-    estimate_norm,
     group_replicate_op,
     identity_op,
     linop_adjoint,
     linop_forward,
     linop_output_cols,
     overlapping_group_lasso,
-    power_iteration_norm,
     project,
     prox_apply,
     prox_conjugate,
@@ -225,11 +223,11 @@ def test_adjoint_identity_random_pairs():
 
 
 def test_norm_bounds_closed_forms():
-    assert estimate_norm(identity_op(3)) == 1.0
-    assert estimate_norm(row_difference_op(7)) == 4.0
+    assert identity_op(3).norm_bound == 1.0
+    assert row_difference_op(7).norm_bound == 4.0
     # every column covered by at most two blocks
     op = group_replicate_op(((0, 1), (1, 2)), 3)
-    assert estimate_norm(op) == 2.0
+    assert op.norm_bound == 2.0
 
 
 def test_row_difference_bound_dominates_true_norm():
@@ -237,21 +235,22 @@ def test_row_difference_bound_dominates_true_norm():
         d = oracles.operator_matrix("row_difference", n, None)
         true = oracles.largest_eig(d.T @ d)
         assert true < 4.0
-        assert estimate_norm(row_difference_op(n)) >= true
+        assert row_difference_op(n).norm_bound >= true
 
 
-def test_power_iteration_matches_eigenvalue_oracle():
+def test_norm_bound_matches_eigenvalue_oracle():
+    # exact for identity and group_replicate, overlapping groups included
     for kind, n, groups in [
+        ("identity", 1, None),
         ("identity", 4, None),
-        ("row_difference", 3, None),
-        ("row_difference", 8, None),
+        ("group_replicate", 4, ((0, 1), (2, 3))),
         ("group_replicate", 5, ((0, 1, 2), (2, 3, 4))),
+        ("group_replicate", 6, ((0, 1, 2, 3), (1, 2), (2, 5), (4,))),
     ]:
         op = LinOp(kind, n, groups)
         d = oracles.operator_matrix(kind, n, groups)
         want = oracles.largest_eig(d.T @ d)
-        got = power_iteration_norm(op, iters=5000, tol=1e-14)
-        assert abs(got - want) <= 1e-6 * max(1.0, want)
+        assert abs(op.norm_bound - want) <= 1e-12 * max(1.0, want)
 
 
 def test_norm_bound_never_underestimates_action():
@@ -262,7 +261,7 @@ def test_norm_bound_never_underestimates_action():
         group_replicate_op(((0, 1), (1, 2), (3, 4)), 5),
     ]
     for op in ops:
-        bound = estimate_norm(op)
+        bound = op.norm_bound
         for _ in range(100):
             x = rng.standard_normal((1, 5))
             lx = linop_forward(op, x)
