@@ -238,4 +238,7 @@ def main(argv=None):
         return args.func(args)
     except (OSError, ValueError) as exc:
         # bad inputs get one line; numerical failures still traceback
-        raise SystemExit("error: %s" % exc)
+        hint = ("; the default mode weights suit the 100^3 stock problem, so lower "
+                "them in the 'modes' section of a --config file"
+                if "degenerated" in str(exc) else "")
+        raise SystemExit("error: %s%s" % (exc, hint))

