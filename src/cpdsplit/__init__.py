@@ -1,8 +1,11 @@
 """Constrained CP decomposition of third-order tensors: alternating
 optimization with a primal-dual splitting inner solver, an ADMM baseline,
-and a synthetic benchmark harness."""
+and a synthetic benchmark harness.
 
-from .admm import AdmmState, UnsupportedSpecError, ao_admm_factorize, solve_subproblem_admm
+The top level holds what callers use; the inner solvers' plumbing stays in
+its submodules (:mod:`cpdsplit.pds`, :mod:`cpdsplit.operators`, ...)."""
+
+from .admm import UnsupportedSpecError, ao_admm_factorize
 from .bench import (
     ExperimentConfig,
     SyntheticSpec,
@@ -10,47 +13,23 @@ from .bench import (
     generate_synthetic,
     run_experiment,
 )
-from .driver import (
-    DriverConfig,
-    FitResult,
-    ModeSpec,
-    TraceRecord,
-    factorize,
-    init_factors,
-    objective,
-)
-from .metrics import best_column_permutation, mse
+from .driver import DriverConfig, FitResult, ModeSpec, TraceRecord, factorize, objective
+from .metrics import mse
 from .operators import (
     LinOp,
     ProxFn,
     Projection,
     group_replicate_op,
     identity_op,
-    linop_adjoint,
-    linop_forward,
     overlapping_group_lasso,
-    project,
-    prox_apply,
-    prox_conjugate,
-    prox_value,
     row_difference_op,
 )
-from .pds import StepSizes, SubproblemState, compute_stepsizes, solve_subproblem, subproblem_gradient
-from .tensor import (
-    FactorSet,
-    apply_mask,
-    cp_reconstruct,
-    frobenius_norm_sq,
-    khatri_rao,
-    matricize,
-    tensorize,
-)
+from .tensor import FactorSet, cp_reconstruct
 from .tensorio import read_mask, read_tensor, write_mask, write_tensor
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmmState",
     "DriverConfig",
     "ExperimentConfig",
     "FactorSet",
@@ -59,42 +38,23 @@ __all__ = [
     "ModeSpec",
     "ProxFn",
     "Projection",
-    "StepSizes",
-    "SubproblemState",
     "SyntheticSpec",
     "TraceRecord",
     "UnsupportedSpecError",
     "ao_admm_factorize",
-    "apply_mask",
-    "best_column_permutation",
-    "compute_stepsizes",
     "cp_reconstruct",
     "default_benchmark_config",
     "factorize",
-    "frobenius_norm_sq",
     "generate_synthetic",
     "group_replicate_op",
     "identity_op",
-    "init_factors",
-    "khatri_rao",
-    "linop_adjoint",
-    "linop_forward",
-    "matricize",
     "mse",
     "objective",
     "overlapping_group_lasso",
-    "project",
-    "prox_apply",
-    "prox_conjugate",
-    "prox_value",
     "read_mask",
     "read_tensor",
     "row_difference_op",
     "run_experiment",
-    "solve_subproblem",
-    "solve_subproblem_admm",
-    "subproblem_gradient",
-    "tensorize",
     "write_mask",
     "write_tensor",
 ]

@@ -148,19 +148,6 @@ def cp_reconstruct(fset):
     return out.reshape(f1.shape[0], f2.shape[0], f3.shape[0])
 
 
-def apply_mask(t, mask):
-    """Zero the entries of ``t`` where ``mask`` is False."""
-    t = np.asarray(t)
-    mask = np.asarray(mask)
-    if mask.shape != t.shape:
-        raise ValueError(
-            "mask shape %r does not match tensor shape %r" % (mask.shape, t.shape)
-        )
-    if mask.dtype != np.bool_:
-        raise ValueError("mask must be boolean, got dtype %s" % mask.dtype)
-    return np.where(mask, t, 0.0)
-
-
 def frobenius_norm_sq(a):
     """Sum of squared entries, as a Python float."""
     a = np.asarray(a)

@@ -20,7 +20,7 @@ from cpdsplit.bench import (
     generate_synthetic,
     mode_spec_from_dict,
 )
-from cpdsplit.driver import DriverConfig, ModeSpec, factorize
+from cpdsplit.driver import DriverConfig, ModeSpec, factorize, objective
 from cpdsplit.metrics import mse
 from cpdsplit.operators import (
     Projection,
@@ -34,7 +34,7 @@ from cpdsplit.operators import (
     row_difference_op,
 )
 from cpdsplit.pds import SubproblemState, compute_stepsizes, solve_subproblem, subproblem_gradient
-from cpdsplit.tensor import FactorSet, apply_mask, cp_reconstruct, khatri_rao, matricize
+from cpdsplit.tensor import FactorSet, cp_reconstruct, khatri_rao, matricize
 
 import oracles
 
@@ -299,14 +299,36 @@ def test_criterion_5_invariant_suites():
         zero_ok = zero_ok and compute_stepsizes(t_b, 0.0).gamma2 == 0.0
     checks.append(("step sizes 1e-12", worst <= 1e-12 and zero_ok))
 
-    # mask idempotence and self-adjointness, exact
-    xt = rng.standard_normal((3, 4, 2))
-    yt = rng.standard_normal((3, 4, 2))
-    mask = rng.random((3, 4, 2)) < 0.5
-    once = apply_mask(xt, mask)
-    exact = np.array_equal(apply_mask(once, mask), once) and float(
-        np.vdot(apply_mask(xt, mask), yt)
-    ) == float(np.vdot(xt, apply_mask(yt, mask)))
+    # the fit's masking is an orthogonal projector P, exactly: a fit reads
+    # only P(Y), so data already zeroed fits bit for bit as the raw data
+    # (P P = P); the objective's P on the model is the data's P (P x - P x
+    # is exactly 0) and ||P x||^2 == <x, P x>; the masked normal operator
+    # W^T P W of a visit is exactly symmetric (P self-adjoint)
+    dims = (6, 5, 4)
+    mask = rng.random(dims) < 0.5
+    fs = FactorSet(tuple(rng.standard_normal((n, 2)) for n in dims))
+    xt = cp_reconstruct(fs)
+    pxt = np.where(mask, xt, 0.0)
+    plain = [ModeSpec()] * 3
+    exact = objective(pxt, mask, fs, plain) == 0.0
+    exact &= 2.0 * objective(np.zeros(dims), mask, fs, plain) == float(np.vdot(xt, pxt))
+    yt = xt + 0.1 * rng.standard_normal(dims)
+    cfg = DriverConfig(rank=2, n_inner=2, max_outer=3, stop_tol=1e-30,
+                       stop_metric="objective_rel_change", seed=7)
+    raw = factorize(yt, mask, plain, cfg)
+    zeroed = factorize(np.where(mask, yt, 0.0), mask, plain, cfg)
+    exact &= all(np.array_equal(a, b)
+                 for a, b in zip(raw.factors.factors, zeroed.factors.factors))
+    # with Yd = 0 and row j of F all ones, gradient column n is G_n[:, j]
+    W = rng.standard_normal((20, 3))
+    wmask = rng.random((20, 4)) < 0.5
+    grams = []
+    for j in range(3):
+        unit = np.zeros((3, 4))
+        unit[j] = 1.0
+        grams.append(subproblem_gradient(unit, W, np.zeros((20, 4)), wmask))
+    exact &= all(np.array_equal(grams[j][i], grams[i][j])
+                 for i in range(3) for j in range(3))
     checks.append(("mask exact", exact))
 
     # bit-exact determinism of a full fit

@@ -1,7 +1,11 @@
 """Module boundaries inside the package: no module imports another
-module's underscore (private) names."""
+module's underscore (private) names, the top level exports a pinned set,
+and importing the package stays cheap."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cpdsplit
@@ -23,3 +27,37 @@ def test_no_module_imports_private_names():
                 if internal and alias.name.startswith("_"):
                     offenders.append("%s:%d imports %s" % (path.name, node.lineno, alias.name))
     assert not offenders, offenders
+
+
+PUBLIC_API = {
+    "DriverConfig", "ModeSpec", "FitResult", "TraceRecord", "factorize",
+    "objective", "ao_admm_factorize", "UnsupportedSpecError", "Projection",
+    "ProxFn", "LinOp", "identity_op", "row_difference_op",
+    "group_replicate_op", "overlapping_group_lasso", "FactorSet",
+    "cp_reconstruct", "mse", "read_tensor", "write_tensor", "read_mask",
+    "write_mask", "SyntheticSpec", "ExperimentConfig", "generate_synthetic",
+    "run_experiment", "default_benchmark_config",
+}
+
+
+def test_public_api_is_the_pinned_set():
+    # the inner solvers' plumbing is imported from its submodule
+    assert len(cpdsplit.__all__) == len(set(cpdsplit.__all__))
+    assert set(cpdsplit.__all__) == PUBLIC_API
+    assert all(hasattr(cpdsplit, name) for name in PUBLIC_API)
+
+
+def test_import_does_not_load_scipy_optimize():
+    # importing scipy.optimize takes longer than importing this package, and
+    # every CLI call and benchmark worker would pay it; the column alignment
+    # is solved in-package
+    code = "import sys, cpdsplit; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cpdsplit.metrics import EXACT_ALIGN_MAX, best_column_permutation, mse
+from cpdsplit.metrics import best_column_permutation, mse
 from cpdsplit.tensor import FactorSet
 
 import oracles
@@ -59,29 +59,109 @@ def test_mismatched_inputs_raise():
         mse(bad_dims, truth)
 
 
-def test_permutation_output_is_valid_both_paths():
-    for rank in (EXACT_ALIGN_MAX, EXACT_ALIGN_MAX + 1):
-        rng = np.random.default_rng(rank)
-        truth = _random_truth(rank, dims=(6, 5, 4), rank=rank)
-        shuffle = rng.permutation(rank)
-        est = FactorSet(tuple(f[:, shuffle] for f in truth.factors))
-        perm = best_column_permutation(est, truth)
-        assert sorted(perm.tolist()) == list(range(rank))
-        assert mse(est, truth, aligned=True) == pytest.approx(0.0, abs=1e-20)
+def _alignment_cost(est, truth):
+    """cost[r, s] = sum_d ||truth_d[:, r] - est_d[:, s]||^2, by loops."""
+    rank = truth.rank
+    cost = np.zeros((rank, rank))
+    for r in range(rank):
+        for s in range(rank):
+            for ft, fe in zip(truth.factors, est.factors):
+                cost[r, s] += float(np.sum((ft[:, r] - fe[:, s]) ** 2))
+    return cost
 
 
-def test_greedy_path_recovers_clean_permutation():
-    # above the enumeration cutoff the greedy matcher still unscrambles a
-    # lightly perturbed permutation
-    rank = EXACT_ALIGN_MAX + 2
-    rng = np.random.default_rng(9)
-    truth = _random_truth(10, dims=(12, 11, 10), rank=rank)
+def _alignment_instance(seed, rank, tied):
+    """(estimate, truth): a shuffled, perturbed copy of random factors or,
+    with ``tied``, independent small-integer factors whose estimate has two
+    equal columns, so the cost matrix has many exactly tied entries and
+    several optimal assignments."""
+    rng = np.random.default_rng(seed)
+    dims = (6, 5, 4)
+    if tied:
+        truth = FactorSet(tuple(rng.integers(0, 3, (n, rank)).astype(float)
+                                for n in dims))
+        est = [rng.integers(0, 3, (n, rank)).astype(float) for n in dims]
+        if rank > 1:
+            for f in est:
+                f[:, 1] = f[:, 0]
+        return FactorSet(tuple(est)), truth
+    truth = FactorSet(tuple(rng.random((n, rank)) for n in dims))
     shuffle = rng.permutation(rank)
-    est = FactorSet(tuple(f[:, shuffle] + 0.01 * rng.standard_normal(f.shape)
+    est = FactorSet(tuple(f[:, shuffle] + 0.3 * rng.standard_normal(f.shape)
                           for f in truth.factors))
-    aligned = mse(est, truth, aligned=True)
-    assert aligned <= mse(est, truth)
-    assert aligned < 0.001
+    return est, truth
+
+
+def _assert_permutation(perm, rank):
+    assert perm.dtype.kind == "i" and perm.shape == (rank,)
+    assert sorted(perm.tolist()) == list(range(rank))
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["random", "tied"])
+@pytest.mark.parametrize("rank", range(1, 8))
+def test_alignment_matches_brute_force(rank, tied):
+    for seed in range(3):
+        est, truth = _alignment_instance(100 * rank + seed, rank, tied)
+        _assert_permutation(best_column_permutation(est, truth), rank)
+        got = mse(est, truth, aligned=True)
+        want = oracles.aligned_mse_dense(est.factors, truth.factors)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert got <= mse(est, truth)
+
+
+@pytest.mark.parametrize("rank", range(8, 21))
+def test_alignment_matches_scipy_assignment(rank):
+    from scipy.optimize import linear_sum_assignment
+
+    for seed, tied in ((0, False), (1, True)):
+        est, truth = _alignment_instance(100 * rank + seed, rank, tied)
+        perm = best_column_permutation(est, truth)
+        _assert_permutation(perm, rank)
+        cost = _alignment_cost(est, truth)
+        rows, cols = linear_sum_assignment(cost)
+        got = float(cost[np.arange(rank), perm].sum())
+        assert got == pytest.approx(float(cost[rows, cols].sum()), rel=1e-12)
+
+
+def test_alignment_is_exact_where_cosine_matching_is_not():
+    # truth columns t0 = a and t1 = 2a + b, the rest disjoint unit columns;
+    # the estimate has e0 = 3 t0 (cosine 1 to t0, but far from it) and
+    # e1 = t0 + c (close to t0).  Matching on cosine pairs t0 with e0 and
+    # pays 4|a|^2 more than the optimum, which swaps the first two columns.
+    rank = 9
+    truth, est = [], []
+    for n in (12, 11, 10):
+        t = np.zeros((n, rank))
+        t[np.arange(rank), np.arange(rank)] = 1.0
+        t[0, 1] = 2.0
+        t[1, 1] = 0.0
+        e = t.copy()
+        e[:, 0] = 3.0 * t[:, 0]
+        e[:, 1] = t[:, 0]
+        truth.append(t)
+        est.append(e)
+    truth[0][9, 1] = 1.0   # b
+    est[0][10, 1] = 0.1    # c
+    truth, est = FactorSet(tuple(truth)), FactorSet(tuple(est))
+    perm = best_column_permutation(est, truth)
+    assert perm.tolist() == [1, 0] + list(range(2, rank))
+    # the other columns match exactly, so only the swapped pair costs
+    cost = _alignment_cost(est, truth)
+    want = (cost[0, 1] + cost[1, 0]) / (rank * sum(truth.dims))
+    assert mse(est, truth, aligned=True) == pytest.approx(want, rel=1e-12)
+    assert cost[0, 1] + cost[1, 0] < cost[0, 0] + cost[1, 1]
+
+
+@pytest.mark.parametrize("rank", [3, 10])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_alignment_rejects_non_finite_factors(rank, bad):
+    truth = _random_truth(12, dims=(6, 5, 4), rank=rank)
+    factors = [f.copy() for f in truth.factors]
+    factors[1][2, rank - 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        mse(factors, truth, aligned=True)
+    with pytest.raises(ValueError, match="finite"):
+        best_column_permutation(factors, truth)
 
 
 def test_accepts_plain_factor_sequences():

@@ -3,7 +3,6 @@ import pytest
 
 from cpdsplit.tensor import (
     FactorSet,
-    apply_mask,
     cp_reconstruct,
     frobenius_norm_sq,
     khatri_rao,
@@ -108,31 +107,6 @@ def test_cp_reconstruct_accepts_plain_sequences():
     rng = np.random.default_rng(6)
     factors = [rng.random((n, 2)) for n in (2, 3, 4)]
     assert np.allclose(cp_reconstruct(factors), oracles.cp_dense(factors))
-
-
-def test_apply_mask_zeroes_and_validates():
-    rng = np.random.default_rng(7)
-    t = rng.standard_normal((3, 2, 4))
-    mask = rng.random((3, 2, 4)) < 0.5
-    masked = apply_mask(t, mask)
-    assert np.array_equal(masked[mask], t[mask])
-    assert (masked[~mask] == 0.0).all()
-    with pytest.raises(ValueError):
-        apply_mask(t, mask[:, :, :2])
-    with pytest.raises(ValueError):
-        apply_mask(t, mask.astype(np.uint8))
-
-
-def test_apply_mask_idempotent_and_self_adjoint():
-    rng = np.random.default_rng(8)
-    x = rng.standard_normal((3, 4, 2))
-    y = rng.standard_normal((3, 4, 2))
-    mask = rng.random((3, 4, 2)) < 0.4
-    once = apply_mask(x, mask)
-    assert np.array_equal(apply_mask(once, mask), once)
-    lhs = float(np.vdot(apply_mask(x, mask), y))
-    rhs = float(np.vdot(x, apply_mask(y, mask)))
-    assert lhs == rhs
 
 
 def test_frobenius_norm_sq_matches_sum():
