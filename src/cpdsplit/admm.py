@@ -127,7 +127,7 @@ def ao_admm_factorize(Y, mask, specs, cfg, truth=None, rho=None):
     def start(F, spec):
         return AdmmState(F=F, Z=F.copy(), U=np.zeros_like(F), rho=1.0)
 
-    def visit(state, spec, W, Yd, Md, trace_bound):
+    def visit(d, state, spec, W, Yd, Md, trace_bound):
         state.rho = rho if rho is not None else trace_bound / rank
         return solve_subproblem_admm(state, spec, W, Yd, cfg.n_inner)
 

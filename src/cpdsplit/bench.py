@@ -23,6 +23,7 @@ import numpy as np
 
 from .admm import ao_admm_factorize
 from .driver import DriverConfig, ModeSpec, TraceRecord, factorize
+from .metrics import factor_match_score
 from .operators import LinOp, ProxFn, Projection, overlapping_group_lasso
 from .tensor import FactorSet, cp_reconstruct
 
@@ -305,7 +306,9 @@ def run_solver(algo, Y, mask, specs, cfg, truth=None, rho=None):
     raise ValueError("algorithm must be one of %r, got %r" % (ALGORITHMS, algo))
 
 
-def arm_summary(name, result, wall, threshold):
+def arm_summary(name, result, wall, threshold, truth=None):
+    """One arm's row of summary.json; the factor match score of the final
+    factors is reported when the ground truth is given."""
     aligned = [r.mse_aligned for r in result.trace if r.mse_aligned is not None]
     raw = [r.mse_raw for r in result.trace if r.mse_raw is not None]
     best_aligned = min(aligned) if aligned else None
@@ -318,6 +321,9 @@ def arm_summary(name, result, wall, threshold):
         "best_mse_aligned": best_aligned,
         "best_mse_raw": min(raw) if raw else None,
         "final_mse_aligned": aligned[-1] if aligned else None,
+        "final_factor_match_score": (
+            factor_match_score(result.factors, truth) if truth is not None else None
+        ),
         "final_mse_raw": raw[-1] if raw else None,
         "time_to_best_sec": (
             result.trace[int(np.argmin(aligned))].elapsed_sec if aligned else None
@@ -365,7 +371,7 @@ def run_experiment(cfg):
             result = run_solver(algo, Y, mask, specs, driver_cfg, truth, cfg.admm_rho)
             wall = time.perf_counter() - started
             write_trace_csv(out_dir / (name + ".csv"), result.trace)
-            arms.append(arm_summary(name, result, wall, cfg.mse_threshold))
+            arms.append(arm_summary(name, result, wall, cfg.mse_threshold, truth))
     summary = {
         "config": cfg.to_dict(),
         "environment": environment(),

@@ -126,7 +126,7 @@ def _cmd_factorize(args):
     summary = {
         "environment": environment(),
         "driver": driver_cfg,
-        "arms": [arm_summary(name, result, result.trace[-1].elapsed_sec, None)],
+        "arms": [arm_summary(name, result, result.trace[-1].elapsed_sec, None, truth)],
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)

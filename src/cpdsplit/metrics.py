@@ -5,6 +5,10 @@ R*(N1+N2+N3).  CP models are invariant to a shared column permutation, so
 the aligned variant first applies the permutation of the estimate's columns
 minimizing that error: an exact minimum-cost assignment on the R x R matrix
 of summed squared column distances (Hungarian method, O(R^3)).
+
+The factor match score is scale-invariant: the mean over components of the
+product over modes of the column cosines, under the assignment maximizing
+it (Tomasi & Bro 2006; Acar, Dunlavy, Kolda & Morup 2011).
 """
 
 import numpy as np
@@ -128,3 +132,26 @@ def mse(fset, truth, aligned=False):
         diff = ft - fe
         total += float(np.vdot(diff, diff))
     return total / (fset.rank * sum(fset.dims))
+
+
+def factor_match_score(fset, truth):
+    """Mean over components of prod_d cos(truth_d[:, r], F_d[:, p[r]]),
+    maximized exactly over the shared column permutation p.
+
+    1 means the estimate's rank-one components equal the truth's up to
+    permutation and positive scale; a zero column has cosine 0.
+
+    Raises
+    ------
+    ValueError
+        If a factor is non-finite.
+    """
+    fset, truth = _check_pair(fset, truth)
+    congruence = np.ones((fset.rank, fset.rank))
+    for ft, fe in zip(truth.factors, fset.factors):
+        norms = np.outer(np.linalg.norm(ft, axis=0), np.linalg.norm(fe, axis=0))
+        congruence *= (ft.T @ fe) / np.where(norms > 0, norms, np.inf)
+    if not np.isfinite(congruence).all():
+        raise ValueError("factor match score needs finite factors")
+    perm = _min_cost_assignment((-congruence).tolist())
+    return float(congruence[np.arange(fset.rank), perm].mean())

@@ -9,7 +9,9 @@ constraint C and a composed regularizer h(L(F)), each inner iteration does
 with the gradient A F - B (B = W'Yd): A = W'W, or with a mask one Gram
 G_n = W' diag(mask[:, n]) W per column of F, so the masked iteration costs
 O(N R^2), not O(P N R).  The step sizes keep the primal-dual product inside
-the convergence region; the dual branch is skipped without a regularizer.
+the convergence region; their Lipschitz bound is trace(W'W) on dense data
+and max_n trace(G_n) with a mask (the gradient is then block-diagonal over
+the columns).  The dual branch is skipped without a regularizer.
 """
 
 import math
@@ -52,7 +54,9 @@ def compute_stepsizes(trace_bound, op_norm):
     Parameters
     ----------
     trace_bound : float
-        trace(W^T W), an upper bound on the gradient's Lipschitz constant.
+        An upper bound on the gradient's Lipschitz constant: trace(W^T W),
+        or with a mask max_n trace(G_n) over the per-column Grams of
+        :func:`column_grams`.
     op_norm : float
         Upper bound on ||L*L||; 0 when the mode has no operator.
 
@@ -98,27 +102,34 @@ def subproblem_gradient(F, W, Yd, mask=None):
         )
     if mask is not None and np.shape(mask) != Yd.shape:
         raise ValueError("mask shape %r != Yd shape %r" % (np.shape(mask), Yd.shape))
-    return _gram_product(W, mask)(F) - W.T @ Yd
+    grams = None if mask is None else column_grams(W, mask)
+    return _gram_product(W, grams)(F) - W.T @ Yd
 
 
-def _gram_product(W, mask):
-    """F -> A F for A = W^T W or, with a mask, the stack of per-column Grams
-    G_n, built by one GEMM of the mask against W's column-pair products."""
-    if mask is None:
-        A = W.T @ W
-        return lambda F: A @ F
+def column_grams(W, mask):
+    """The per-column Grams G_n = W^T diag(mask[:, n]) W, shape (N, R, R),
+    built by one GEMM of the mask against W's column-pair products."""
     iu, ju = np.triu_indices(W.shape[1])
     g = np.asarray(mask).T.astype(W.dtype) @ (W[:, iu] * W[:, ju])
     grams = np.empty((g.shape[0], W.shape[1], W.shape[1]))
     grams[:, iu, ju] = grams[:, ju, iu] = g
+    return grams
+
+
+def _gram_product(W, grams):
+    """F -> A F for A = W^T W, or the per-column Grams when given."""
+    if grams is None:
+        A = W.T @ W
+        return lambda F: A @ F
     return lambda F: np.matmul(grams, F.T[:, :, None])[:, :, 0].T
 
 
-def solve_subproblem(state, spec, W, Yd, mask, steps, n_inner):
+def solve_subproblem(state, spec, W, Yd, grams, steps, n_inner):
     """Run exactly n_inner primal-dual iterations, warm-started from state.
 
-    A mask's Grams are built once per call, at the cost of 0.4 / 0.9 / 2.2 /
-    3.1 direct masked gradients at R = 5 / 10 / 15 / 20 (100^3, half observed).
+    With a mask the caller passes the per-column Grams, which also give the
+    step sizes' bound; building them costs 0.4 / 0.9 / 2.2 / 3.1 direct
+    masked gradients at R = 5 / 10 / 15 / 20 (100^3, half observed).
 
     Parameters
     ----------
@@ -127,8 +138,10 @@ def solve_subproblem(state, spec, W, Yd, mask, steps, n_inner):
         regularizer.
     spec : ModeSpec
         Projection, regularizer, and operator for this mode.
-    W, Yd, mask : arrays
+    W, Yd : arrays
         As in :func:`subproblem_gradient`.
+    grams : ndarray, shape (N, R, R), or None
+        :func:`column_grams` of W and the mask; None means fully observed.
     steps : StepSizes
     n_inner : int
         Number of iterations, at least 1.
@@ -145,7 +158,7 @@ def solve_subproblem(state, spec, W, Yd, mask, steps, n_inner):
     has_dual = spec.operator is not None and spec.regularizer.kind != "zero"
     gamma1 = steps.gamma1
     gamma2 = steps.gamma2
-    gram = _gram_product(W, mask)
+    gram = _gram_product(W, grams)
     WtYd = W.T @ Yd
     for _ in range(n_inner):
         grad = gram(F) - WtYd

@@ -173,3 +173,26 @@ def aligned_mse_dense(factors, truth):
         permuted = [f[:, list(perm)] for f in factors]
         best = min(best, mse_dense(permuted, truth))
     return best
+
+
+def factor_match_score_dense(factors, truth):
+    """Exhaustive maximum over shared column permutations of the mean over
+    components of the product over modes of the column cosines, each cosine
+    summed entry by entry (0 for a zero column)."""
+    rank = factors[0].shape[1]
+
+    def cosine(x, y):
+        dot = sum(a * b for a, b in zip(x, y))
+        norm = (sum(a * a for a in x) * sum(b * b for b in y)) ** 0.5
+        return dot / norm if norm > 0 else 0.0
+
+    best = -np.inf
+    for perm in itertools.permutations(range(rank)):
+        total = 0.0
+        for r in range(rank):
+            prod = 1.0
+            for fe, ft in zip(factors, truth):
+                prod *= cosine(ft[:, r], fe[:, perm[r]])
+            total += prod
+        best = max(best, total / rank)
+    return best

@@ -210,6 +210,7 @@ def test_run_experiment_writes_all_outputs(tmp_path):
     }
     for arm in summary["arms"]:
         assert arm["best_mse_aligned"] is not None
+        assert -1.0 <= arm["final_factor_match_score"] <= 1.0
         assert arm["wall_time_sec"] > 0
         assert arm["counters"]["inner_iterations"] > 0
     assert "python" in summary["environment"]

@@ -5,6 +5,8 @@ import pytest
 
 from cpdsplit.bench import read_trace_csv
 from cpdsplit.cli import main
+from cpdsplit.metrics import factor_match_score
+from cpdsplit.tensor import FactorSet
 from cpdsplit.tensorio import read_mask, read_tensor
 
 
@@ -102,6 +104,11 @@ def test_factorize_from_files(tmp_path, capsys):
         summary = json.load(fh)
     assert summary["arms"][0]["arm"] == "aopds_n3"
     assert summary["arms"][0]["best_mse_aligned"] is not None
+    truth = np.load(data / "truth.npz")
+    fitted = FactorSet((factors["f1"], factors["f2"], factors["f3"]))
+    assert summary["arms"][0]["final_factor_match_score"] == factor_match_score(
+        fitted, FactorSet((truth["f1"], truth["f2"], truth["f3"]))
+    )
 
 
 def test_factorize_synthetic_with_admm(tmp_path, capsys):

@@ -7,7 +7,7 @@ import cpdsplit.pds as pds
 from cpdsplit.admm import ao_admm_factorize
 from cpdsplit.driver import DriverConfig, ModeSpec, factorize, init_factors, objective
 from cpdsplit.operators import Projection, ProxFn, identity_op, row_difference_op
-from cpdsplit.tensor import FactorSet, cp_reconstruct
+from cpdsplit.tensor import FactorSet, cp_reconstruct, matricize
 
 import oracles
 
@@ -153,6 +153,68 @@ def test_fit_calls_each_traced_layer_as_the_benchmark_counts(masked, monkeypatch
     # only mode 1 carries a regularizer
     for name in ("prox_conjugate", "linop_forward", "linop_adjoint"):
         assert len(calls[name]) == outer * cfg.n_inner
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
+def test_masked_visit_builds_one_gram_stack_for_bound_and_solver(masked, monkeypatch):
+    rng = np.random.default_rng(24)
+    Y, truth = _small_problem(seed=24, dims=(9, 8, 7), rank=3, noise=0.05)
+    mask = rng.random(Y.shape) < 0.5 if masked else None
+    if masked:
+        Y = np.where(mask, Y, 0.0)
+    cfg = DriverConfig(rank=3, n_inner=2, max_outer=4, stop_tol=1e-30,
+                       stop_metric="objective_rel_change", seed=25)
+    built, bounds, passed = [], [], []
+    real_grams = pds.column_grams
+    real_steps = pds.compute_stepsizes
+    real_solve = pds.solve_subproblem
+
+    def grams_spy(W, Md):
+        built.append(real_grams(W, Md))
+        return built[-1]
+
+    def steps_spy(trace_bound, op_norm):
+        bounds.append(trace_bound)
+        return real_steps(trace_bound, op_norm)
+
+    def solve_spy(state, spec, W, Yd, grams, steps, n_inner):
+        passed.append((W, grams))
+        return real_solve(state, spec, W, Yd, grams, steps, n_inner)
+
+    monkeypatch.setattr(pds, "column_grams", grams_spy)
+    monkeypatch.setattr(pds, "compute_stepsizes", steps_spy)
+    monkeypatch.setattr(pds, "solve_subproblem", solve_spy)
+    res = factorize(Y, mask, _nonneg_specs(), cfg)
+    visits = 3 * res.outer_iterations
+    assert len(bounds) == len(passed) == visits
+    if not masked:
+        assert built == [] and all(g is None for _, g in passed)
+        assert bounds == [float(np.vdot(W, W)) for W, _ in passed]
+        return
+    assert len(built) == visits
+    for grams, bound, (W, given) in zip(built, bounds, passed):
+        assert given is grams
+        assert bound == float(np.einsum("nrr->n", grams).max())
+        assert bound < float(np.vdot(W, W))
+
+
+def test_masked_visit_with_zero_observed_rows_degenerates_with_clear_error(monkeypatch):
+    # W nonzero only on rows the mask hides: trace(W^T W) > 0, yet every
+    # per-column Gram is zero
+    rng = np.random.default_rng(26)
+    Y, _ = _small_problem(seed=26, dims=(6, 5, 4))
+    mask = rng.random(Y.shape) < 0.7
+    mask[:, 0, :] = False
+    observed = matricize(mask, 1).any(axis=1)
+    real = driver_mod.khatri_rao
+
+    def hidden_only(x, y):
+        return np.where(observed[:, None], 0.0, real(x, y))
+
+    monkeypatch.setattr(driver_mod, "khatri_rao", hidden_only)
+    cfg = DriverConfig(rank=2, max_outer=2, stop_metric="objective_rel_change")
+    with pytest.raises(ValueError, match="mode 1 subproblem degenerated"):
+        factorize(np.where(mask, Y, 0.0), mask, _nonneg_specs(), cfg)
 
 
 def test_init_factors_seeded_uniform():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cpdsplit.metrics import best_column_permutation, mse
+from cpdsplit.metrics import best_column_permutation, factor_match_score, mse
 from cpdsplit.tensor import FactorSet
 
 import oracles
@@ -168,3 +168,43 @@ def test_accepts_plain_factor_sequences():
     truth = _random_truth(11)
     as_list = [f.copy() for f in truth.factors]
     assert mse(as_list, truth) == 0.0
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
+def test_factor_match_score_matches_brute_force(rank):
+    rng = np.random.default_rng(300 + rank)
+    dims = (6, 5, 4)
+    for trial in range(3):
+        truth = FactorSet(tuple(rng.random((n, rank)) for n in dims))
+        # signed estimates, so cosines of either sign enter the products
+        est = FactorSet(tuple(rng.standard_normal((n, rank)) for n in dims))
+        if trial == 2:
+            est.factors[1][:, 0] = 0.0
+        got = factor_match_score(est, truth)
+        want = oracles.factor_match_score_dense(est.factors, truth.factors)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_factor_match_score_is_one_up_to_permutation_and_positive_scale():
+    rng = np.random.default_rng(310)
+    truth = _random_truth(311, dims=(7, 6, 5), rank=4)
+    perm = [3, 1, 0, 2]
+    scales = [rng.uniform(0.1, 10.0, 4) for _ in range(3)]
+    # flipping the signs of one component in two modes keeps the model
+    scales[0][2] *= -1.0
+    scales[2][2] *= -1.0
+    est = FactorSet(tuple(f[:, perm] * s for f, s in zip(truth.factors, scales)))
+    assert factor_match_score(est, truth) == pytest.approx(1.0, abs=1e-12)
+    assert mse(est, truth, aligned=True) > 0.01
+    noisy = FactorSet(tuple(f + 0.3 * rng.random(f.shape) for f in est.factors))
+    assert factor_match_score(noisy, truth) < 1.0 - 1e-3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_factor_match_score_rejects_non_finite_factors(bad):
+    truth = _random_truth(320)
+    est = FactorSet(tuple(f.copy() for f in truth.factors))
+    est.factors[2][1, 0] = bad
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            factor_match_score(est, truth)

@@ -17,6 +17,7 @@ from cpdsplit.operators import (
 from cpdsplit.pds import (
     StepSizes,
     SubproblemState,
+    column_grams,
     compute_stepsizes,
     solve_subproblem,
     subproblem_gradient,
@@ -341,7 +342,8 @@ def test_masked_solver_matches_dense_gradient_reference(rank, kind):
         # an unobserved column has a zero Gram, so its gradient is exactly 0
         assert (grad[:, empty] == 0.0).all()
 
-        out = solve_subproblem(SubproblemState(F0, G0), spec, W, Yd, Md, steps, 6)
+        grams = column_grams(W, Md)
+        out = solve_subproblem(SubproblemState(F0, G0), spec, W, Yd, grams, steps, 6)
         F_ref, G_ref = _reference_inner_loop(
             SubproblemState(F0, G0), spec, W, Yd, Md, steps, 6
         )
@@ -352,7 +354,41 @@ def test_masked_solver_matches_dense_gradient_reference(rank, kind):
 
         full = np.ones_like(Md)
         unmasked = solve_subproblem(SubproblemState(F0, G0), spec, W, Yd, None, steps, 6)
-        explicit = solve_subproblem(SubproblemState(F0, G0), spec, W, Yd, full, steps, 6)
+        explicit = solve_subproblem(
+            SubproblemState(F0, G0), spec, W, Yd, column_grams(W, full), steps, 6
+        )
         assert _close(explicit.F, unmasked.F)
         if G0 is not None:
             assert _close(explicit.G, unmasked.G)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 5, 10])
+def test_masked_step_bound_is_valid(rank):
+    # the masked gradient is block-diagonal with blocks W' diag(m_n) W, so
+    # its Lipschitz constant is the largest block's top eigenvalue
+    rng = np.random.default_rng(400 + rank)
+    for _ in range(5):
+        W = rng.random((30, rank))
+        mask = rng.random((30, 8)) < 0.5
+        mask[:, 3] = False
+        grams = column_grams(W, mask)
+        bound = float(np.einsum("nrr->n", grams).max())
+        beta = max(
+            oracles.largest_eig(W.T @ np.diag(mask[:, n].astype(float)) @ W)
+            for n in range(mask.shape[1])
+        )
+        assert beta <= bound * (1 + 1e-12)
+        assert bound <= float(np.vdot(W, W))
+        s = float(rng.uniform(0.5, 4.0))
+        steps = compute_stepsizes(bound, s)
+        product = steps.gamma1 * (beta / 2.0 + steps.gamma2 * s)
+        if rank >= 2:
+            assert product < 1.0
+        else:
+            # a rank-1 Gram's trace is its eigenvalue: the product is 1
+            assert product == pytest.approx(1.0, abs=1e-12)
+
+        full = column_grams(W, np.ones_like(mask))
+        full_bound = float(np.einsum("nrr->n", full).max())
+        assert full_bound == pytest.approx(float(np.vdot(W, W)), rel=1e-12)
+
