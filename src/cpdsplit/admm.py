@@ -98,7 +98,7 @@ def solve_subproblem_admm(state, spec, W, Yd, n_inner):
     return AdmmState(F, Z, U, state.rho, state.n_factorizations + 1)
 
 
-def ao_admm_factorize(Y, mask, specs, cfg, truth=None, rho=None):
+def ao_admm_factorize(Y, mask, specs, cfg, truth=None):
     """Baseline CP decomposition: the outer loop and trace schema of
     :func:`cpdsplit.driver.factorize`, with the ADMM inner solver.
 
@@ -106,9 +106,8 @@ def ao_admm_factorize(Y, mask, specs, cfg, truth=None, rho=None):
     ----------
     Y, mask, specs, cfg, truth : as in the primal-dual driver; the mask must
         be None or all-true, and every mode spec must pass
-        :func:`check_supported`.
-    rho : float, optional
-        Fixed penalty; default is trace(W^T W)/R recomputed per mode visit.
+        :func:`check_supported`.  The penalty rho is trace(W^T W)/R,
+        recomputed per mode visit.
 
     Returns
     -------
@@ -120,15 +119,13 @@ def ao_admm_factorize(Y, mask, specs, cfg, truth=None, rho=None):
         check_supported(spec)
     if mask is not None and not np.asarray(mask).all():
         raise UnsupportedSpecError("masked data is not supported by this baseline")
-    if rho is not None and not rho > 0:
-        raise ValueError("rho must be positive, got %r" % (rho,))
     rank = int(cfg.rank)
 
     def start(F, spec):
         return AdmmState(F=F, Z=F.copy(), U=np.zeros_like(F), rho=1.0)
 
-    def visit(d, state, spec, W, Yd, Md, trace_bound):
-        state.rho = rho if rho is not None else trace_bound / rank
+    def visit(state, spec, W, Yd, grams, bound):
+        state.rho = bound / rank
         return solve_subproblem_admm(state, spec, W, Yd, cfg.n_inner)
 
     result, states = alternate(

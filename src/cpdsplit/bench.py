@@ -103,34 +103,14 @@ def generate_synthetic(spec):
     return Y, truth, mask
 
 
-# -- mode-spec (de)serialization ------------------------------------------
+# -- mode specs from config dicts -----------------------------------------
 
-def mode_spec_to_dict(spec):
-    out = {"projection": {"kind": spec.projection.kind}}
-    if spec.projection.kind == "box":
-        out["projection"]["lo"] = spec.projection.lo
-        out["projection"]["hi"] = spec.projection.hi
-    out["regularizer"] = {
-        "kind": spec.regularizer.kind,
-        "weight": spec.regularizer.weight,
-    }
-    if spec.regularizer.groups is not None:
-        out["regularizer"]["groups"] = [list(g) for g in spec.regularizer.groups]
-    if spec.operator is not None:
-        op = {"kind": spec.operator.kind}
-        if spec.operator.groups is not None:
-            op["groups"] = [list(g) for g in spec.operator.groups]
-        out["operator"] = op
-    return out
-
-
-def mode_spec_from_dict(cfg, n_cols=None):
-    """Build a ModeSpec from its config dict.
+def mode_spec_from_dict(cfg, n_cols):
+    """Build a ModeSpec from its config dict for a mode of size ``n_cols``.
 
     Shorthand: regularizer kind 'overlapping_group_l2' expands into the
     replicate-then-shrink pair; otherwise the operator defaults to identity
-    whenever a nontrivial regularizer is present.  ``n_cols`` (the mode's
-    size) binds structured operators when given.
+    whenever a nontrivial regularizer is present.
     """
     proj_cfg = dict(cfg.get("projection", {"kind": "none"}))
     projection = Projection(
@@ -140,8 +120,6 @@ def mode_spec_from_dict(cfg, n_cols=None):
     kind = reg_cfg.get("kind", "zero")
     weight = float(reg_cfg.get("weight", 0.0))
     if kind == "overlapping_group_l2":
-        if n_cols is None:
-            raise ValueError("overlapping_group_l2 needs the mode size")
         reg, op = overlapping_group_lasso(reg_cfg["groups"], weight, n_cols)
         return ModeSpec(projection, reg, op)
     groups = reg_cfg.get("groups")
@@ -180,6 +158,16 @@ def benchmark_mode_dicts(l1_weight=5.0, frob_weight=2.0):
     ]
 
 
+def init_seed(data_seed):
+    """The driver seed of data seed ``data_seed``: the initial factors draw
+    the truth's uniform stream, so a shared seed starts modes 2-3 at it."""
+    return int(data_seed) + 1
+
+
+# the top-level keys of an experiment config, in ExperimentConfig.to_dict
+CONFIG_KEYS = ("synthetic", "modes", "driver", "algorithms", "inner_iters", "out_dir", "mse_threshold")
+
+
 @dataclass
 class ExperimentConfig:
     synthetic: SyntheticSpec
@@ -188,7 +176,6 @@ class ExperimentConfig:
     algorithms: tuple = ALGORITHMS
     inner_iters: tuple = (5,)
     out_dir: str = "results"
-    admm_rho: float = None
     mse_threshold: float = None
 
     def __post_init__(self):
@@ -220,22 +207,22 @@ class ExperimentConfig:
             "algorithms": list(self.algorithms),
             "inner_iters": list(self.inner_iters),
             "out_dir": str(self.out_dir),
-            "admm_rho": self.admm_rho,
             "mse_threshold": self.mse_threshold,
         }
 
     @classmethod
     def from_dict(cls, cfg):
+        """The config of a dict keyed as :data:`CONFIG_KEYS`; the driver's
+        rank and seed default to the synthetic rank and :func:`init_seed`."""
         syn = SyntheticSpec(**{**cfg.get("synthetic", {}), "dims": tuple(cfg.get("synthetic", {}).get("dims", (100, 100, 100)))})
-        driver_cfg = DriverConfig(**cfg["driver"]) if "driver" in cfg else DriverConfig(rank=syn.rank)
+        driver = {"rank": syn.rank, "seed": init_seed(syn.seed), **cfg.get("driver", {})}
         return cls(
             synthetic=syn,
             mode_dicts=cfg.get("modes", benchmark_mode_dicts()),
-            driver=driver_cfg,
+            driver=DriverConfig(**driver),
             algorithms=tuple(cfg.get("algorithms", ALGORITHMS)),
             inner_iters=tuple(cfg.get("inner_iters", (5,))),
             out_dir=cfg.get("out_dir", "results"),
-            admm_rho=cfg.get("admm_rho"),
             mse_threshold=cfg.get("mse_threshold"),
         )
 
@@ -244,7 +231,7 @@ def default_benchmark_config(rank=5, seed=0, out_dir="results", **overrides):
     """Stock experiment: 100^3 tensor, 80% sparse first factor, sigma 0.1,
     both algorithms at n_inner 5, stopping on |MSE change| < 1e-5."""
     syn = SyntheticSpec(dims=(100, 100, 100), rank=rank, seed=seed)
-    driver_cfg = DriverConfig(rank=rank, n_inner=5, stop_metric="mse_vs_truth", seed=seed + 1)
+    driver_cfg = DriverConfig(rank=rank, n_inner=5, stop_metric="mse_vs_truth", seed=init_seed(seed))
     kwargs = {
         "synthetic": syn,
         "mode_dicts": benchmark_mode_dicts(),
@@ -296,13 +283,12 @@ def read_trace_csv(path):
 
 # -- experiment orchestration ---------------------------------------------
 
-def run_solver(algo, Y, mask, specs, cfg, truth=None, rho=None):
-    """Fit with the solver named ``algo`` (one of ALGORITHMS); ``rho`` is
-    the ADMM penalty override and is ignored by the primal-dual solver."""
+def run_solver(algo, Y, mask, specs, cfg, truth=None):
+    """Fit with the solver named ``algo`` (one of ALGORITHMS)."""
     if algo == "aopds":
         return factorize(Y, mask, specs, cfg, truth)
     if algo == "aoadmm":
-        return ao_admm_factorize(Y, mask, specs, cfg, truth, rho=rho)
+        return ao_admm_factorize(Y, mask, specs, cfg, truth)
     raise ValueError("algorithm must be one of %r, got %r" % (ALGORITHMS, algo))
 
 
@@ -368,7 +354,7 @@ def run_experiment(cfg):
             name = "%s_n%d" % (algo, n_inner)
             driver_cfg = replace(cfg.driver, n_inner=n_inner)
             started = time.perf_counter()
-            result = run_solver(algo, Y, mask, specs, driver_cfg, truth, cfg.admm_rho)
+            result = run_solver(algo, Y, mask, specs, driver_cfg, truth)
             wall = time.perf_counter() - started
             write_trace_csv(out_dir / (name + ".csv"), result.trace)
             arms.append(arm_summary(name, result, wall, cfg.mse_threshold, truth))

@@ -2,20 +2,20 @@
 
 import argparse
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .bench import (
     ALGORITHMS,
+    CONFIG_KEYS,
     ExperimentConfig,
     SyntheticSpec,
     arm_summary,
     benchmark_mode_dicts,
-    default_benchmark_config,
     environment,
     generate_synthetic,
+    init_seed,
     mode_spec_from_dict,
     report_table,
     run_experiment,
@@ -31,7 +31,11 @@ def _load_config(path):
     if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise SystemExit("bad config: unknown keys %s" % ", ".join(unknown))
+    return cfg
 
 
 def _parse_ints(text):
@@ -100,7 +104,9 @@ def _cmd_factorize(args):
     if args.inner_iters is not None:
         driver_cfg["n_inner"] = int(args.inner_iters)
     if args.seed is not None:
-        driver_cfg["seed"] = args.seed + 1
+        driver_cfg["seed"] = init_seed(args.seed)
+    else:
+        driver_cfg.setdefault("seed", init_seed(cfg.get("synthetic", {}).get("seed", 0)))
     if args.max_outer is not None:
         driver_cfg["max_outer"] = args.max_outer
     if args.stop_tol is not None:
@@ -114,7 +120,7 @@ def _cmd_factorize(args):
     dcfg = DriverConfig(**driver_cfg)
     mode_dicts = cfg.get("modes", benchmark_mode_dicts())
     specs = [mode_spec_from_dict(m, n) for m, n in zip(mode_dicts, Y.shape)]
-    result = run_solver(args.algo, Y, mask, specs, dcfg, truth, cfg.get("admm_rho"))
+    result = run_solver(args.algo, Y, mask, specs, dcfg, truth)
     name = "%s_n%d" % (args.algo, dcfg.n_inner)
     write_trace_csv(out / (name + ".csv"), result.trace)
     np.savez(
@@ -150,26 +156,21 @@ def _cmd_factorize(args):
 
 def _cmd_bench(args):
     try:
-        cfg_dict = _load_config(args.config)
-        if cfg_dict:
-            cfg = ExperimentConfig.from_dict(cfg_dict)
-        else:
-            cfg = default_benchmark_config()
+        cfg = _load_config(args.config)
+        syn = cfg["synthetic"] = dict(cfg.get("synthetic", {}))
+        driver = cfg["driver"] = dict(cfg.get("driver", {}))
         if args.rank is not None:
-            cfg.synthetic = replace(cfg.synthetic, rank=args.rank)
-            cfg.driver = replace(cfg.driver, rank=args.rank)
+            syn["rank"] = driver["rank"] = args.rank
         if args.seed is not None:
-            cfg.synthetic = replace(cfg.synthetic, seed=args.seed)
-            cfg.driver = replace(cfg.driver, seed=args.seed + 1)
+            syn["seed"] = args.seed
+            driver["seed"] = init_seed(args.seed)
         if args.algo is not None:
-            cfg.algorithms = (args.algo,)
+            cfg["algorithms"] = (args.algo,)
         if args.inner_iters is not None:
-            cfg.inner_iters = _parse_ints(args.inner_iters)
+            cfg["inner_iters"] = _parse_ints(args.inner_iters)
         if args.out_dir is not None:
-            cfg.out_dir = args.out_dir
-        # overrides assign attributes directly; rebuild once so __post_init__
-        # sees the final combination
-        cfg = ExperimentConfig.from_dict(cfg.to_dict())
+            cfg["out_dir"] = args.out_dir
+        cfg = ExperimentConfig.from_dict(cfg)
     except (TypeError, ValueError) as exc:
         raise SystemExit("bad config: %s" % exc)
     run_experiment(cfg)

@@ -6,12 +6,12 @@ a start state, a per-visit update and the factor it exposes (the
 primal-dual solver here, the ADMM baseline in :mod:`cpdsplit.admm`).  Each
 outer iteration visits modes 1..3 in order.  A visit rebuilds the
 Khatri-Rao product W of the other two factors (ascending mode order) and
-the trace bound trace(W^T W), then hands the mode's warm-started state to
-the inner solver.  A masked primal-dual visit instead builds the per-column
-Grams G_n once and bounds the Lipschitz constant by max_n trace(G_n), about
-half of trace(W^T W) at half observed.  One trace row (wall-clock seconds,
-objective, factor MSE when the ground truth is known) is recorded per outer
-iteration.
+the Lipschitz bound of its least-squares gradient: trace(W^T W) on dense
+data; with a mask the per-column Grams G_n, built once per visit, and
+max_n trace(G_n), about half of trace(W^T W) at half observed.  It then
+hands the mode's warm-started state to the inner solver.  One trace row
+(wall-clock seconds, objective, factor MSE when the ground truth is known)
+is recorded per outer iteration.
 """
 
 import time
@@ -245,10 +245,11 @@ def alternate(Y, mask, specs, cfg, truth, start, visit, factor, dual):
     Y, mask, specs, cfg, truth : as in :func:`factorize`.
     start : callable (F0, spec) -> state
         Inner-solver state from the seeded initial R x N_d factor.
-    visit : callable (d, state, spec, W, Yd, Md, trace_bound) -> state
-        One visit of mode d + 1: advance the warm-started state by
-        cfg.n_inner iterations against the Khatri-Rao product W of the
-        other factors; trace_bound is trace(W^T W).
+    visit : callable (state, spec, W, Yd, grams, bound) -> state
+        One mode visit: advance the warm-started state by cfg.n_inner
+        iterations against the Khatri-Rao product W of the other factors,
+        the Grams of :func:`cpdsplit.pds.column_grams` (None on dense data)
+        and the positive Lipschitz bound, trace(W^T W) or max_n trace(G_n).
     factor, dual : callable state -> ndarray
         The feasible R x N_d factor the solver exposes, and its dual.
 
@@ -258,7 +259,7 @@ def alternate(Y, mask, specs, cfg, truth, start, visit, factor, dual):
     """
     Y, mask, specs = _prepare(Y, mask, specs, cfg, truth)
     Yd = [matricize(Y, d) for d in (1, 2, 3)]
-    Md = [matricize(mask, d) for d in (1, 2, 3)] if mask is not None else [None] * 3
+    Md = [matricize(mask, d) for d in (1, 2, 3)] if mask is not None else None
     init = init_factors(Y.shape, int(cfg.rank), cfg.seed)
     states = [
         start(np.ascontiguousarray(f.T), spec) for f, spec in zip(init.factors, specs)
@@ -275,8 +276,13 @@ def alternate(Y, mask, specs, cfg, truth, start, visit, factor, dual):
         for d in range(3):
             i, j = (a for a in range(3) if a != d)
             W = khatri_rao(factor(states[i]).T, factor(states[j]).T)
-            trace_bound = _positive_bound(np.vdot(W, W), d)
-            states[d] = visit(d, states[d], specs[d], W, Yd[d], Md[d], trace_bound)
+            if mask is None:
+                grams, bound = None, np.vdot(W, W)
+            else:  # a block-diagonal gradient: bound the largest block
+                grams = pds.column_grams(W, Md[d])
+                bound = np.einsum("nrr->n", grams).max()
+            bound = _positive_bound(bound, d)
+            states[d] = visit(states[d], specs[d], W, Yd[d], grams, bound)
         rec = _trace_entry(k, started, Y, mask, factors(), specs, truth)
         trace.append(rec)
         if rule.fired(rec.objective, rec.mse_raw):
@@ -324,15 +330,9 @@ def factorize(Y, mask, specs, cfg, truth=None):
         G = np.zeros((rank, linop_output_cols(spec.operator)))
         return pds.SubproblemState(F=F, G=G)
 
-    def visit(d, state, spec, W, Yd, Md, trace_bound):
-        grams = None
-        if Md is not None:
-            # the gradient is block-diagonal over columns: the largest
-            # block's trace bounds its Lipschitz constant
-            grams = pds.column_grams(W, Md)
-            trace_bound = _positive_bound(np.einsum("nrr->n", grams).max(), d)
+    def visit(state, spec, W, Yd, grams, bound):
         op_norm = spec.operator.norm_bound if spec.operator is not None else 0.0
-        steps = pds.compute_stepsizes(trace_bound, op_norm)
+        steps = pds.compute_stepsizes(bound, op_norm)
         return pds.solve_subproblem(state, spec, W, Yd, grams, steps, cfg.n_inner)
 
     result, _ = alternate(

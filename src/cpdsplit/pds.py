@@ -9,9 +9,10 @@ constraint C and a composed regularizer h(L(F)), each inner iteration does
 with the gradient A F - B (B = W'Yd): A = W'W, or with a mask one Gram
 G_n = W' diag(mask[:, n]) W per column of F, so the masked iteration costs
 O(N R^2), not O(P N R).  The step sizes keep the primal-dual product inside
-the convergence region; their Lipschitz bound is trace(W'W) on dense data
-and max_n trace(G_n) with a mask (the gradient is then block-diagonal over
-the columns).  The dual branch is skipped without a regularizer.
+the convergence region; the driver's outer loop passes their Lipschitz
+bound, trace(W'W) on dense data and max_n trace(G_n) with a mask (the
+gradient is then block-diagonal over the columns).  The dual branch runs
+when the mode has an operator, that is, a nonzero regularizer.
 """
 
 import math
@@ -78,34 +79,6 @@ def compute_stepsizes(trace_bound, op_norm):
     return StepSizes(gamma1, gamma2, trace_bound, op_norm)
 
 
-def subproblem_gradient(F, W, Yd, mask=None):
-    """Gradient of ½||Yd - mask*(W F)||_F^2 with respect to F.
-
-    Parameters
-    ----------
-    F : ndarray, shape (R, N)
-    W : ndarray, shape (P, R)
-        Khatri-Rao product of the fixed factors.
-    Yd : ndarray, shape (P, N)
-        Matricized data (missing entries already zero).
-    mask : ndarray of bool, shape (P, N), optional
-        Sampling mask in matricized form; None means fully observed.
-    """
-    F = np.asarray(F)
-    W = np.asarray(W)
-    Yd = np.asarray(Yd)
-    if F.ndim != 2 or W.ndim != 2 or Yd.ndim != 2:
-        raise ValueError("F, W, Yd must be 2-D")
-    if W.shape[1] != F.shape[0] or Yd.shape != (W.shape[0], F.shape[1]):
-        raise ValueError(
-            "inconsistent shapes: W %r, F %r, Yd %r" % (W.shape, F.shape, Yd.shape)
-        )
-    if mask is not None and np.shape(mask) != Yd.shape:
-        raise ValueError("mask shape %r != Yd shape %r" % (np.shape(mask), Yd.shape))
-    grams = None if mask is None else column_grams(W, mask)
-    return _gram_product(W, grams)(F) - W.T @ Yd
-
-
 def column_grams(W, mask):
     """The per-column Grams G_n = W^T diag(mask[:, n]) W, shape (N, R, R),
     built by one GEMM of the mask against W's column-pair products."""
@@ -138,8 +111,10 @@ def solve_subproblem(state, spec, W, Yd, grams, steps, n_inner):
         regularizer.
     spec : ModeSpec
         Projection, regularizer, and operator for this mode.
-    W, Yd : arrays
-        As in :func:`subproblem_gradient`.
+    W : ndarray, shape (P, R)
+        Khatri-Rao product of the fixed factors.
+    Yd : ndarray, shape (P, N)
+        Matricized data, unobserved entries zero.
     grams : ndarray, shape (N, R, R), or None
         :func:`column_grams` of W and the mask; None means fully observed.
     steps : StepSizes
@@ -155,7 +130,7 @@ def solve_subproblem(state, spec, W, Yd, grams, steps, n_inner):
         raise ValueError("n_inner must be >= 1, got %r" % (n_inner,))
     F = state.F
     G = state.G
-    has_dual = spec.operator is not None and spec.regularizer.kind != "zero"
+    has_dual = spec.operator is not None
     gamma1 = steps.gamma1
     gamma2 = steps.gamma2
     gram = _gram_product(W, grams)

@@ -69,41 +69,6 @@ def matricize(t, mode):
     return t.transpose(rest + [axis]).reshape(-1, t.shape[axis])
 
 
-def tensorize(m, mode, dims):
-    """Inverse of :func:`matricize`: fold a matrix back into a tensor.
-
-    Parameters
-    ----------
-    m : ndarray, shape (prod of the other two dims, N_mode)
-    mode : int
-        Mode index in {1, 2, 3}.
-    dims : sequence of three ints
-        Target tensor shape.
-
-    Returns
-    -------
-    ndarray, shape ``dims``, C-contiguous.
-    """
-    m = np.asarray(m)
-    dims = tuple(int(n) for n in dims)
-    if len(dims) != 3 or any(n < 1 for n in dims):
-        raise ValueError("dims must be three positive integers, got %r" % (dims,))
-    if mode not in _MODES:
-        raise ValueError("mode must be 1, 2 or 3, got %r" % (mode,))
-    axis = mode - 1
-    rest = [a for a in range(3) if a != axis]
-    expected = (dims[rest[0]] * dims[rest[1]], dims[axis])
-    if m.ndim != 2 or m.shape != expected:
-        raise ValueError(
-            "matrix shape %r does not match mode-%d layout %r of dims %r"
-            % (m.shape, mode, expected, dims)
-        )
-    t = m.reshape(dims[rest[0]], dims[rest[1]], dims[axis])
-    perm = rest + [axis]
-    inverse = [perm.index(a) for a in range(3)]
-    return np.ascontiguousarray(t.transpose(inverse))
-
-
 @dataclass
 class FactorSet:
     """Factor matrices (F_1, F_2, F_3) of a rank-R CP model, each N_d x R."""
@@ -126,9 +91,6 @@ class FactorSet:
     @property
     def dims(self):
         return tuple(f.shape[0] for f in self.factors)
-
-    def copy(self):
-        return FactorSet(tuple(f.copy() for f in self.factors))
 
 
 def cp_reconstruct(fset):

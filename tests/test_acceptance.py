@@ -33,7 +33,7 @@ from cpdsplit.operators import (
     prox_conjugate,
     row_difference_op,
 )
-from cpdsplit.pds import SubproblemState, compute_stepsizes, solve_subproblem, subproblem_gradient
+from cpdsplit.pds import SubproblemState, column_grams, compute_stepsizes, solve_subproblem
 from cpdsplit.tensor import FactorSet, cp_reconstruct, khatri_rao, matricize
 
 import oracles
@@ -319,16 +319,8 @@ def test_criterion_5_invariant_suites():
     zeroed = factorize(np.where(mask, yt, 0.0), mask, plain, cfg)
     exact &= all(np.array_equal(a, b)
                  for a, b in zip(raw.factors.factors, zeroed.factors.factors))
-    # with Yd = 0 and row j of F all ones, gradient column n is G_n[:, j]
-    W = rng.standard_normal((20, 3))
-    wmask = rng.random((20, 4)) < 0.5
-    grams = []
-    for j in range(3):
-        unit = np.zeros((3, 4))
-        unit[j] = 1.0
-        grams.append(subproblem_gradient(unit, W, np.zeros((20, 4)), wmask))
-    exact &= all(np.array_equal(grams[j][i], grams[i][j])
-                 for i in range(3) for j in range(3))
+    G = column_grams(rng.standard_normal((20, 3)), rng.random((20, 4)) < 0.5)
+    exact &= np.array_equal(G, G.transpose(0, 2, 1))
     checks.append(("mask exact", exact))
 
     # bit-exact determinism of a full fit
@@ -364,14 +356,18 @@ def test_criterion_6_gradient_finite_differences():
         Yd = rng.standard_normal((9, 5))
         F = rng.standard_normal((3, 5))
         masked = idx % 2 == 1
+        grams = None
         if masked:
             mask = rng.random((9, 5)) < 0.6
             Yd = np.where(mask, Yd, 0.0)
             fun = lambda X: 0.5 * float(np.sum((Yd - np.where(mask, W @ X, 0.0)) ** 2))
-            g = subproblem_gradient(F, W, Yd, mask)
+            grams = column_grams(W, mask)
         else:
             fun = lambda X: 0.5 * float(np.sum((Yd - W @ X) ** 2))
-            g = subproblem_gradient(F, W, Yd)
+        # the gradient a fit applies, read off one plain unconstrained step
+        steps = compute_stepsizes(float(np.vdot(W, W)), 0.0)
+        F1 = solve_subproblem(SubproblemState(F), ModeSpec(), W, Yd, grams, steps, 1).F
+        g = (F - F1) / steps.gamma1
         direction = rng.standard_normal((3, 5))
         fd = oracles.fd_directional(fun, F, direction)
         exact = float(np.vdot(g, direction))

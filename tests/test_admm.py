@@ -165,16 +165,26 @@ def test_admm_and_pds_reach_similar_objectives():
     assert abs(oa - ob) <= 0.15 * max(oa, ob)
 
 
-def test_rho_override_and_validation():
+def test_penalty_is_the_visit_trace_over_rank(monkeypatch):
     Y, truth = _problem(seed=9)
     cfg = DriverConfig(rank=2, n_inner=3, max_outer=3, stop_tol=1e-30,
                        stop_metric="objective_rel_change", seed=10)
-    res = ao_admm_factorize(Y, None, _l1_specs(), cfg, rho=5.0)
-    assert res.outer_iterations == 3
-    with pytest.raises(ValueError):
-        ao_admm_factorize(Y, None, _l1_specs(), cfg, rho=0.0)
-    with pytest.raises(ValueError):
-        solve_subproblem_admm(
-            AdmmState(np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2)), 1.0),
-            _l1_specs()[0], np.ones((3, 2)), np.ones((3, 2)), 0,
-        )
+    seen = []
+    real = admm_mod.solve_subproblem_admm
+
+    def spy(state, spec, W, Yd, n_inner):
+        seen.append(state.rho == float(np.vdot(W, W)) / 2)
+        return real(state, spec, W, Yd, n_inner)
+
+    monkeypatch.setattr(admm_mod, "solve_subproblem_admm", spy)
+    res = ao_admm_factorize(Y, None, _l1_specs(), cfg)
+    assert seen == [True] * (3 * res.outer_iterations)
+
+
+def test_solve_subproblem_admm_validation():
+    state = AdmmState(np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2)), 1.0)
+    with pytest.raises(ValueError, match="n_inner"):
+        solve_subproblem_admm(state, _l1_specs()[0], np.ones((3, 2)), np.ones((3, 2)), 0)
+    state.rho = 0.0
+    with pytest.raises(ValueError, match="rho"):
+        solve_subproblem_admm(state, _l1_specs()[0], np.ones((3, 2)), np.ones((3, 2)), 1)

@@ -5,20 +5,22 @@ import numpy as np
 import pytest
 
 from cpdsplit.bench import (
+    CONFIG_KEYS,
     ExperimentConfig,
     SyntheticSpec,
     benchmark_mode_dicts,
     default_benchmark_config,
     gaussian_from_uniform,
     generate_synthetic,
+    init_seed,
     mode_spec_from_dict,
-    mode_spec_to_dict,
     read_trace_csv,
     report_table,
     run_experiment,
     write_trace_csv,
 )
-from cpdsplit.driver import DriverConfig, TraceRecord
+from cpdsplit.driver import DriverConfig, ModeSpec, TraceRecord, init_factors
+from cpdsplit.operators import LinOp, ProxFn, Projection
 from cpdsplit.tensor import cp_reconstruct
 
 
@@ -109,13 +111,21 @@ def test_trace_csv_round_trip(tmp_path):
         read_trace_csv(path)
 
 
-def test_mode_spec_dict_round_trip():
-    for d in benchmark_mode_dicts():
-        spec = mode_spec_from_dict(d, n_cols=10)
-        again = mode_spec_from_dict(mode_spec_to_dict(spec), n_cols=10)
-        assert again == spec
-    plain = mode_spec_from_dict({"regularizer": {"kind": "zero"}})
-    assert plain.operator is None
+def test_mode_spec_from_dict_builds_the_stated_specs():
+    nonneg = Projection("nonnegative")
+    assert [mode_spec_from_dict(d, 10) for d in benchmark_mode_dicts()] == [
+        ModeSpec(nonneg, ProxFn("l1", 5.0), LinOp("identity", 10)),
+        ModeSpec(nonneg, ProxFn("squared_frobenius", 2.0), LinOp("identity", 10)),
+        ModeSpec(nonneg, ProxFn("squared_frobenius", 2.0), LinOp("identity", 10)),
+    ]
+    box = {"projection": {"kind": "box", "lo": 0.0, "hi": 2.0},
+           "regularizer": {"kind": "group_l2", "weight": 1.0, "groups": [[0, 1], [2]]}}
+    assert mode_spec_from_dict(box, 10) == ModeSpec(
+        Projection("box", 0.0, 2.0), ProxFn("group_l2", 1.0, ((0, 1), (2,))),
+        LinOp("identity", 10),
+    )
+    plain = mode_spec_from_dict({"regularizer": {"kind": "zero"}}, 10)
+    assert plain == ModeSpec()
     tv = mode_spec_from_dict(
         {"regularizer": {"kind": "l1", "weight": 2.0},
          "operator": {"kind": "row_difference"}},
@@ -138,8 +148,6 @@ def test_overlapping_group_shorthand_expands():
     assert spec.operator.kind == "group_replicate"
     assert spec.regularizer.kind == "group_l2"
     assert spec.regularizer.groups == ((0, 1, 2), (3, 4))
-    with pytest.raises(ValueError, match="mode size"):
-        mode_spec_from_dict(cfg)
 
 
 def test_experiment_config_round_trip_and_validation():
@@ -150,6 +158,7 @@ def test_experiment_config_round_trip_and_validation():
     assert again.algorithms == cfg.algorithms
     assert again.inner_iters == cfg.inner_iters
     assert json.dumps(cfg.to_dict())  # JSON-serializable
+    assert tuple(cfg.to_dict()) == CONFIG_KEYS
 
     with pytest.raises(ValueError, match="algorithms"):
         default_benchmark_config(algorithms=("newton",))
@@ -173,6 +182,23 @@ def test_experiment_config_round_trip_and_validation():
             mode_dicts=benchmark_mode_dicts(),
             driver=DriverConfig(rank=5),
         )
+
+
+def test_default_driver_seed_never_starts_at_the_truth():
+    # init_factors draws the same uniform stream as the truth factors, so
+    # a driver seed equal to the data seed starts modes 2 and 3 at the truth
+    syn = {"dims": [6, 5, 4], "rank": 2, "seed": 3}
+    for cfg in (ExperimentConfig.from_dict({"synthetic": syn}),
+                ExperimentConfig.from_dict({"synthetic": syn, "driver": {"n_inner": 2}})):
+        assert cfg.driver.seed == init_seed(3) == 4
+        assert cfg.driver.rank == 2
+        _, truth, _ = generate_synthetic(cfg.synthetic)
+        init = init_factors(cfg.synthetic.dims, cfg.driver.rank, cfg.driver.seed)
+        assert not any(np.array_equal(a, b) for a, b in zip(init.factors, truth.factors))
+    assert default_benchmark_config(seed=3).driver.seed == 4
+    assert ExperimentConfig.from_dict({}).driver == default_benchmark_config().driver
+    explicit = ExperimentConfig.from_dict({"synthetic": syn, "driver": {"seed": 9}})
+    assert explicit.driver.seed == 9
 
 
 def _tiny_config(out_dir, **overrides):

@@ -181,12 +181,45 @@ def test_bench_rejects_inconsistent_config(tmp_path):
     path.write_text(json.dumps(cfg))
     with pytest.raises(SystemExit, match="bad config"):
         main(["bench", "--config", str(path)])
-    # flag overrides bypass construction, so they get revalidated too
+    # flag overrides are validated with the file's settings
     cfg["driver"]["rank"] = 2
     good = tmp_path / "good.json"
     good.write_text(json.dumps(cfg))
     with pytest.raises(SystemExit, match="bad config"):
         main(["bench", "--config", str(good), "--inner-iters", "0"])
+
+
+@pytest.mark.parametrize("key", ["admm_rho", "mse_treshold"])
+def test_config_with_unknown_top_level_key_is_refused(tmp_path, key):
+    # a stale or misspelt key would otherwise be ignored without a word
+    cfg = json.loads(_mild_modes_config(tmp_path).read_text())
+    cfg.update({"synthetic": {"dims": [6, 5, 4], "rank": 2},
+                "driver": {"max_outer": 1}, "inner_iters": [1], key: 1.0})
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(cfg))
+    for command in (["factorize", "--rank", "2"], ["bench"], ["generate"]):
+        with pytest.raises(SystemExit, match="bad config: unknown keys %s" % key):
+            main(command + ["--config", str(path), "--out-dir", str(tmp_path / "out")])
+
+
+def test_factorize_without_seed_initializes_at_data_seed_plus_one(tmp_path):
+    # the initial factors draw the truth's uniform stream, so a shared seed
+    # would start modes 2 and 3 at the truth; without --seed the data seed
+    # is 0 and the initialization seed 1, as with --seed 0
+    cfg = _mild_modes_config(tmp_path)
+    fit = ["factorize", "--config", str(cfg), "--rank", "2", "--max-outer", "1"]
+    main(fit + ["--dims", "8,7,6", "--out-dir", str(tmp_path / "default")])
+    main(fit + ["--dims", "8,7,6", "--seed", "0", "--out-dir", str(tmp_path / "seeded")])
+    a = np.load(tmp_path / "default" / "factors.npz")
+    b = np.load(tmp_path / "seeded" / "factors.npz")
+    assert all(np.array_equal(a[k], b[k]) for k in ("f1", "f2", "f3"))
+    data = tmp_path / "data"
+    main(["generate", "--dims", "8,7,6", "--rank", "2", "--out-dir", str(data)])
+    main(fit + ["--tensor", str(data / "tensor.tns3"), "--truth", str(data / "truth.npz"),
+                "--out-dir", str(tmp_path / "files")])
+    for run in ("default", "seeded", "files"):
+        with open(tmp_path / run / "summary.json") as fh:
+            assert json.load(fh)["driver"]["seed"] == 1
 
 
 def test_cli_maps_input_errors_to_clean_exits(tmp_path):

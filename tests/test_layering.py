@@ -61,3 +61,45 @@ def test_import_does_not_load_scipy_optimize():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def _names_used(tree, skip=()):
+    """Every identifier a module names in code: variables, attributes,
+    imported names and exact-identifier strings (``__all__``, the
+    benchmark's rebinding tables), outside the line ranges in ``skip``."""
+    used = set()
+    for node in ast.walk(tree):
+        line = getattr(node, "lineno", None)
+        if line is not None and any(a <= line <= b for a, b in skip):
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    # a public top-level function or class must be named outside its own
+    # definition: in another line of the package, in __all__, or by the
+    # benchmark harness; one only tests reach is dead code
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    bench = SRC.parent.parent / "perfbench"
+    outside = set()
+    for path in sorted(bench.glob("*.py")):
+        outside |= _names_used(ast.parse(path.read_text(), filename=str(path)))
+    unused = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            span = [(node.lineno, node.end_lineno)]
+            if any(node.name in _names_used(t, span if p == path else ())
+                   for p, t in trees.items()) or node.name in outside:
+                continue
+            unused.append("%s:%d %s" % (path.name, node.lineno, node.name))
+    assert not unused, unused
