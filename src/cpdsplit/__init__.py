@@ -9,7 +9,6 @@ from .admm import UnsupportedSpecError, ao_admm_factorize
 from .bench import (
     ExperimentConfig,
     SyntheticSpec,
-    default_benchmark_config,
     generate_synthetic,
     run_experiment,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "UnsupportedSpecError",
     "ao_admm_factorize",
     "cp_reconstruct",
-    "default_benchmark_config",
     "factorize",
     "generate_synthetic",
     "group_replicate_op",

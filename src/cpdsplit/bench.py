@@ -2,7 +2,7 @@
 
 Generates noisy low-rank tensors with a sparse first factor, runs the two
 solvers over a sweep of inner-iteration counts on bit-identical data, and
-writes one trace CSV per arm plus a summary JSON.
+writes one trace CSV and one factor file per arm plus a summary JSON.
 
 Reproducibility: all randomness comes from numpy's default generator
 (PCG64) seeded per spec.  The truth factors consume uniform doubles in
@@ -105,34 +105,48 @@ def generate_synthetic(spec):
 
 # -- mode specs from config dicts -----------------------------------------
 
+def _refuse_unknown(cfg, known, section):
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise ValueError("unknown keys %s in %s" % (", ".join(unknown), section))
+
+
 def mode_spec_from_dict(cfg, n_cols):
     """Build a ModeSpec from its config dict for a mode of size ``n_cols``.
 
     Shorthand: regularizer kind 'overlapping_group_l2' expands into the
     replicate-then-shrink pair; otherwise the operator defaults to identity
-    whenever a nontrivial regularizer is present.
+    whenever a nontrivial regularizer is present.  A key outside the
+    documented schema is refused, so a misspelt section cannot be dropped.
     """
-    proj_cfg = dict(cfg.get("projection", {"kind": "none"}))
+    _refuse_unknown(cfg, ("projection", "regularizer", "operator"), "a mode")
+    proj_cfg = cfg.get("projection", {"kind": "none"})
+    _refuse_unknown(proj_cfg, ("kind", "lo", "hi"), "a projection")
     projection = Projection(
         proj_cfg.get("kind", "none"), proj_cfg.get("lo"), proj_cfg.get("hi")
     )
-    reg_cfg = dict(cfg.get("regularizer", {"kind": "zero"}))
+    reg_cfg = cfg.get("regularizer", {"kind": "zero"})
+    _refuse_unknown(reg_cfg, ("kind", "weight", "groups"), "a regularizer")
     kind = reg_cfg.get("kind", "zero")
     weight = float(reg_cfg.get("weight", 0.0))
     if kind == "overlapping_group_l2":
+        if "operator" in cfg:
+            raise ValueError("overlapping_group_l2 builds its own operator; drop 'operator'")
         reg, op = overlapping_group_lasso(reg_cfg["groups"], weight, n_cols)
         return ModeSpec(projection, reg, op)
     groups = reg_cfg.get("groups")
     reg = ProxFn(kind, weight, tuple(tuple(g) for g in groups) if groups else None)
-    if reg.kind == "zero":
+    if reg.kind == "zero" and "operator" not in cfg:
         return ModeSpec(projection, reg, None)
-    op_cfg = dict(cfg.get("operator", {"kind": "identity"}))
+    op_cfg = cfg.get("operator", {"kind": "identity"})
+    _refuse_unknown(op_cfg, ("kind", "groups"), "an operator")
     op_groups = op_cfg.get("groups")
     op = LinOp(
         op_cfg.get("kind", "identity"),
         n_cols,
         tuple(tuple(g) for g in op_groups) if op_groups else None,
     )
+    # ModeSpec refuses an operator section on a zero regularizer
     return ModeSpec(projection, reg, op)
 
 
@@ -191,6 +205,9 @@ class ExperimentConfig:
         self.inner_iters = inner
         if len(self.mode_dicts) != 3:
             raise ValueError("exactly three mode configurations required")
+        # refuse a bad mode before any data is made or fitted
+        for m, n in zip(self.mode_dicts, self.synthetic.dims):
+            mode_spec_from_dict(m, n)
         # every arm scores its trace against the generating factors, so a
         # fit rank that differs from the synthetic rank can never run
         if self.driver.rank != self.synthetic.rank:
@@ -203,7 +220,8 @@ class ExperimentConfig:
         return {
             "synthetic": asdict(self.synthetic) | {"dims": list(self.synthetic.dims)},
             "modes": [dict(m) for m in self.mode_dicts],
-            "driver": asdict(self.driver),
+            # run_experiment sets n_inner per arm, and from_dict refuses it
+            "driver": {k: v for k, v in asdict(self.driver).items() if k != "n_inner"},
             "algorithms": list(self.algorithms),
             "inner_iters": list(self.inner_iters),
             "out_dir": str(self.out_dir),
@@ -213,8 +231,12 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, cfg):
         """The config of a dict keyed as :data:`CONFIG_KEYS`; the driver's
-        rank and seed default to the synthetic rank and :func:`init_seed`."""
-        syn = SyntheticSpec(**{**cfg.get("synthetic", {}), "dims": tuple(cfg.get("synthetic", {}).get("dims", (100, 100, 100)))})
+        rank and seed default to the synthetic rank and :func:`init_seed`.
+        A driver ``n_inner`` is refused: ``inner_iters`` sets each arm's."""
+        _refuse_unknown(cfg, CONFIG_KEYS, "the config")
+        if "n_inner" in cfg.get("driver", {}):
+            raise ValueError("driver.n_inner is not read; set the inner counts in inner_iters")
+        syn = SyntheticSpec(**cfg.get("synthetic", {}))
         driver = {"rank": syn.rank, "seed": init_seed(syn.seed), **cfg.get("driver", {})}
         return cls(
             synthetic=syn,
@@ -225,21 +247,6 @@ class ExperimentConfig:
             out_dir=cfg.get("out_dir", "results"),
             mse_threshold=cfg.get("mse_threshold"),
         )
-
-
-def default_benchmark_config(rank=5, seed=0, out_dir="results", **overrides):
-    """Stock experiment: 100^3 tensor, 80% sparse first factor, sigma 0.1,
-    both algorithms at n_inner 5, stopping on |MSE change| < 1e-5."""
-    syn = SyntheticSpec(dims=(100, 100, 100), rank=rank, seed=seed)
-    driver_cfg = DriverConfig(rank=rank, n_inner=5, stop_metric="mse_vs_truth", seed=init_seed(seed))
-    kwargs = {
-        "synthetic": syn,
-        "mode_dicts": benchmark_mode_dicts(),
-        "driver": driver_cfg,
-        "out_dir": out_dir,
-    }
-    kwargs.update(overrides)
-    return ExperimentConfig(**kwargs)
 
 
 # -- trace serialization ---------------------------------------------------
@@ -335,19 +342,24 @@ def environment():
     }
 
 
-def run_experiment(cfg):
+def run_experiment(cfg, data=None):
     """Run every algorithm x inner-iteration arm on one shared dataset.
 
-    Writes ``<out_dir>/<algo>_n<k>.csv`` per arm and ``<out_dir>/summary.json``,
-    and returns the summary dict.  Wall time wraps the factorize call only;
-    data generation and serialization are excluded.
+    The dataset is ``cfg.synthetic``'s, or ``data=(Y, mask, truth)`` (mask
+    and truth may be None), in which case the summary's
+    ``config.synthetic`` is null.  Writes ``<out_dir>/<algo>_n<k>.csv`` and
+    the final factors ``<out_dir>/<algo>_n<k>.npz`` (``f1``, ``f2``,
+    ``f3``) per arm, and ``<out_dir>/summary.json``, and returns the summary
+    dict.  Wall time wraps the factorize call only; data generation and
+    serialization are excluded.
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    Y, truth, mask = generate_synthetic(cfg.synthetic)
-    specs = [
-        mode_spec_from_dict(m, n) for m, n in zip(cfg.mode_dicts, cfg.synthetic.dims)
-    ]
+    if data is None:
+        Y, truth, mask = generate_synthetic(cfg.synthetic)
+    else:
+        Y, mask, truth = data
+    specs = [mode_spec_from_dict(m, n) for m, n in zip(cfg.mode_dicts, Y.shape)]
     arms = []
     for algo in cfg.algorithms:
         for n_inner in cfg.inner_iters:
@@ -357,9 +369,14 @@ def run_experiment(cfg):
             result = run_solver(algo, Y, mask, specs, driver_cfg, truth)
             wall = time.perf_counter() - started
             write_trace_csv(out_dir / (name + ".csv"), result.trace)
+            f1, f2, f3 = result.factors.factors
+            np.savez(out_dir / (name + ".npz"), f1=f1, f2=f2, f3=f3)
             arms.append(arm_summary(name, result, wall, cfg.mse_threshold, truth))
+    config = cfg.to_dict()
+    if data is not None:
+        config["synthetic"] = None
     summary = {
-        "config": cfg.to_dict(),
+        "config": config,
         "environment": environment(),
         "arms": arms,
     }
@@ -368,10 +385,15 @@ def run_experiment(cfg):
     return summary
 
 
-def report_table(out_dir):
-    """Fold the trace CSVs under ``out_dir`` into an aligned text table."""
+def report_table(out_dir, arms=None):
+    """Fold the trace CSVs of the named ``arms`` under ``out_dir``, or of
+    every ``*_n*.csv`` there when ``arms`` is None, into an aligned text
+    table."""
     out_dir = Path(out_dir)
-    paths = sorted(out_dir.glob("*_n*.csv"))
+    if arms is None:
+        paths = sorted(out_dir.glob("*_n*.csv"))
+    else:
+        paths = [out_dir / (name + ".csv") for name in arms]
     if not paths:
         raise ValueError("no trace CSVs under %s" % out_dir)
     rows = [("arm", "outers", "elapsed_sec", "final_obj", "best_mse_al", "final_mse_al")]

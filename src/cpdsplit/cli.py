@@ -8,33 +8,28 @@ import numpy as np
 
 from .bench import (
     ALGORITHMS,
-    CONFIG_KEYS,
     ExperimentConfig,
-    SyntheticSpec,
-    arm_summary,
-    benchmark_mode_dicts,
-    environment,
     generate_synthetic,
     init_seed,
-    mode_spec_from_dict,
     report_table,
     run_experiment,
-    run_solver,
-    write_trace_csv,
 )
-from .driver import DriverConfig
 from .tensor import FactorSet
 from .tensorio import read_mask, read_tensor, write_mask, write_tensor
 
 
 def _load_config(path):
+    """The --config file's JSON object, or {} without one."""
     if path is None:
         return {}
     with open(path) as fh:
         cfg = json.load(fh)
-    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
-    if unknown:
-        raise SystemExit("bad config: unknown keys %s" % ", ".join(unknown))
+    # the flags fold into these sections before from_dict reads them
+    if not isinstance(cfg, dict):
+        raise ValueError("the config must be a JSON object, got %s" % json.dumps(cfg))
+    for key in ("synthetic", "driver"):
+        if not isinstance(cfg.get(key, {}), dict):
+            raise ValueError("%s must be an object, got %s" % (key, json.dumps(cfg[key])))
     return cfg
 
 
@@ -42,27 +37,53 @@ def _parse_ints(text):
     return tuple(int(p) for p in str(text).split(",") if p != "")
 
 
-def _synthetic_from(cfg, args):
-    syn = dict(cfg.get("synthetic", {}))
-    if getattr(args, "dims", None):
-        syn["dims"] = _parse_ints(args.dims)
-    if args.rank is not None:
-        syn["rank"] = args.rank
-    if getattr(args, "sparsity", None) is not None:
-        syn["sparsity"] = args.sparsity
-    if getattr(args, "noise_sigma", None) is not None:
-        syn["noise_sigma"] = args.noise_sigma
-    if args.seed is not None:
-        syn["seed"] = args.seed
-    syn.setdefault("dims", (100, 100, 100))
-    syn["dims"] = tuple(syn["dims"])
-    return SyntheticSpec(**syn)
+def _experiment_config(args, data=None, **defaults):
+    """Every command's config: the --config dict over ``defaults``, with the
+    flags given in ``args`` folded in, validated once by
+    ExperimentConfig.from_dict.  ``data=(Y, mask, truth)`` read from files
+    sets the synthetic dims and, without --rank or a driver rank, the rank."""
+    try:
+        cfg = {**defaults, **_load_config(args.config)}
+        syn = cfg.setdefault("synthetic", {})
+        driver = cfg.setdefault("driver", {})
+        flags = {k: v for k, v in vars(args).items() if v is not None}
+        for key in ("sparsity", "noise_sigma"):
+            if key in flags:
+                syn[key] = flags[key]
+        for key in ("max_outer", "stop_tol", "stop_metric"):
+            if key in flags:
+                driver[key] = flags[key]
+        if "dims" in flags:
+            syn["dims"] = _parse_ints(flags["dims"])
+        if "seed" in flags:
+            syn["seed"] = flags["seed"]
+            driver["seed"] = init_seed(flags["seed"])
+        if "algo" in flags:
+            cfg["algorithms"] = (flags["algo"],)
+        if "inner_iters" in flags:
+            cfg["inner_iters"] = _parse_ints(flags["inner_iters"])
+        if "out_dir" in flags:
+            cfg["out_dir"] = flags["out_dir"]
+        rank = flags.get("rank")
+        if data is not None:
+            Y, _, truth = data
+            syn["dims"] = Y.shape
+            if truth is None:
+                driver.setdefault("stop_metric", "objective_rel_change")
+            if rank is None:
+                rank = driver.get("rank", truth.rank if truth is not None else None)
+            if rank is None:
+                raise SystemExit("--rank is required without ground truth")
+        if rank is not None:
+            syn["rank"] = driver["rank"] = rank
+        return ExperimentConfig.from_dict(cfg)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit("bad config: %s" % exc)
 
 
 def _cmd_generate(args):
-    cfg = _load_config(args.config)
-    spec = _synthetic_from(cfg, args)
-    out = Path(args.out_dir)
+    spec = _experiment_config(args).synthetic
+    out = Path(args.data_dir)
     out.mkdir(parents=True, exist_ok=True)
     Y, truth, mask = generate_synthetic(spec)
     if args.observed is not None:
@@ -84,97 +105,36 @@ def _load_truth(path):
 
 
 def _cmd_factorize(args):
-    cfg = _load_config(args.config)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    data = None
     if args.tensor:
-        Y = read_tensor(args.tensor)
-        mask = read_mask(args.mask) if args.mask else None
-        truth = _load_truth(args.truth) if args.truth else None
-    else:
-        spec = _synthetic_from(cfg, args)
-        Y, truth, mask = generate_synthetic(spec)
-    driver_cfg = dict(cfg.get("driver", {}))
-    if args.rank is not None:
-        driver_cfg["rank"] = args.rank
-    elif "rank" not in driver_cfg:
-        if truth is None:
-            raise SystemExit("--rank is required without ground truth")
-        driver_cfg["rank"] = truth.rank
-    if args.inner_iters is not None:
-        driver_cfg["n_inner"] = int(args.inner_iters)
-    if args.seed is not None:
-        driver_cfg["seed"] = init_seed(args.seed)
-    else:
-        driver_cfg.setdefault("seed", init_seed(cfg.get("synthetic", {}).get("seed", 0)))
-    if args.max_outer is not None:
-        driver_cfg["max_outer"] = args.max_outer
-    if args.stop_tol is not None:
-        driver_cfg["stop_tol"] = args.stop_tol
-    if args.stop_metric is not None:
-        driver_cfg["stop_metric"] = args.stop_metric
-    elif "stop_metric" not in driver_cfg:
-        driver_cfg["stop_metric"] = (
-            "mse_vs_truth" if truth is not None else "objective_rel_change"
+        data = (
+            read_tensor(args.tensor),
+            read_mask(args.mask) if args.mask else None,
+            _load_truth(args.truth) if args.truth else None,
         )
-    dcfg = DriverConfig(**driver_cfg)
-    mode_dicts = cfg.get("modes", benchmark_mode_dicts())
-    specs = [mode_spec_from_dict(m, n) for m, n in zip(mode_dicts, Y.shape)]
-    result = run_solver(args.algo, Y, mask, specs, dcfg, truth)
-    name = "%s_n%d" % (args.algo, dcfg.n_inner)
-    write_trace_csv(out / (name + ".csv"), result.trace)
-    np.savez(
-        out / "factors.npz",
-        f1=result.factors.factors[0],
-        f2=result.factors.factors[1],
-        f3=result.factors.factors[2],
-    )
-    summary = {
-        "environment": environment(),
-        "driver": driver_cfg,
-        "arms": [arm_summary(name, result, result.trace[-1].elapsed_sec, None, truth)],
-    }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-    arm = summary["arms"][0]
-    print(
-        "%s: %d outer iterations (%s), objective %.6g%s"
-        % (
-            name,
-            result.outer_iterations,
-            result.stop_reason,
-            arm["final_objective"],
-            (
-                ", best aligned MSE %.6g" % arm["best_mse_aligned"]
-                if arm["best_mse_aligned"] is not None
-                else ""
-            ),
+    cfg = _experiment_config(args, data, algorithms=("aopds",))
+    for arm in run_experiment(cfg, data)["arms"]:
+        print(
+            "%s: %d outer iterations (%s), objective %.6g%s"
+            % (
+                arm["arm"],
+                arm["outer_iterations"],
+                arm["stop_reason"],
+                arm["final_objective"],
+                (
+                    ", best aligned MSE %.6g" % arm["best_mse_aligned"]
+                    if arm["best_mse_aligned"] is not None
+                    else ""
+                ),
+            )
         )
-    )
     return 0
 
 
 def _cmd_bench(args):
-    try:
-        cfg = _load_config(args.config)
-        syn = cfg["synthetic"] = dict(cfg.get("synthetic", {}))
-        driver = cfg["driver"] = dict(cfg.get("driver", {}))
-        if args.rank is not None:
-            syn["rank"] = driver["rank"] = args.rank
-        if args.seed is not None:
-            syn["seed"] = args.seed
-            driver["seed"] = init_seed(args.seed)
-        if args.algo is not None:
-            cfg["algorithms"] = (args.algo,)
-        if args.inner_iters is not None:
-            cfg["inner_iters"] = _parse_ints(args.inner_iters)
-        if args.out_dir is not None:
-            cfg["out_dir"] = args.out_dir
-        cfg = ExperimentConfig.from_dict(cfg)
-    except (TypeError, ValueError) as exc:
-        raise SystemExit("bad config: %s" % exc)
-    run_experiment(cfg)
-    print(report_table(cfg.out_dir))
+    cfg = _experiment_config(args)
+    summary = run_experiment(cfg)
+    print(report_table(cfg.out_dir, [arm["arm"] for arm in summary["arms"]]))
     return 0
 
 
@@ -192,7 +152,7 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write synthetic tensor/mask/truth files")
-    p.add_argument("--config", help="JSON config with a 'synthetic' section")
+    p.add_argument("--config", help="JSON experiment config")
     p.add_argument("--dims", help="comma-separated dims, e.g. 100,100,100")
     p.add_argument("--rank", type=int)
     p.add_argument("--sparsity", type=float)
@@ -200,12 +160,12 @@ def main(argv=None):
     p.add_argument("--seed", type=int)
     p.add_argument("--observed", type=float,
                    help="fraction of entries marked observed (default: all)")
-    p.add_argument("--out-dir", default="data")
+    p.add_argument("--out-dir", dest="data_dir", default="data")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("factorize", help="run one solver on files or synthetic data")
-    p.add_argument("--config", help="JSON config (modes/driver/synthetic sections)")
-    p.add_argument("--algo", choices=ALGORITHMS, default="aopds")
+    p.add_argument("--config", help="JSON experiment config")
+    p.add_argument("--algo", choices=ALGORITHMS)
     p.add_argument("--tensor", help="input .tns3 file (else synthetic data)")
     p.add_argument("--mask", help="input .msk3 file")
     p.add_argument("--truth", help="ground-truth .npz (f1, f2, f3)")
@@ -218,7 +178,7 @@ def main(argv=None):
     p.add_argument("--stop-metric", choices=("mse_vs_truth", "objective_rel_change"), dest="stop_metric")
     p.add_argument("--sparsity", type=float)
     p.add_argument("--noise-sigma", type=float, dest="noise_sigma")
-    p.add_argument("--out-dir", default="results")
+    p.add_argument("--out-dir")
     p.set_defaults(func=_cmd_factorize)
 
     p = sub.add_parser("bench", help="run the full algorithm/inner-iteration sweep")

@@ -141,29 +141,19 @@ def init_factors(dims, rank, seed):
     return FactorSet(tuple(rng.random((int(n), int(rank))) for n in dims))
 
 
-class _StopRule:
-    """Tracks the stopping metric across outer iterations.
+def _converged(trace, cfg):
+    """Whether the last two trace rows meet the stopping rule.
 
     mse_vs_truth fires on |MSE_k - MSE_{k-1}| < tol (raw MSE: cheap and
     permutation-stable between consecutive iterates); objective_rel_change
     fires on |obj_k - obj_{k-1}| / max(obj_{k-1}, eps) < tol.
     """
-
-    def __init__(self, metric, tol):
-        self.metric = metric
-        self.tol = tol
-        self.prev = None
-
-    def fired(self, objective_value, mse_raw):
-        value = mse_raw if self.metric == "mse_vs_truth" else objective_value
-        stop = False
-        if self.prev is not None:
-            if self.metric == "mse_vs_truth":
-                stop = abs(value - self.prev) < self.tol
-            else:
-                stop = abs(value - self.prev) / max(self.prev, _REL_EPS) < self.tol
-        self.prev = value
-        return stop
+    if len(trace) < 2:
+        return False
+    prev, last = trace[-2:]
+    if cfg.stop_metric == "mse_vs_truth":
+        return abs(last.mse_raw - prev.mse_raw) < cfg.stop_tol
+    return abs(last.objective - prev.objective) / max(prev.objective, _REL_EPS) < cfg.stop_tol
 
 
 def _bind_operator(spec, n_d, d):
@@ -271,7 +261,6 @@ def alternate(Y, mask, specs, cfg, truth, start, visit, factor, dual):
     started = time.perf_counter()
     trace = []
     stop_reason = "iteration_cap"
-    rule = _StopRule(cfg.stop_metric, cfg.stop_tol)
     for k in range(1, int(cfg.max_outer) + 1):
         for d in range(3):
             i, j = (a for a in range(3) if a != d)
@@ -283,9 +272,8 @@ def alternate(Y, mask, specs, cfg, truth, start, visit, factor, dual):
                 bound = np.einsum("nrr->n", grams).max()
             bound = _positive_bound(bound, d)
             states[d] = visit(states[d], specs[d], W, Yd[d], grams, bound)
-        rec = _trace_entry(k, started, Y, mask, factors(), specs, truth)
-        trace.append(rec)
-        if rule.fired(rec.objective, rec.mse_raw):
+        trace.append(_trace_entry(k, started, Y, mask, factors(), specs, truth))
+        if _converged(trace, cfg):
             stop_reason = "converged"
             break
     result = FitResult(

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from cpdsplit.bench import (
     ExperimentConfig,
     SyntheticSpec,
     benchmark_mode_dicts,
-    default_benchmark_config,
     gaussian_from_uniform,
     generate_synthetic,
     init_seed,
@@ -21,7 +22,8 @@ from cpdsplit.bench import (
 )
 from cpdsplit.driver import DriverConfig, ModeSpec, TraceRecord, init_factors
 from cpdsplit.operators import LinOp, ProxFn, Projection
-from cpdsplit.tensor import cp_reconstruct
+from cpdsplit.metrics import factor_match_score
+from cpdsplit.tensor import FactorSet, cp_reconstruct
 
 
 def _digest(arr):
@@ -150,18 +152,43 @@ def test_overlapping_group_shorthand_expands():
     assert spec.regularizer.groups == ((0, 1, 2), (3, 4))
 
 
+@pytest.mark.parametrize("cfg, key", [
+    ({"regulariser": {"kind": "l1", "weight": 5.0}}, "regulariser"),
+    ({"regularizer": {"kind": "l1", "wieght": 5.0}}, "wieght"),
+    ({"projection": {"kind": "box", "lo": 0.0, "high": 1.0}}, "high"),
+    ({"regularizer": {"kind": "l1", "weight": 1.0},
+      "operator": {"kind": "identity", "group": [[0]]}}, "group"),
+    ({"operator": {"kind": "row_difference"}}, "operator"),
+    ({"regularizer": {"kind": "zero"}, "operator": {"kind": "identity"}}, "operator"),
+    ({"regularizer": {"kind": "overlapping_group_l2", "weight": 1.0, "groups": [[0, 1]]},
+      "operator": {"kind": "identity"}}, "operator"),
+])
+def test_mode_spec_from_dict_refuses_what_it_would_drop(cfg, key):
+    # each of these would otherwise build a spec without the stated part
+    with pytest.raises(ValueError, match=key):
+        mode_spec_from_dict(cfg, 10)
+
+
+def test_benchmark_stock_modes_parse():
+    # the benchmark harness builds its specs from this table
+    table = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "workloads.py"))
+    for m in table["STOCK_MODES"]:
+        mode_spec_from_dict(m, 60)
+
+
 def test_experiment_config_round_trip_and_validation():
-    cfg = default_benchmark_config(rank=3, seed=7, out_dir="x")
+    cfg = ExperimentConfig.from_dict({"synthetic": {"rank": 3, "seed": 7}, "out_dir": "x"})
+    assert cfg.synthetic == SyntheticSpec(rank=3, seed=7)
+    assert cfg.driver == DriverConfig(rank=3, seed=8)
     again = ExperimentConfig.from_dict(cfg.to_dict())
-    assert again.synthetic == cfg.synthetic
-    assert again.driver == cfg.driver
-    assert again.algorithms == cfg.algorithms
-    assert again.inner_iters == cfg.inner_iters
+    assert again == cfg
     assert json.dumps(cfg.to_dict())  # JSON-serializable
     assert tuple(cfg.to_dict()) == CONFIG_KEYS
+    # each arm's inner count comes from inner_iters, so the echo has none
+    assert "n_inner" not in cfg.to_dict()["driver"]
 
     with pytest.raises(ValueError, match="algorithms"):
-        default_benchmark_config(algorithms=("newton",))
+        ExperimentConfig.from_dict({"algorithms": ["newton"]})
     with pytest.raises(ValueError, match="inner_iters"):
         ExperimentConfig(
             synthetic=SyntheticSpec(),
@@ -189,14 +216,16 @@ def test_default_driver_seed_never_starts_at_the_truth():
     # a driver seed equal to the data seed starts modes 2 and 3 at the truth
     syn = {"dims": [6, 5, 4], "rank": 2, "seed": 3}
     for cfg in (ExperimentConfig.from_dict({"synthetic": syn}),
-                ExperimentConfig.from_dict({"synthetic": syn, "driver": {"n_inner": 2}})):
+                ExperimentConfig.from_dict({"synthetic": syn, "driver": {"max_outer": 2}})):
         assert cfg.driver.seed == init_seed(3) == 4
         assert cfg.driver.rank == 2
         _, truth, _ = generate_synthetic(cfg.synthetic)
         init = init_factors(cfg.synthetic.dims, cfg.driver.rank, cfg.driver.seed)
         assert not any(np.array_equal(a, b) for a, b in zip(init.factors, truth.factors))
-    assert default_benchmark_config(seed=3).driver.seed == 4
-    assert ExperimentConfig.from_dict({}).driver == default_benchmark_config().driver
+    assert ExperimentConfig.from_dict({}).driver == DriverConfig(
+        rank=5, n_inner=5, max_outer=1000, stop_tol=1e-5,
+        stop_metric="mse_vs_truth", seed=1,
+    )
     explicit = ExperimentConfig.from_dict({"synthetic": syn, "driver": {"seed": 9}})
     assert explicit.driver.seed == 9
 
@@ -228,6 +257,11 @@ def test_run_experiment_writes_all_outputs(tmp_path):
             trace = read_trace_csv(path)
             assert trace[-1].outer_iter == 6
             assert trace[0].mse_aligned is not None
+    _, truth, _ = generate_synthetic(cfg.synthetic)
+    for arm in summary["arms"]:
+        with np.load(tmp_path / "out" / (arm["arm"] + ".npz")) as f:
+            fitted = FactorSet((f["f1"], f["f2"], f["f3"]))
+        assert factor_match_score(fitted, truth) == arm["final_factor_match_score"]
     with open(tmp_path / "out" / "summary.json") as fh:
         on_disk = json.load(fh)
     assert on_disk["config"]["synthetic"]["dims"] == [10, 9, 8]

@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cpdsplit.bench import read_trace_csv
+from cpdsplit.bench import ExperimentConfig, read_trace_csv
 from cpdsplit.cli import main
 from cpdsplit.metrics import factor_match_score
 from cpdsplit.tensor import FactorSet
@@ -98,10 +100,17 @@ def test_factorize_from_files(tmp_path, capsys):
     assert trace[0].mse_aligned is not None
     header = (out / "aopds_n3.csv").read_text().splitlines()[0]
     assert header == "outer_iter,elapsed_sec,objective,mse_raw,mse_aligned"
-    factors = np.load(out / "factors.npz")
+    factors = np.load(out / "aopds_n3.npz")
     assert factors["f1"].shape == (8, 2)
     with open(out / "summary.json") as fh:
         summary = json.load(fh)
+    # file data replace the synthetic section; the rest is echoed in full
+    assert summary["config"]["synthetic"] is None
+    assert summary["config"]["driver"] == {
+        "rank": 2, "max_outer": 5, "stop_tol": 1e-30,
+        "stop_metric": "objective_rel_change", "seed": 2,
+    }
+    assert summary["config"]["inner_iters"] == [3]
     assert summary["arms"][0]["arm"] == "aopds_n3"
     assert summary["arms"][0]["best_mse_aligned"] is not None
     truth = np.load(data / "truth.npz")
@@ -141,7 +150,7 @@ def test_bench_and_report(tmp_path, capsys):
     cfg = {
         "synthetic": {"dims": [8, 7, 6], "rank": 2, "sparsity": 0.4,
                       "noise_sigma": 0.05, "seed": 0},
-        "driver": {"rank": 2, "n_inner": 3, "max_outer": 4,
+        "driver": {"rank": 2, "max_outer": 4,
                    "stop_tol": 1e-30, "stop_metric": "objective_rel_change",
                    "seed": 1},
         "modes": [
@@ -202,6 +211,97 @@ def test_config_with_unknown_top_level_key_is_refused(tmp_path, key):
             main(command + ["--config", str(path), "--out-dir", str(tmp_path / "out")])
 
 
+@pytest.mark.parametrize("command", ["generate", "factorize", "bench"])
+@pytest.mark.parametrize("cfg", [
+    {"synthetic": {"dimz": [6, 5, 4]}},
+    {"driver": {"max_outr": 3}},
+    {"synthetic": None},
+    {"driver": None},
+    [1],
+    {"driver": {"n_inner": 7}},
+    {"modes": [{"regulariser": {"kind": "l1", "weight": 5.0}}, {}, {}]},
+], ids=["synthetic.dimz", "driver.max_outr", "null-synthetic", "null-driver",
+        "array-root", "driver.n_inner", "modes.regulariser"])
+def test_every_command_refuses_a_bad_config_before_running(tmp_path, command, cfg):
+    # every command reads the one schema through ExperimentConfig.from_dict
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match="^bad config: "):
+        main([command, "--config", str(path), "--out-dir", str(out)])
+    assert not out.exists()
+
+
+def _arms(out):
+    with open(out / "summary.json") as fh:
+        return json.load(fh)["arms"]
+
+
+def test_factorize_honors_the_config_and_flags_override_it(tmp_path):
+    cfg = json.loads(_mild_modes_config(tmp_path).read_text())
+    cfg.update({
+        "synthetic": {"dims": [8, 7, 6], "rank": 2, "seed": 1},
+        "driver": {"max_outer": 3, "stop_tol": 1e-30, "stop_metric": "objective_rel_change"},
+        "algorithms": ["aoadmm"],
+        "inner_iters": [3],
+        "out_dir": str(tmp_path / "from_config"),
+        "mse_threshold": 10.0,
+    })
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["factorize", "--config", str(path)]) == 0
+    (arm,) = _arms(tmp_path / "from_config")
+    assert arm["arm"] == "aoadmm_n3"
+    assert arm["outer_iterations"] == 3
+    assert arm["time_to_threshold_sec"] is not None
+    assert (tmp_path / "from_config" / "aoadmm_n3.npz").exists()
+
+    assert main(["factorize", "--config", str(path), "--algo", "aopds",
+                 "--inner-iters", "2", "--out-dir", str(tmp_path / "from_flags")]) == 0
+    (arm,) = _arms(tmp_path / "from_flags")
+    assert arm["arm"] == "aopds_n2"
+    assert arm["time_to_threshold_sec"] is not None
+    assert sorted(p.name for p in (tmp_path / "from_config").iterdir()) == [
+        "aoadmm_n3.csv", "aoadmm_n3.npz", "summary.json"
+    ]
+
+
+def test_bench_prints_only_the_arms_it_ran(tmp_path, capsys):
+    cfg = json.loads(_mild_modes_config(tmp_path).read_text())
+    cfg.update({
+        "synthetic": {"dims": [8, 7, 6], "rank": 2},
+        "driver": {"max_outer": 2, "stop_tol": 1e-30, "stop_metric": "objective_rel_change"},
+        "inner_iters": [2],
+    })
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "bench")
+    assert main(["bench", "--config", str(path), "--out-dir", out]) == 0
+    capsys.readouterr()
+    assert main(["bench", "--config", str(path), "--out-dir", out,
+                 "--algo", "aopds", "--inner-iters", "4"]) == 0
+    rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert rows == ["arm", "aopds_n4"]
+    # report still folds the whole directory
+    assert main(["report", "--out-dir", out]) == 0
+    rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert rows == ["arm", "aoadmm_n2", "aopds_n2", "aopds_n4"]
+
+
+def test_readme_config_example_builds(tmp_path):
+    # the documented schema is the one the commands read
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    example = json.loads(block)
+    assert ExperimentConfig.from_dict(example).to_dict() == example
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    data = tmp_path / "data"
+    assert main(["generate", "--config", str(path), "--out-dir", str(data)]) == 0
+    truth = np.load(data / "truth.npz")
+    assert truth["f1"].shape == (100, 5)
+
+
 def test_factorize_without_seed_initializes_at_data_seed_plus_one(tmp_path):
     # the initial factors draw the truth's uniform stream, so a shared seed
     # would start modes 2 and 3 at the truth; without --seed the data seed
@@ -210,8 +310,8 @@ def test_factorize_without_seed_initializes_at_data_seed_plus_one(tmp_path):
     fit = ["factorize", "--config", str(cfg), "--rank", "2", "--max-outer", "1"]
     main(fit + ["--dims", "8,7,6", "--out-dir", str(tmp_path / "default")])
     main(fit + ["--dims", "8,7,6", "--seed", "0", "--out-dir", str(tmp_path / "seeded")])
-    a = np.load(tmp_path / "default" / "factors.npz")
-    b = np.load(tmp_path / "seeded" / "factors.npz")
+    a = np.load(tmp_path / "default" / "aopds_n5.npz")
+    b = np.load(tmp_path / "seeded" / "aopds_n5.npz")
     assert all(np.array_equal(a[k], b[k]) for k in ("f1", "f2", "f3"))
     data = tmp_path / "data"
     main(["generate", "--dims", "8,7,6", "--rank", "2", "--out-dir", str(data)])
@@ -219,7 +319,7 @@ def test_factorize_without_seed_initializes_at_data_seed_plus_one(tmp_path):
                 "--out-dir", str(tmp_path / "files")])
     for run in ("default", "seeded", "files"):
         with open(tmp_path / run / "summary.json") as fh:
-            assert json.load(fh)["driver"]["seed"] == 1
+            assert json.load(fh)["config"]["driver"]["seed"] == 1
 
 
 def test_cli_maps_input_errors_to_clean_exits(tmp_path):

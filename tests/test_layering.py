@@ -36,7 +36,7 @@ PUBLIC_API = {
     "group_replicate_op", "overlapping_group_lasso", "FactorSet",
     "cp_reconstruct", "mse", "read_tensor", "write_tensor", "read_mask",
     "write_mask", "SyntheticSpec", "ExperimentConfig", "generate_synthetic",
-    "run_experiment", "default_benchmark_config",
+    "run_experiment",
 }
 
 
