@@ -2,10 +2,12 @@
 
 It plugs into the driver's outer loop (:func:`cpdsplit.driver.alternate`),
 which owns the mode visits, the trace and the stop rule.  Each visit solves
-the mode's subproblem in scaled form with a Cholesky factorization of
-(W^T W + rho I) computed once and reused by every inner iteration.  The
-auxiliary variable Z absorbs both the regularizer and the hard constraint,
-which restricts this solver to separable regularizers composed with the
+the mode's subproblem in scaled form with a Cholesky factorization
+L L^T = W^T W + rho I computed once and reused by every inner iteration.
+The factor is applied through its inverse, so each visit pays the matrix
+inversion that the primal-dual solver does without.  The auxiliary
+variable Z absorbs both the regularizer and the hard constraint, which
+restricts this solver to separable regularizers composed with the
 identity: structured operators and masked data are rejected, that is the
 gap the primal-dual solver exists to fill.
 """
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .driver import alternate
 from .operators import project, prox_apply
@@ -51,6 +52,18 @@ def check_supported(spec):
             "regularizer kind %r is not supported by this baseline"
             % (spec.regularizer.kind,)
         )
+
+
+def cho_factor(a):
+    """Inverse of the lower Cholesky factor L of ``a = L L^T``; raises
+    numpy.linalg.LinAlgError unless ``a`` is positive definite."""
+    return np.linalg.inv(np.linalg.cholesky(a))
+
+
+def cho_solve(l_inv, b):
+    """Solve ``a x = b`` for ``l_inv = cho_factor(a)``: two R x R products
+    L^-T (L^-1 b), once per inner iteration."""
+    return l_inv.T @ (l_inv @ b)
 
 
 def _composite_prox(spec, x, rho):

@@ -105,6 +105,14 @@ def _load_truth(path):
 
 
 def _cmd_factorize(args):
+    # a flag of the data source not in use would be dropped without a word
+    if args.tensor:
+        unused, why = ("dims", "sparsity", "noise_sigma"), "sets synthetic data, not --tensor data"
+    else:
+        unused, why = ("mask", "truth"), "needs --tensor"
+    for key in unused:
+        if getattr(args, key) is not None:
+            raise SystemExit("error: --%s %s" % (key.replace("_", "-"), why))
     data = None
     if args.tensor:
         data = (

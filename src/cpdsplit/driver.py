@@ -19,6 +19,8 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 import numpy as np
+# numpy imports numpy.random lazily: load it with the package, not in a fit
+from numpy.random import default_rng
 
 from . import pds
 from .metrics import mse
@@ -137,7 +139,7 @@ def init_factors(dims, rank, seed):
     order; every entry is feasible for the nonnegativity constraint."""
     if rank < 1:
         raise ValueError("rank must be >= 1, got %r" % (rank,))
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     return FactorSet(tuple(rng.random((int(n), int(rank))) for n in dims))
 
 

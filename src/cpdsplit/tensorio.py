@@ -10,6 +10,7 @@ Both formats are self-describing and little-endian:
 Round trips are bit-exact.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -55,20 +56,27 @@ def write_tensor(path, t):
         fh.write(data.tobytes())
 
 
+def _read_payload(path, magic, dtype):
+    """The payload of a TNS3/MSK3 file, read straight into a new array once
+    the header and the file size agree."""
+    with open(path, "rb") as fh:
+        dims = _unpack_header(fh.read(_HEADER.size), magic, path)
+        nbytes = dims[0] * dims[1] * dims[2] * np.dtype(dtype).itemsize
+        size = os.fstat(fh.fileno()).st_size
+        if size != _HEADER.size + nbytes:
+            raise ValueError(
+                "%s: size %d does not match header (expected %d bytes)"
+                % (path, size, _HEADER.size + nbytes)
+            )
+        out = np.empty(dims, dtype=dtype)
+        if fh.readinto(out.reshape(-1).view(np.uint8)) != nbytes:
+            raise ValueError("%s: truncated while reading" % path)
+    return out
+
+
 def read_tensor(path):
     """Read a TNS3 file; returns a C-contiguous float64 array."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    dims = _unpack_header(buf, _TENSOR_MAGIC, path)
-    count = dims[0] * dims[1] * dims[2]
-    expected = _HEADER.size + 8 * count
-    if len(buf) != expected:
-        raise ValueError(
-            "%s: size %d does not match header (expected %d bytes)"
-            % (path, len(buf), expected)
-        )
-    flat = np.frombuffer(buf, dtype="<f8", count=count, offset=_HEADER.size)
-    t = flat.astype(np.float64).reshape(dims)
+    t = _read_payload(path, _TENSOR_MAGIC, "<f8").astype(np.float64, copy=False)
     if not np.isfinite(t).all():
         raise ValueError("%s: tensor contains non-finite values" % path)
     return t
@@ -89,18 +97,7 @@ def write_mask(path, mask):
 
 def read_mask(path):
     """Read an MSK3 file; returns a C-contiguous boolean array."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    dims = _unpack_header(buf, _MASK_MAGIC, path)
-    count = dims[0] * dims[1] * dims[2]
-    expected = _HEADER.size + count
-    if len(buf) != expected:
-        raise ValueError(
-            "%s: size %d does not match header (expected %d bytes)"
-            % (path, len(buf), expected)
-        )
-    flat = np.frombuffer(buf, dtype=np.uint8, count=count, offset=_HEADER.size)
-    bad = ~np.isin(flat, (0, 1))
-    if bad.any():
+    m = _read_payload(path, _MASK_MAGIC, np.uint8)
+    if (m > 1).any():
         raise ValueError("%s: mask byte out of {0, 1}" % path)
-    return flat.astype(np.bool_).reshape(dims)
+    return m.view(np.bool_)

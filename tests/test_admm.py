@@ -138,6 +138,46 @@ def test_cholesky_factorization_count():
     assert res.counters["cholesky_factorizations"] == len(calls)
 
 
+@pytest.mark.parametrize("rank", [1, 5, 10, 20])
+def test_cholesky_pair_matches_the_lapack_solve(rank):
+    from scipy.linalg import cho_factor, cho_solve
+
+    rng = np.random.default_rng(rank)
+    W = rng.random((50 * rank, rank))
+    gram = W.T @ W
+    M = gram + np.trace(gram) / rank * np.eye(rank)
+    B = rng.standard_normal((rank, 30))
+    want = cho_solve(cho_factor(M), B)
+    got = admm_mod.cho_solve(admm_mod.cho_factor(M), B)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_cholesky_factor_refuses_an_indefinite_matrix():
+    with pytest.raises(np.linalg.LinAlgError):
+        admm_mod.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_a_visit_factors_once_and_solves_once_per_inner_iteration(monkeypatch):
+    calls = {"cho_factor": 0, "cho_solve": 0}
+
+    def spy(name):
+        real = getattr(admm_mod, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(admm_mod, name, counted)
+
+    spy("cho_factor")
+    spy("cho_solve")
+    rng = np.random.default_rng(0)
+    W, Yd = rng.random((12, 3)), rng.random((12, 4))
+    state = AdmmState(F=np.zeros((3, 4)), Z=np.zeros((3, 4)), U=np.zeros((3, 4)), rho=1.0)
+    solve_subproblem_admm(state, _l1_specs()[0], W, Yd, 7)
+    assert calls == {"cho_factor": 1, "cho_solve": 7}
+
+
 def test_admm_driver_is_deterministic_and_feasible():
     Y, truth = _problem(seed=5)
     cfg = DriverConfig(rank=2, n_inner=5, max_outer=12, stop_tol=1e-30,

@@ -322,6 +322,24 @@ def test_factorize_without_seed_initializes_at_data_seed_plus_one(tmp_path):
             assert json.load(fh)["config"]["driver"]["seed"] == 1
 
 
+def test_factorize_refuses_flags_of_the_data_source_not_in_use(tmp_path):
+    data = tmp_path / "data"
+    main(["generate", "--dims", "8,7,6", "--rank", "2", "--out-dir", str(data)])
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match="^error: --mask needs --tensor$"):
+        main(["factorize", "--mask", str(data / "mask.msk3"), "--dims", "8,7,6",
+              "--rank", "2", "--out-dir", str(out)])
+    with pytest.raises(SystemExit, match="^error: --truth needs --tensor$"):
+        main(["factorize", "--truth", str(data / "truth.npz"), "--out-dir", str(out)])
+    files = ["--tensor", str(data / "tensor.tns3"), "--truth", str(data / "truth.npz")]
+    for flag, extra in (("--dims", ["--dims", "50,50,50", "--sparsity", "0.1"]),
+                        ("--sparsity", ["--sparsity", "0.1"]),
+                        ("--noise-sigma", ["--noise-sigma", "0.5"])):
+        with pytest.raises(SystemExit, match="^error: %s sets synthetic data" % flag):
+            main(["factorize"] + files + extra + ["--out-dir", str(out)])
+    assert not out.exists()
+
+
 def test_cli_maps_input_errors_to_clean_exits(tmp_path):
     missing = tmp_path / "nope.tns3"
     with pytest.raises(SystemExit, match="error:"):

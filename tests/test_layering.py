@@ -47,11 +47,10 @@ def test_public_api_is_the_pinned_set():
     assert all(hasattr(cpdsplit, name) for name in PUBLIC_API)
 
 
-def test_import_does_not_load_scipy_optimize():
-    # importing scipy.optimize takes longer than importing this package, and
-    # every CLI call and benchmark worker would pay it; the column alignment
-    # is solved in-package
-    code = "import sys, cpdsplit; print('scipy.optimize' in sys.modules)"
+def _modules_after_import():
+    """The names in sys.modules of a fresh interpreter that imported the
+    package."""
+    code = "import sys, cpdsplit; print('\\n'.join(sys.modules))"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p
@@ -60,7 +59,25 @@ def test_import_does_not_load_scipy_optimize():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.split()
+
+
+def test_import_does_not_load_scipy_optimize():
+    # importing scipy.optimize takes longer than importing this package, and
+    # every CLI call and benchmark worker would pay it; the column alignment
+    # is solved in-package
+    assert "scipy.optimize" not in _modules_after_import()
+
+
+def test_import_does_not_load_scipy():
+    # the ADMM baseline's Cholesky pair is in-package too: scipy.linalg alone
+    # took about two thirds of the package's import time
+    loaded = _modules_after_import()
+    assert "cpdsplit.admm" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    # scipy used to load numpy.random; the package now does, so the first
+    # fit does not pay that lazy import
+    assert "numpy.random" in loaded
 
 
 def _names_used(tree, skip=()):

@@ -96,9 +96,10 @@ def test_mask_rejects_bad_inputs_and_bytes(tmp_path):
     write_mask(path, mask)
     raw = path.read_bytes()
     bad = tmp_path / "bad.msk3"
-    bad.write_bytes(raw[:-1] + b"\x02")
-    with pytest.raises(ValueError, match="mask byte"):
-        read_mask(bad)
+    for byte in (b"\x02", b"\xff"):
+        bad.write_bytes(raw[:-1] + byte)
+        with pytest.raises(ValueError, match="mask byte"):
+            read_mask(bad)
 
 
 def test_formats_are_not_interchangeable(tmp_path):
