@@ -1,24 +1,25 @@
 """The ADMM inner solver, the comparison baseline.
 
 It plugs into the driver's outer loop (:func:`cpdsplit.driver.alternate`),
-which owns the mode visits, the trace and the stop rule.  Each visit solves
-the mode's subproblem in scaled form with a Cholesky factorization
-L L^T = W^T W + rho I computed once and reused by every inner iteration.
-The factor is applied through its inverse, so each visit pays the matrix
-inversion that the primal-dual solver does without.  The auxiliary
-variable Z absorbs both the regularizer and the hard constraint, which
-restricts this solver to separable regularizers composed with the
-identity: structured operators and masked data are rejected, that is the
-gap the primal-dual solver exists to fill.
+which owns the mode visits, the trace and the stop rule, and carries the
+primal-dual solver's state, :class:`cpdsplit.pds.SubproblemState`: F is
+the scaled form's feasible variable and G its scaled dual.  Each visit
+solves the mode's subproblem with a Cholesky factorization
+L L^T = W^T W + rho I computed once and reused by every inner iteration;
+the least-squares iterate lives only within the visit.  The factor is
+applied through its inverse, so each visit pays the matrix inversion that
+the primal-dual solver does without.  The feasible variable absorbs both
+the regularizer and the hard constraint, which restricts this solver to
+separable regularizers composed with the identity: structured operators
+and masked data are rejected, that is the gap the primal-dual solver
+exists to fill.
 """
-
-from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
 from .driver import alternate
 from .operators import project, prox_apply
+from .pds import SubproblemState
 from .tensor import khatri_rao  # noqa: F401  (perfbench/worker.py traces admm.khatri_rao)
 
 _SUPPORTED_PROX = ("zero", "l1", "squared_frobenius")
@@ -26,18 +27,6 @@ _SUPPORTED_PROX = ("zero", "l1", "squared_frobenius")
 
 class UnsupportedSpecError(ValueError):
     """Mode spec outside this baseline's closed-form support."""
-
-
-@dataclass
-class AdmmState:
-    """Warm-startable scaled-form state: primal F, feasible auxiliary Z,
-    scaled dual U (all R x N_d), penalty rho, and a factorization counter."""
-
-    F: np.ndarray
-    Z: np.ndarray
-    U: np.ndarray
-    rho: float
-    n_factorizations: int = 0
 
 
 def check_supported(spec):
@@ -72,43 +61,47 @@ def _composite_prox(spec, x, rho):
     return project(spec.projection, prox_apply(spec.regularizer, x, 1.0 / rho))
 
 
-def solve_subproblem_admm(state, spec, W, Yd, n_inner):
+def solve_subproblem_admm(state, spec, W, Yd, rho, n_inner):
     """Advance one mode's ADMM state by n_inner iterations.
 
     Parameters
     ----------
-    state : AdmmState
+    state : SubproblemState
+        Feasible variable F and scaled dual G, both R x N.
     spec : ModeSpec
         Must pass :func:`check_supported`.
     W : ndarray, shape (P, R)
         Khatri-Rao product of the fixed factors (fully observed data).
     Yd : ndarray, shape (P, N)
         Matricized data.
+    rho : float
+        Positive penalty.
     n_inner : int
         Iterations, at least 1.
 
     Returns
     -------
-    AdmmState
-        Z is the feasible factor estimate.
+    SubproblemState
+        F is the feasible factor estimate.
     """
     check_supported(spec)
     if n_inner < 1:
         raise ValueError("n_inner must be >= 1, got %r" % (n_inner,))
-    if not state.rho > 0:
-        raise ValueError("rho must be positive, got %r" % (state.rho,))
+    if not rho > 0:
+        raise ValueError("rho must be positive, got %r" % (rho,))
     rank = W.shape[1]
     gram = W.T @ W
     B = W.T @ Yd
-    factor = cho_factor(gram + state.rho * np.eye(rank))
-    F, Z, U = state.F, state.Z, state.U
+    factor = cho_factor(gram + rho * np.eye(rank))
+    F, G = state.F, state.G
     for _ in range(n_inner):
-        F = cho_solve(factor, B + state.rho * (Z - U))
-        Z = _composite_prox(spec, F + U, state.rho)
-        U = U + F - Z
-    if not (np.isfinite(F).all() and np.isfinite(Z).all() and np.isfinite(U).all()):
+        X = cho_solve(factor, B + rho * (F - G))
+        F = _composite_prox(spec, X + G, rho)
+        G = G + X - F
+    # a non-finite least-squares iterate X leaves G non-finite too
+    if not (np.isfinite(F).all() and np.isfinite(G).all()):
         raise FloatingPointError("non-finite ADMM iterate")
-    return AdmmState(F, Z, U, state.rho, state.n_factorizations + 1)
+    return SubproblemState(F, G)
 
 
 def ao_admm_factorize(Y, mask, specs, cfg, truth=None):
@@ -135,16 +128,11 @@ def ao_admm_factorize(Y, mask, specs, cfg, truth=None):
     rank = int(cfg.rank)
 
     def start(F, spec):
-        return AdmmState(F=F, Z=F.copy(), U=np.zeros_like(F), rho=1.0)
+        return SubproblemState(F=F, G=np.zeros_like(F))
 
     def visit(state, spec, W, Yd, grams, bound):
-        state.rho = bound / rank
-        return solve_subproblem_admm(state, spec, W, Yd, cfg.n_inner)
+        return solve_subproblem_admm(state, spec, W, Yd, bound / rank, cfg.n_inner)
 
-    result, states = alternate(
-        Y, mask, specs, cfg, truth, start, visit, attrgetter("Z"), attrgetter("U")
-    )
-    result.counters["cholesky_factorizations"] = sum(
-        s.n_factorizations for s in states
-    )
+    result = alternate(Y, mask, specs, cfg, truth, start, visit)
+    result.counters["cholesky_factorizations"] = 3 * result.outer_iterations
     return result

@@ -2,13 +2,14 @@
 front end.
 
 :func:`alternate` is the one outer loop; an inner solver plugs into it with
-a start state, a per-visit update and the factor it exposes (the
-primal-dual solver here, the ADMM baseline in :mod:`cpdsplit.admm`).  Each
-outer iteration visits modes 1..3 in order.  A visit rebuilds the
-Khatri-Rao product W of the other two factors (ascending mode order) and
-the Lipschitz bound of its least-squares gradient: trace(W^T W) on dense
-data; with a mask the per-column Grams G_n, built once per visit, and
-max_n trace(G_n), about half of trace(W^T W) at half observed.  It then
+a start state and a per-visit update (the primal-dual solver here, the ADMM
+baseline in :mod:`cpdsplit.admm`).  Both solvers carry one state per mode,
+:class:`cpdsplit.pds.SubproblemState`, whose F is the factor the fit
+exposes.  Each outer iteration visits modes 1..3 in order.  A visit
+rebuilds the Khatri-Rao product W of the other two factors (ascending mode
+order) and the Lipschitz bound of its least-squares gradient: trace(W^T W)
+on dense data; with a mask the per-column Grams G_n, built once per visit,
+and max_n trace(G_n), about half of trace(W^T W) at half observed.  It then
 hands the mode's warm-started state to the inner solver.  One trace row
 (wall-clock seconds, objective, factor MSE when the ground truth is known)
 is recorded per outer iteration.
@@ -16,7 +17,6 @@ is recorded per outer iteration.
 
 import time
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 
 import numpy as np
 # numpy imports numpy.random lazily: load it with the package, not in a fit
@@ -229,25 +229,25 @@ def _trace_entry(k, started, Y, mask, fset, specs, truth):
     return TraceRecord(k, time.perf_counter() - started, obj, raw, aligned)
 
 
-def alternate(Y, mask, specs, cfg, truth, start, visit, factor, dual):
+def alternate(Y, mask, specs, cfg, truth, start, visit):
     """The outer loop shared by every inner solver.
 
     Parameters
     ----------
     Y, mask, specs, cfg, truth : as in :func:`factorize`.
-    start : callable (F0, spec) -> state
+    start : callable (F0, spec) -> pds.SubproblemState
         Inner-solver state from the seeded initial R x N_d factor.
-    visit : callable (state, spec, W, Yd, grams, bound) -> state
+    visit : callable (state, spec, W, Yd, grams, bound) -> pds.SubproblemState
         One mode visit: advance the warm-started state by cfg.n_inner
         iterations against the Khatri-Rao product W of the other factors,
         the Grams of :func:`cpdsplit.pds.column_grams` (None on dense data)
         and the positive Lipschitz bound, trace(W^T W) or max_n trace(G_n).
-    factor, dual : callable state -> ndarray
-        The feasible R x N_d factor the solver exposes, and its dual.
+        The state's F is the feasible R x N_d factor the fit exposes, G
+        its dual.
 
     Returns
     -------
-    (FitResult, list of the three final states)
+    FitResult
     """
     Y, mask, specs = _prepare(Y, mask, specs, cfg, truth)
     Yd = [matricize(Y, d) for d in (1, 2, 3)]
@@ -258,7 +258,7 @@ def alternate(Y, mask, specs, cfg, truth, start, visit, factor, dual):
     ]
 
     def factors():
-        return FactorSet(tuple(np.ascontiguousarray(factor(s).T) for s in states))
+        return FactorSet(tuple(np.ascontiguousarray(s.F.T) for s in states))
 
     started = time.perf_counter()
     trace = []
@@ -266,9 +266,10 @@ def alternate(Y, mask, specs, cfg, truth, start, visit, factor, dual):
     for k in range(1, int(cfg.max_outer) + 1):
         for d in range(3):
             i, j = (a for a in range(3) if a != d)
-            W = khatri_rao(factor(states[i]).T, factor(states[j]).T)
+            W = khatri_rao(states[i].F.T, states[j].F.T)
             if mask is None:
-                grams, bound = None, np.vdot(W, W)
+                # W is column-major here: vdot would copy it, einsum reads it in place
+                grams, bound = None, np.einsum("pr,pr->", W, W)
             else:  # a block-diagonal gradient: bound the largest block
                 grams = pds.column_grams(W, Md[d])
                 bound = np.einsum("nrr->n", grams).max()
@@ -278,15 +279,14 @@ def alternate(Y, mask, specs, cfg, truth, start, visit, factor, dual):
         if _converged(trace, cfg):
             stop_reason = "converged"
             break
-    result = FitResult(
+    return FitResult(
         factors=factors(),
-        duals=[dual(s) for s in states],
+        duals=[s.G for s in states],
         trace=trace,
         outer_iterations=len(trace),
         stop_reason=stop_reason,
         counters={"inner_iterations": 3 * len(trace) * int(cfg.n_inner)},
     )
-    return result, states
 
 
 def factorize(Y, mask, specs, cfg, truth=None):
@@ -325,7 +325,4 @@ def factorize(Y, mask, specs, cfg, truth=None):
         steps = pds.compute_stepsizes(bound, op_norm)
         return pds.solve_subproblem(state, spec, W, Yd, grams, steps, cfg.n_inner)
 
-    result, _ = alternate(
-        Y, mask, specs, cfg, truth, start, visit, attrgetter("F"), attrgetter("G")
-    )
-    return result
+    return alternate(Y, mask, specs, cfg, truth, start, visit)

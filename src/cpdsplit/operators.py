@@ -223,13 +223,12 @@ def project(c, x):
     return np.clip(x, c.lo, c.hi)
 
 
-def _check_input(op, x):
+def _check_width(x, width, message):
+    # width None: an identity with no declared width takes any
     if x.ndim != 2:
         raise ValueError("operator input must be 2-D, got ndim=%d" % x.ndim)
-    if op.n_cols is not None and x.shape[1] != op.n_cols:
-        raise ValueError(
-            "operator expects %d input columns, got %d" % (op.n_cols, x.shape[1])
-        )
+    if width is not None and x.shape[1] != width:
+        raise ValueError(message % (width, x.shape[1]))
 
 
 def linop_output_cols(op):
@@ -246,12 +245,10 @@ def linop_output_cols(op):
 def linop_forward(op, x):
     """Apply the operator to an R x N matrix."""
     x = np.asarray(x)
-    _check_input(op, x)
+    _check_width(x, op.n_cols, "operator expects %d input columns, got %d")
     if op.kind == "identity":
         return x
     if op.kind == "row_difference":
-        if x.shape[1] < 2:
-            raise ValueError("row_difference needs at least 2 columns")
         return x[:, 1:] - x[:, :-1]
     return np.concatenate([x[:, list(g)] for g in op.groups], axis=1)
 
@@ -259,28 +256,15 @@ def linop_forward(op, x):
 def linop_adjoint(op, y):
     """Apply the adjoint; satisfies <L(x), y> == <x, adjoint(y)>."""
     y = np.asarray(y)
-    if y.ndim != 2:
-        raise ValueError("operator input must be 2-D, got ndim=%d" % y.ndim)
+    cols = None if op.n_cols is None else linop_output_cols(op)
+    _check_width(y, cols, "adjoint expects %d columns, got %d")
     if op.kind == "identity":
-        if op.n_cols is not None and y.shape[1] != op.n_cols:
-            raise ValueError(
-                "adjoint expects %d columns, got %d" % (op.n_cols, y.shape[1])
-            )
         return y
     if op.kind == "row_difference":
-        if y.shape[1] != op.n_cols - 1:
-            raise ValueError(
-                "adjoint expects %d columns, got %d" % (op.n_cols - 1, y.shape[1])
-            )
         out = np.zeros((y.shape[0], op.n_cols), dtype=y.dtype)
         out[:, 1:] += y
         out[:, :-1] -= y
         return out
-    if y.shape[1] != linop_output_cols(op):
-        raise ValueError(
-            "adjoint expects %d columns, got %d"
-            % (linop_output_cols(op), y.shape[1])
-        )
     out = np.zeros((y.shape[0], op.n_cols))
     offset = 0
     for g in op.groups:

@@ -35,9 +35,10 @@ class StepSizes:
 
 @dataclass
 class SubproblemState:
-    """Warm-startable inner-solver state: primal F (R x N_d, the transposed
-    factor) and dual G (matching the operator's output shape, or None when
-    the mode has no regularizer)."""
+    """Warm-startable inner-solver state of both solvers: the feasible
+    primal F (R x N_d, the transposed factor) and its dual G.  Here G
+    matches the operator's output shape, or is None when the mode has no
+    regularizer; the ADMM baseline keeps its R x N_d scaled dual in G."""
 
     F: np.ndarray
     G: np.ndarray = None

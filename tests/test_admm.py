@@ -3,7 +3,6 @@ import pytest
 
 import cpdsplit.admm as admm_mod
 from cpdsplit.admm import (
-    AdmmState,
     UnsupportedSpecError,
     ao_admm_factorize,
     check_supported,
@@ -17,6 +16,7 @@ from cpdsplit.operators import (
     identity_op,
     row_difference_op,
 )
+from cpdsplit.pds import SubproblemState, compute_stepsizes, solve_subproblem
 from cpdsplit.tensor import FactorSet, cp_reconstruct
 
 import oracles
@@ -81,12 +81,12 @@ def test_admm_reaches_least_squares_solution():
     W = rng.standard_normal((12, 3))
     Yd = rng.standard_normal((12, 4))
     spec = ModeSpec()
-    state = AdmmState(F=np.zeros((3, 4)), Z=np.zeros((3, 4)),
-                      U=np.zeros((3, 4)), rho=float(np.trace(W.T @ W)) / 3)
+    rho = float(np.trace(W.T @ W)) / 3
+    state = SubproblemState(F=np.zeros((3, 4)), G=np.zeros((3, 4)))
     for _ in range(200):
-        state = solve_subproblem_admm(state, spec, W, Yd, 5)
+        state = solve_subproblem_admm(state, spec, W, Yd, rho, 5)
     want = np.linalg.solve(W.T @ W, W.T @ Yd)
-    assert np.allclose(state.Z, want, atol=1e-6)
+    assert np.allclose(state.F, want, atol=1e-6)
 
 
 def test_admm_agrees_with_prox_gradient_and_pds():
@@ -97,16 +97,13 @@ def test_admm_agrees_with_prox_gradient_and_pds():
     spec = ModeSpec(projection=Projection("nonnegative"),
                     regularizer=ProxFn("l1", lam), operator=identity_op(4))
     rho = float(np.trace(W.T @ W)) / 3
-    state = AdmmState(F=np.zeros((3, 4)), Z=np.zeros((3, 4)),
-                      U=np.zeros((3, 4)), rho=rho)
+    state = SubproblemState(F=np.zeros((3, 4)), G=np.zeros((3, 4)))
     for _ in range(400):
-        state = solve_subproblem_admm(state, spec, W, Yd, 10)
+        state = solve_subproblem_admm(state, spec, W, Yd, rho, 10)
     ref = oracles.proximal_gradient(W, Yd, l1_weight=lam, nonneg=True)
-    got = oracles.composite_objective(W, Yd, state.Z, l1_weight=lam)
+    got = oracles.composite_objective(W, Yd, state.F, l1_weight=lam)
     want = oracles.composite_objective(W, Yd, ref, l1_weight=lam)
     assert abs(got - want) <= 1e-5 * max(1.0, abs(want))
-
-    from cpdsplit.pds import SubproblemState, compute_stepsizes, solve_subproblem
 
     steps = compute_stepsizes(float(np.trace(W.T @ W)), 1.0)
     pds_state = solve_subproblem(
@@ -173,8 +170,8 @@ def test_a_visit_factors_once_and_solves_once_per_inner_iteration(monkeypatch):
     spy("cho_solve")
     rng = np.random.default_rng(0)
     W, Yd = rng.random((12, 3)), rng.random((12, 4))
-    state = AdmmState(F=np.zeros((3, 4)), Z=np.zeros((3, 4)), U=np.zeros((3, 4)), rho=1.0)
-    solve_subproblem_admm(state, _l1_specs()[0], W, Yd, 7)
+    state = SubproblemState(F=np.zeros((3, 4)), G=np.zeros((3, 4)))
+    solve_subproblem_admm(state, _l1_specs()[0], W, Yd, 1.0, 7)
     assert calls == {"cho_factor": 1, "cho_solve": 7}
 
 
@@ -212,9 +209,9 @@ def test_penalty_is_the_visit_trace_over_rank(monkeypatch):
     seen = []
     real = admm_mod.solve_subproblem_admm
 
-    def spy(state, spec, W, Yd, n_inner):
-        seen.append(state.rho == float(np.vdot(W, W)) / 2)
-        return real(state, spec, W, Yd, n_inner)
+    def spy(state, spec, W, Yd, rho, n_inner):
+        seen.append(rho == pytest.approx(float(np.trace(W.T @ W)) / 2, rel=1e-12))
+        return real(state, spec, W, Yd, rho, n_inner)
 
     monkeypatch.setattr(admm_mod, "solve_subproblem_admm", spy)
     res = ao_admm_factorize(Y, None, _l1_specs(), cfg)
@@ -222,9 +219,9 @@ def test_penalty_is_the_visit_trace_over_rank(monkeypatch):
 
 
 def test_solve_subproblem_admm_validation():
-    state = AdmmState(np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2)), 1.0)
+    state = SubproblemState(np.ones((2, 2)), np.zeros((2, 2)))
+    W, Yd = np.ones((3, 2)), np.ones((3, 2))
     with pytest.raises(ValueError, match="n_inner"):
-        solve_subproblem_admm(state, _l1_specs()[0], np.ones((3, 2)), np.ones((3, 2)), 0)
-    state.rho = 0.0
+        solve_subproblem_admm(state, _l1_specs()[0], W, Yd, 1.0, 0)
     with pytest.raises(ValueError, match="rho"):
-        solve_subproblem_admm(state, _l1_specs()[0], np.ones((3, 2)), np.ones((3, 2)), 1)
+        solve_subproblem_admm(state, _l1_specs()[0], W, Yd, 0.0, 1)

@@ -189,7 +189,9 @@ def test_masked_visit_builds_one_gram_stack_for_bound_and_solver(masked, monkeyp
     assert len(bounds) == len(passed) == visits
     if not masked:
         assert built == [] and all(g is None for _, g in passed)
-        assert bounds == [float(np.vdot(W, W)) for W, _ in passed]
+        assert bounds == [
+            pytest.approx(float(np.trace(W.T @ W)), rel=1e-12) for W, _ in passed
+        ]
         return
     assert len(built) == visits
     for grams, bound, (W, given) in zip(built, bounds, passed):
@@ -263,13 +265,19 @@ def test_inner_solver_is_warm_started(module, name, fit, monkeypatch):
         return out
 
     monkeypatch.setattr(module, name, spy)
-    fit(Y, None, _plain_specs(), cfg)
+    res = fit(Y, None, _plain_specs(), cfg)
     assert len(seen) == 9
+    # both solvers carry the one state type
+    assert all(type(out) is pds.SubproblemState for _, out in seen)
     # each mode's call in round k receives the object returned in round k-1
     for mode in range(3):
         calls = seen[mode::3]
         for (prev_in, prev_out), (next_in, _) in zip(calls, calls[1:]):
             assert next_in is prev_out
+        # the fit exposes the last state's F (transposed) and its G
+        last = calls[-1][1]
+        assert np.array_equal(res.factors.factors[mode], last.F.T)
+        assert res.duals[mode] is last.G
 
 
 @pytest.mark.parametrize("fit", [factorize, ao_admm_factorize], ids=["pds", "admm"])

@@ -300,8 +300,17 @@ def test_operator_validation_rules():
         linop_forward(row_difference_op(4), np.ones((2, 3)))
     with pytest.raises(ValueError):
         linop_adjoint(row_difference_op(4), np.ones((2, 4)))
+    with pytest.raises(ValueError, match="adjoint expects 4 columns, got 3"):
+        linop_adjoint(identity_op(4), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="adjoint expects 5 columns, got 4"):
+        linop_adjoint(group_replicate_op(((0, 1, 2), (2, 3)), 4), np.ones((2, 4)))
     with pytest.raises(ValueError):
         linop_output_cols(identity_op())
+    # an identity with no declared width accepts any
+    for n in (1, 3, 7):
+        y = np.ones((2, n))
+        assert linop_forward(identity_op(), y) is y
+        assert linop_adjoint(identity_op(), y) is y
 
 
 def test_catalog_objects_are_immutable():
