@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .admm import ao_admm_factorize
-from .driver import DriverConfig, ModeSpec, TraceRecord, factorize
+from .driver import DriverConfig, ModeSpec, TraceRecord, as_count, factorize
 from .metrics import factor_match_score
 from .operators import LinOp, ProxFn, Projection, overlapping_group_lasso
 from .tensor import FactorSet, cp_reconstruct
@@ -41,12 +41,12 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
-        if len(dims) != 3 or any(n < 1 for n in dims):
+        dims = tuple(as_count("dims", n, 1) for n in self.dims)
+        if len(dims) != 3:
             raise ValueError("dims must be three positive integers")
         object.__setattr__(self, "dims", dims)
-        if int(self.rank) < 1:
-            raise ValueError("rank must be >= 1")
+        for key, least in (("rank", 1), ("sparse_mode", 1), ("seed", 0)):
+            object.__setattr__(self, key, as_count(key, getattr(self, key), least))
         if self.sparse_mode not in (1, 2, 3):
             raise ValueError("sparse_mode must be 1, 2 or 3")
         if not 0.0 <= self.sparsity < 1.0:
@@ -199,8 +199,8 @@ class ExperimentConfig:
                 "algorithms must be a nonempty subset of %r" % (ALGORITHMS,)
             )
         self.algorithms = algos
-        inner = tuple(int(n) for n in self.inner_iters)
-        if not inner or any(n < 1 for n in inner):
+        inner = tuple(as_count("inner_iters", n, 1) for n in self.inner_iters)
+        if not inner:
             raise ValueError("inner_iters must be a nonempty list of counts >= 1")
         self.inner_iters = inner
         if len(self.mode_dicts) != 3:

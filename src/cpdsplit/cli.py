@@ -83,12 +83,12 @@ def _experiment_config(args, data=None, **defaults):
 
 def _cmd_generate(args):
     spec = _experiment_config(args).synthetic
+    if args.observed is not None and not 0.0 < args.observed <= 1.0:
+        raise SystemExit("--observed must be in (0, 1]")
     out = Path(args.data_dir)
     out.mkdir(parents=True, exist_ok=True)
     Y, truth, mask = generate_synthetic(spec)
     if args.observed is not None:
-        if not 0.0 < args.observed <= 1.0:
-            raise SystemExit("--observed must be in (0, 1]")
         # separate stream so the tensor matches the fully observed run
         rng = np.random.default_rng(spec.seed + 2)
         mask = rng.random(mask.shape) < args.observed
@@ -104,44 +104,26 @@ def _load_truth(path):
     return FactorSet((data["f1"], data["f2"], data["f3"]))
 
 
-def _cmd_factorize(args):
+def _cmd_run(args):
+    """factorize and bench: fit the configured arms and print their table."""
     # a flag of the data source not in use would be dropped without a word
-    if args.tensor:
+    tensor = getattr(args, "tensor", None)
+    if tensor:
         unused, why = ("dims", "sparsity", "noise_sigma"), "sets synthetic data, not --tensor data"
     else:
         unused, why = ("mask", "truth"), "needs --tensor"
     for key in unused:
-        if getattr(args, key) is not None:
+        if getattr(args, key, None) is not None:
             raise SystemExit("error: --%s %s" % (key.replace("_", "-"), why))
     data = None
-    if args.tensor:
+    if tensor:
         data = (
-            read_tensor(args.tensor),
+            read_tensor(tensor),
             read_mask(args.mask) if args.mask else None,
             _load_truth(args.truth) if args.truth else None,
         )
-    cfg = _experiment_config(args, data, algorithms=("aopds",))
-    for arm in run_experiment(cfg, data)["arms"]:
-        print(
-            "%s: %d outer iterations (%s), objective %.6g%s"
-            % (
-                arm["arm"],
-                arm["outer_iterations"],
-                arm["stop_reason"],
-                arm["final_objective"],
-                (
-                    ", best aligned MSE %.6g" % arm["best_mse_aligned"]
-                    if arm["best_mse_aligned"] is not None
-                    else ""
-                ),
-            )
-        )
-    return 0
-
-
-def _cmd_bench(args):
-    cfg = _experiment_config(args)
-    summary = run_experiment(cfg)
+    cfg = _experiment_config(args, data, **args.defaults)
+    summary = run_experiment(cfg, data)
     print(report_table(cfg.out_dir, [arm["arm"] for arm in summary["arms"]]))
     return 0
 
@@ -151,58 +133,55 @@ def _cmd_report(args):
     return 0
 
 
-def main(argv=None):
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="cpdsplit",
         description="Constrained CP decomposition: data generation, "
         "factorization, and solver benchmarks.",
     )
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON experiment config")
+    config.add_argument("--rank", type=int)
+    config.add_argument("--seed", type=int)
+    synthetic = argparse.ArgumentParser(add_help=False)
+    synthetic.add_argument("--dims", help="comma-separated synthetic dims, e.g. 100,100,100")
+    synthetic.add_argument("--sparsity", type=float)
+    synthetic.add_argument("--noise-sigma", type=float, dest="noise_sigma")
+    arms = argparse.ArgumentParser(add_help=False)
+    arms.add_argument("--algo", choices=ALGORITHMS)
+    arms.add_argument("--inner-iters", dest="inner_iters", help="comma list, e.g. 3,5,7")
+    arms.add_argument("--out-dir")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write synthetic tensor/mask/truth files")
-    p.add_argument("--config", help="JSON experiment config")
-    p.add_argument("--dims", help="comma-separated dims, e.g. 100,100,100")
-    p.add_argument("--rank", type=int)
-    p.add_argument("--sparsity", type=float)
-    p.add_argument("--noise-sigma", type=float, dest="noise_sigma")
-    p.add_argument("--seed", type=int)
+    p = sub.add_parser("generate", parents=[config, synthetic],
+                       help="write synthetic tensor/mask/truth files")
     p.add_argument("--observed", type=float,
                    help="fraction of entries marked observed (default: all)")
     p.add_argument("--out-dir", dest="data_dir", default="data")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("factorize", help="run one solver on files or synthetic data")
-    p.add_argument("--config", help="JSON experiment config")
-    p.add_argument("--algo", choices=ALGORITHMS)
+    p = sub.add_parser("factorize", parents=[config, synthetic, arms],
+                       help="run one solver on files or synthetic data")
     p.add_argument("--tensor", help="input .tns3 file (else synthetic data)")
     p.add_argument("--mask", help="input .msk3 file")
     p.add_argument("--truth", help="ground-truth .npz (f1, f2, f3)")
-    p.add_argument("--dims", help="synthetic dims when no --tensor")
-    p.add_argument("--rank", type=int)
-    p.add_argument("--inner-iters", dest="inner_iters")
-    p.add_argument("--seed", type=int)
     p.add_argument("--max-outer", type=int, dest="max_outer")
     p.add_argument("--stop-tol", type=float, dest="stop_tol")
     p.add_argument("--stop-metric", choices=("mse_vs_truth", "objective_rel_change"), dest="stop_metric")
-    p.add_argument("--sparsity", type=float)
-    p.add_argument("--noise-sigma", type=float, dest="noise_sigma")
-    p.add_argument("--out-dir")
-    p.set_defaults(func=_cmd_factorize)
+    p.set_defaults(func=_cmd_run, defaults={"algorithms": ("aopds",)})
 
-    p = sub.add_parser("bench", help="run the full algorithm/inner-iteration sweep")
-    p.add_argument("--config", help="JSON experiment config")
-    p.add_argument("--algo", choices=ALGORITHMS)
-    p.add_argument("--inner-iters", dest="inner_iters", help="comma list, e.g. 3,5,7")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--out-dir")
-    p.set_defaults(func=_cmd_bench)
+    p = sub.add_parser("bench", parents=[config, arms],
+                       help="run the full algorithm/inner-iteration sweep")
+    p.set_defaults(func=_cmd_run, defaults={})
 
     p = sub.add_parser("report", help="print a table folded from trace CSVs")
     p.add_argument("--out-dir", default="results")
     p.set_defaults(func=_cmd_report)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

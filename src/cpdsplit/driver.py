@@ -15,6 +15,8 @@ hands the mode's warm-started state to the inner solver.  One trace row
 is recorded per outer iteration.
 """
 
+import numbers
+import operator
 import time
 from dataclasses import dataclass, field, replace
 
@@ -42,6 +44,15 @@ from .tensor import (
 
 STOP_METRICS = ("mse_vs_truth", "objective_rel_change")
 _REL_EPS = 1e-12
+
+
+def as_count(name, value, least):
+    """``value`` as an int >= ``least``.  A float, bool or None is refused,
+    not truncated or passed on: a count of 2.5 would run 2, a seed of None
+    would seed from OS entropy."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError("%s must be an integer >= %d, got %r" % (name, least, value))
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -76,12 +87,8 @@ class DriverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.rank) < 1:
-            raise ValueError("rank must be >= 1, got %r" % (self.rank,))
-        if int(self.n_inner) < 1:
-            raise ValueError("n_inner must be >= 1, got %r" % (self.n_inner,))
-        if int(self.max_outer) < 1:
-            raise ValueError("max_outer must be >= 1, got %r" % (self.max_outer,))
+        for key, least in (("rank", 1), ("n_inner", 1), ("max_outer", 1), ("seed", 0)):
+            object.__setattr__(self, key, as_count(key, getattr(self, key), least))
         if not self.stop_tol > 0:
             raise ValueError("stop_tol must be positive, got %r" % (self.stop_tol,))
         if self.stop_metric not in STOP_METRICS:

@@ -41,6 +41,14 @@ def test_synthetic_spec_validation():
         SyntheticSpec(noise_sigma=-0.1)
     with pytest.raises(ValueError):
         SyntheticSpec(rank=0)
+    # counts and seeds are integers: a float is not truncated, None not passed on
+    for bad in ({"rank": 2.5}, {"rank": None}, {"sparse_mode": 1.0}, {"seed": 1.5},
+                {"seed": None}, {"seed": -1}, {"seed": False}, {"dims": (10, 10, 9.5)}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SyntheticSpec(**bad)
+    spec = SyntheticSpec(dims=np.array([4, 3, 2]), rank=np.int64(2), seed=np.int64(7))
+    assert (spec.dims, spec.rank, spec.seed) == ((4, 3, 2), 2, 7)
+    assert all(type(v) is int for v in (*spec.dims, spec.rank, spec.seed))
 
 
 def test_noiseless_dense_data_reconstructs_truth():

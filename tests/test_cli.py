@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cpdsplit.bench import ExperimentConfig, read_trace_csv
-from cpdsplit.cli import main
+from cpdsplit.cli import build_parser, main
 from cpdsplit.metrics import factor_match_score
 from cpdsplit.tensor import FactorSet
 from cpdsplit.tensorio import read_mask, read_tensor
@@ -59,6 +59,7 @@ def test_generate_observed_fraction_masks_entries(tmp_path):
     with pytest.raises(SystemExit, match="observed"):
         main(["generate", "--dims", "6,5,4", "--observed", "0",
               "--out-dir", str(tmp_path / "x")])
+    assert not (tmp_path / "x").exists()
 
 
 def _mild_modes_config(tmp_path):
@@ -174,6 +175,75 @@ def test_bench_and_report(tmp_path, capsys):
     assert "aopds_n3" in capsys.readouterr().out
 
 
+# (option strings, dest, type, default, choices) of every flag but --help
+_OPTIONS = {
+    "generate": {
+        (("--config",), "config", None, None, None),
+        (("--dims",), "dims", None, None, None),
+        (("--rank",), "rank", int, None, None),
+        (("--sparsity",), "sparsity", float, None, None),
+        (("--noise-sigma",), "noise_sigma", float, None, None),
+        (("--seed",), "seed", int, None, None),
+        (("--observed",), "observed", float, None, None),
+        (("--out-dir",), "data_dir", None, "data", None),
+    },
+    "factorize": {
+        (("--config",), "config", None, None, None),
+        (("--algo",), "algo", None, None, ("aopds", "aoadmm")),
+        (("--tensor",), "tensor", None, None, None),
+        (("--mask",), "mask", None, None, None),
+        (("--truth",), "truth", None, None, None),
+        (("--dims",), "dims", None, None, None),
+        (("--rank",), "rank", int, None, None),
+        (("--inner-iters",), "inner_iters", None, None, None),
+        (("--seed",), "seed", int, None, None),
+        (("--max-outer",), "max_outer", int, None, None),
+        (("--stop-tol",), "stop_tol", float, None, None),
+        (("--stop-metric",), "stop_metric", None, None,
+         ("mse_vs_truth", "objective_rel_change")),
+        (("--sparsity",), "sparsity", float, None, None),
+        (("--noise-sigma",), "noise_sigma", float, None, None),
+        (("--out-dir",), "out_dir", None, None, None),
+    },
+    "bench": {
+        (("--config",), "config", None, None, None),
+        (("--algo",), "algo", None, None, ("aopds", "aoadmm")),
+        (("--inner-iters",), "inner_iters", None, None, None),
+        (("--seed",), "seed", int, None, None),
+        (("--rank",), "rank", int, None, None),
+        (("--out-dir",), "out_dir", None, None, None),
+    },
+    "report": {
+        (("--out-dir",), "out_dir", None, "results", None),
+    },
+}
+
+
+def test_each_subcommand_keeps_its_options():
+    # the shared flags are declared once; each subcommand still takes exactly these
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    built = {
+        name: {
+            (tuple(a.option_strings), a.dest, a.type, a.default,
+             tuple(a.choices) if a.choices else None)
+            for a in parser._actions if a.dest != "help"
+        }
+        for name, parser in sub.choices.items()
+    }
+    assert built == _OPTIONS
+
+
+def test_factorize_prints_the_table_report_prints(tmp_path, capsys):
+    cfg = _mild_modes_config(tmp_path)
+    out = str(tmp_path / "run")
+    assert main(["factorize", "--config", str(cfg), "--dims", "8,7,6", "--rank", "2",
+                 "--max-outer", "3", "--out-dir", out]) == 0
+    printed = capsys.readouterr().out
+    assert main(["report", "--out-dir", out]) == 0
+    assert printed == capsys.readouterr().out
+    assert [line.split()[0] for line in printed.splitlines()] == ["arm", "aopds_n5"]
+
+
 def test_bad_algorithm_is_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["factorize", "--algo", "newton", "--out-dir", str(tmp_path)])
@@ -220,8 +290,16 @@ def test_config_with_unknown_top_level_key_is_refused(tmp_path, key):
     [1],
     {"driver": {"n_inner": 7}},
     {"modes": [{"regulariser": {"kind": "l1", "weight": 5.0}}, {}, {}]},
+    {"synthetic": {"rank": 2.5}},
+    {"synthetic": {"seed": 1.5}},
+    {"synthetic": {"sparse_mode": 1.0}},
+    {"driver": {"seed": 1.5}},
+    {"driver": {"max_outer": 2.5}},
+    {"driver": {"seed": None}},
 ], ids=["synthetic.dimz", "driver.max_outr", "null-synthetic", "null-driver",
-        "array-root", "driver.n_inner", "modes.regulariser"])
+        "array-root", "driver.n_inner", "modes.regulariser", "float-synthetic.rank",
+        "float-synthetic.seed", "float-synthetic.sparse_mode", "float-driver.seed",
+        "float-driver.max_outer", "null-driver.seed"])
 def test_every_command_refuses_a_bad_config_before_running(tmp_path, command, cfg):
     # every command reads the one schema through ExperimentConfig.from_dict
     path = tmp_path / "bad.json"

@@ -50,6 +50,12 @@ def test_driver_config_validation():
         DriverConfig(rank=2, stop_tol=0.0)
     with pytest.raises(ValueError):
         DriverConfig(rank=2, stop_metric="wall_clock")
+    for bad in ({"rank": 2.5}, {"n_inner": 3.0}, {"max_outer": 2.5}, {"max_outer": None},
+                {"seed": 1.5}, {"seed": None}, {"seed": -1}, {"max_outer": True}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            DriverConfig(**{"rank": 2, **bad})
+    cfg = DriverConfig(rank=np.int64(2), seed=np.int64(0))
+    assert type(cfg.rank) is int and type(cfg.seed) is int
 
 
 def test_objective_examples():
