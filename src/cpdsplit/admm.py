@@ -4,15 +4,16 @@ It plugs into the driver's outer loop (:func:`cpdsplit.driver.alternate`),
 which owns the mode visits, the trace and the stop rule, and carries the
 primal-dual solver's state, :class:`cpdsplit.pds.SubproblemState`: F is
 the scaled form's feasible variable and G its scaled dual.  Each visit
-solves the mode's subproblem with a Cholesky factorization
-L L^T = W^T W + rho I computed once and reused by every inner iteration;
-the least-squares iterate lives only within the visit.  The factor is
-applied through its inverse, so each visit pays the matrix inversion that
-the primal-dual solver does without.  The feasible variable absorbs both
-the regularizer and the hard constraint, which restricts this solver to
-separable regularizers composed with the identity: structured operators
-and masked data are rejected, that is the gap the primal-dual solver
-exists to fill.
+takes the MTTKRP B = W^T Y_d from the outer loop, the same B the
+primal-dual solver gets, and solves the mode's subproblem with a Cholesky
+factorization L L^T = W^T W + rho I computed once and reused by every
+inner iteration; the least-squares iterate lives only within the visit.
+The factor is applied through its inverse, so each visit pays the matrix
+inversion that the primal-dual solver does without.  The feasible variable
+absorbs both the regularizer and the hard constraint, which restricts this
+solver to separable regularizers composed with the identity: structured
+operators and masked data are rejected, that is the gap the primal-dual
+solver exists to fill.
 """
 
 import numpy as np
@@ -61,7 +62,7 @@ def _composite_prox(spec, x, rho):
     return project(spec.projection, prox_apply(spec.regularizer, x, 1.0 / rho))
 
 
-def solve_subproblem_admm(state, spec, W, Yd, rho, n_inner):
+def solve_subproblem_admm(state, spec, W, B, rho, n_inner):
     """Advance one mode's ADMM state by n_inner iterations.
 
     Parameters
@@ -72,8 +73,9 @@ def solve_subproblem_admm(state, spec, W, Yd, rho, n_inner):
         Must pass :func:`check_supported`.
     W : ndarray, shape (P, R)
         Khatri-Rao product of the fixed factors (fully observed data).
-    Yd : ndarray, shape (P, N)
-        Matricized data.
+    B : ndarray, shape (R, N)
+        The MTTKRP W^T Yd of the matricized data Yd, built by the outer
+        loop; this solver never reads Yd.
     rho : float
         Positive penalty.
     n_inner : int
@@ -91,7 +93,6 @@ def solve_subproblem_admm(state, spec, W, Yd, rho, n_inner):
         raise ValueError("rho must be positive, got %r" % (rho,))
     rank = W.shape[1]
     gram = W.T @ W
-    B = W.T @ Yd
     factor = cho_factor(gram + rho * np.eye(rank))
     F, G = state.F, state.G
     for _ in range(n_inner):
@@ -130,8 +131,8 @@ def ao_admm_factorize(Y, mask, specs, cfg, truth=None):
     def start(F, spec):
         return SubproblemState(F=F, G=np.zeros_like(F))
 
-    def visit(state, spec, W, Yd, grams, bound):
-        return solve_subproblem_admm(state, spec, W, Yd, bound / rank, cfg.n_inner)
+    def visit(state, spec, W, B, grams, bound):
+        return solve_subproblem_admm(state, spec, W, B, bound / rank, cfg.n_inner)
 
     result = alternate(Y, mask, specs, cfg, truth, start, visit)
     result.counters["cholesky_factorizations"] = 3 * result.outer_iterations

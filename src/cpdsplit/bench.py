@@ -16,7 +16,7 @@ import csv
 import json
 import platform
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +178,15 @@ def init_seed(data_seed):
     return int(data_seed) + 1
 
 
+def _section(name, build, kwargs):
+    """``build(**kwargs)``; a refused key or value names the config section."""
+    _refuse_unknown(kwargs, [f.name for f in fields(build)], name)
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        raise ValueError("%s.%s" % (name, exc)) from None
+
+
 # the top-level keys of an experiment config, in ExperimentConfig.to_dict
 CONFIG_KEYS = ("synthetic", "modes", "driver", "algorithms", "inner_iters", "out_dir", "mse_threshold")
 
@@ -236,12 +245,12 @@ class ExperimentConfig:
         _refuse_unknown(cfg, CONFIG_KEYS, "the config")
         if "n_inner" in cfg.get("driver", {}):
             raise ValueError("driver.n_inner is not read; set the inner counts in inner_iters")
-        syn = SyntheticSpec(**cfg.get("synthetic", {}))
+        syn = _section("synthetic", SyntheticSpec, cfg.get("synthetic", {}))
         driver = {"rank": syn.rank, "seed": init_seed(syn.seed), **cfg.get("driver", {})}
         return cls(
             synthetic=syn,
             mode_dicts=cfg.get("modes", benchmark_mode_dicts()),
-            driver=DriverConfig(**driver),
+            driver=_section("driver", DriverConfig, driver),
             algorithms=tuple(cfg.get("algorithms", ALGORITHMS)),
             inner_iters=tuple(cfg.get("inner_iters", (5,))),
             out_dir=cfg.get("out_dir", "results"),

@@ -9,10 +9,13 @@ exposes.  Each outer iteration visits modes 1..3 in order.  A visit
 rebuilds the Khatri-Rao product W of the other two factors (ascending mode
 order) and the Lipschitz bound of its least-squares gradient: trace(W^T W)
 on dense data; with a mask the per-column Grams G_n, built once per visit,
-and max_n trace(G_n), about half of trace(W^T W) at half observed.  It then
-hands the mode's warm-started state to the inner solver.  One trace row
-(wall-clock seconds, objective, factor MSE when the ground truth is known)
-is recorded per outer iteration.
+and max_n trace(G_n), about half of trace(W^T W) at half observed.  A
+dimension tree (Phan, Tichavsky & Cichocki, IEEE TSP 2013) gives the MTTKRP
+B_d = W^T Y_(d) with no matricized copy of Y, masked or not: T = Y x_3 F_3
+yields B_1 and B_2, mode 3 takes W^T against the (N1 N2 x N3) view of Y.
+The visit hands B and the mode's warm-started state to the inner solver.
+One trace row (wall-clock seconds, objective, factor MSE when the ground
+truth is known) is recorded per outer iteration.
 """
 
 import numbers
@@ -244,10 +247,11 @@ def alternate(Y, mask, specs, cfg, truth, start, visit):
     Y, mask, specs, cfg, truth : as in :func:`factorize`.
     start : callable (F0, spec) -> pds.SubproblemState
         Inner-solver state from the seeded initial R x N_d factor.
-    visit : callable (state, spec, W, Yd, grams, bound) -> pds.SubproblemState
+    visit : callable (state, spec, W, B, grams, bound) -> pds.SubproblemState
         One mode visit: advance the warm-started state by cfg.n_inner
         iterations against the Khatri-Rao product W of the other factors,
-        the Grams of :func:`cpdsplit.pds.column_grams` (None on dense data)
+        the R x N_d MTTKRP B = W^T Y_(d) from the dimension tree, the
+        Grams of :func:`cpdsplit.pds.column_grams` (None on dense data)
         and the positive Lipschitz bound, trace(W^T W) or max_n trace(G_n).
         The state's F is the feasible R x N_d factor the fit exposes, G
         its dual.
@@ -257,7 +261,7 @@ def alternate(Y, mask, specs, cfg, truth, start, visit):
     FitResult
     """
     Y, mask, specs = _prepare(Y, mask, specs, cfg, truth)
-    Yd = [matricize(Y, d) for d in (1, 2, 3)]
+    Y3 = Y.reshape(-1, Y.shape[2])  # the (N1 N2 x N3) view: the mode-3 unfolding
     Md = [matricize(mask, d) for d in (1, 2, 3)] if mask is not None else None
     init = init_factors(Y.shape, int(cfg.rank), cfg.seed)
     states = [
@@ -281,7 +285,14 @@ def alternate(Y, mask, specs, cfg, truth, start, visit):
                 grams = pds.column_grams(W, Md[d])
                 bound = np.einsum("nrr->n", grams).max()
             bound = _positive_bound(bound, d)
-            states[d] = visit(states[d], specs[d], W, Yd[d], grams, bound)
+            if d == 0:  # T = Y x_3 F_3 serves modes 1 and 2: F_3 moves only at mode 3
+                T = (Y3 @ states[2].F.T).reshape(Y.shape[0], Y.shape[1], -1)
+                B = np.einsum("ijr,jr->ri", T, states[1].F.T)
+            elif d == 1:
+                B = np.einsum("ijr,ir->rj", T, states[0].F.T)
+            else:
+                B = W.T @ Y3
+            states[d] = visit(states[d], specs[d], W, B, grams, bound)
         trace.append(_trace_entry(k, started, Y, mask, factors(), specs, truth))
         if _converged(trace, cfg):
             stop_reason = "converged"
@@ -327,9 +338,9 @@ def factorize(Y, mask, specs, cfg, truth=None):
         G = np.zeros((rank, linop_output_cols(spec.operator)))
         return pds.SubproblemState(F=F, G=G)
 
-    def visit(state, spec, W, Yd, grams, bound):
+    def visit(state, spec, W, B, grams, bound):
         op_norm = spec.operator.norm_bound if spec.operator is not None else 0.0
         steps = pds.compute_stepsizes(bound, op_norm)
-        return pds.solve_subproblem(state, spec, W, Yd, grams, steps, cfg.n_inner)
+        return pds.solve_subproblem(state, spec, W, B, grams, steps, cfg.n_inner)
 
     return alternate(Y, mask, specs, cfg, truth, start, visit)

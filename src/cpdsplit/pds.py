@@ -6,13 +6,14 @@ constraint C and a composed regularizer h(L(F)), each inner iteration does
     F+  := P_C(F - gamma1 * (grad(F) + L'(G)))
     G+  := G + gamma2 * L(2 F+ - F), then the conjugate-prox step of h
 
-with the gradient A F - B (B = W'Yd): A = W'W, or with a mask one Gram
+with the gradient A F - B: A = W'W, or with a mask one Gram
 G_n = W' diag(mask[:, n]) W per column of F, so the masked iteration costs
-O(N R^2), not O(P N R).  The step sizes keep the primal-dual product inside
-the convergence region; the driver's outer loop passes their Lipschitz
-bound, trace(W'W) on dense data and max_n trace(G_n) with a mask (the
-gradient is then block-diagonal over the columns).  The dual branch runs
-when the mode has an operator, that is, a nonzero regularizer.
+O(N R^2), not O(P N R).  The driver's outer loop gives the MTTKRP B = W'Yd
+(the solver never reads Yd) and the step sizes' Lipschitz bound, trace(W'W)
+on dense data and max_n trace(G_n) with a mask (the gradient is then
+block-diagonal over the columns); the steps keep the primal-dual product
+inside the convergence region.  The dual branch runs when the mode has an
+operator, that is, a nonzero regularizer.
 """
 
 import math
@@ -98,7 +99,7 @@ def _gram_product(W, grams):
     return lambda F: np.matmul(grams, F.T[:, :, None])[:, :, 0].T
 
 
-def solve_subproblem(state, spec, W, Yd, grams, steps, n_inner):
+def solve_subproblem(state, spec, W, B, grams, steps, n_inner):
     """Run exactly n_inner primal-dual iterations, warm-started from state.
 
     With a mask the caller passes the per-column Grams, which also give the
@@ -114,8 +115,9 @@ def solve_subproblem(state, spec, W, Yd, grams, steps, n_inner):
         Projection, regularizer, and operator for this mode.
     W : ndarray, shape (P, R)
         Khatri-Rao product of the fixed factors.
-    Yd : ndarray, shape (P, N)
-        Matricized data, unobserved entries zero.
+    B : ndarray, shape (R, N)
+        The MTTKRP W^T Yd of the matricized data Yd, unobserved entries
+        zero.
     grams : ndarray, shape (N, R, R), or None
         :func:`column_grams` of W and the mask; None means fully observed.
     steps : StepSizes
@@ -135,9 +137,8 @@ def solve_subproblem(state, spec, W, Yd, grams, steps, n_inner):
     gamma1 = steps.gamma1
     gamma2 = steps.gamma2
     gram = _gram_product(W, grams)
-    WtYd = W.T @ Yd
     for _ in range(n_inner):
-        grad = gram(F) - WtYd
+        grad = gram(F) - B
         if has_dual:
             grad = grad + linop_adjoint(spec.operator, G)
         F_new = project(spec.projection, F - gamma1 * grad)

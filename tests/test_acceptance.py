@@ -153,7 +153,7 @@ def test_criterion_3_subproblem_oracle_equivalence():
                     op_norm = 0.0
                 steps = compute_stepsizes(float(np.trace(W.T @ W)), op_norm)
                 state = SubproblemState(F=np.zeros((3, 8)), G=G)
-                out = solve_subproblem(state, spec, W, Yd, None, steps, 5000)
+                out = solve_subproblem(state, spec, W, W.T @ Yd, None, steps, 5000)
                 ref = oracles.proximal_gradient(
                     W, Yd, l1_weight=lam, nonneg=(proj_kind == "nonnegative")
                 )
@@ -366,7 +366,7 @@ def test_criterion_6_gradient_finite_differences():
             fun = lambda X: 0.5 * float(np.sum((Yd - W @ X) ** 2))
         # the gradient a fit applies, read off one plain unconstrained step
         steps = compute_stepsizes(float(np.vdot(W, W)), 0.0)
-        F1 = solve_subproblem(SubproblemState(F), ModeSpec(), W, Yd, grams, steps, 1).F
+        F1 = solve_subproblem(SubproblemState(F), ModeSpec(), W, W.T @ Yd, grams, steps, 1).F
         g = (F - F1) / steps.gamma1
         direction = rng.standard_normal((3, 5))
         fd = oracles.fd_directional(fun, F, direction)

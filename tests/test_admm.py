@@ -84,7 +84,7 @@ def test_admm_reaches_least_squares_solution():
     rho = float(np.trace(W.T @ W)) / 3
     state = SubproblemState(F=np.zeros((3, 4)), G=np.zeros((3, 4)))
     for _ in range(200):
-        state = solve_subproblem_admm(state, spec, W, Yd, rho, 5)
+        state = solve_subproblem_admm(state, spec, W, W.T @ Yd, rho, 5)
     want = np.linalg.solve(W.T @ W, W.T @ Yd)
     assert np.allclose(state.F, want, atol=1e-6)
 
@@ -99,7 +99,7 @@ def test_admm_agrees_with_prox_gradient_and_pds():
     rho = float(np.trace(W.T @ W)) / 3
     state = SubproblemState(F=np.zeros((3, 4)), G=np.zeros((3, 4)))
     for _ in range(400):
-        state = solve_subproblem_admm(state, spec, W, Yd, rho, 10)
+        state = solve_subproblem_admm(state, spec, W, W.T @ Yd, rho, 10)
     ref = oracles.proximal_gradient(W, Yd, l1_weight=lam, nonneg=True)
     got = oracles.composite_objective(W, Yd, state.F, l1_weight=lam)
     want = oracles.composite_objective(W, Yd, ref, l1_weight=lam)
@@ -108,7 +108,7 @@ def test_admm_agrees_with_prox_gradient_and_pds():
     steps = compute_stepsizes(float(np.trace(W.T @ W)), 1.0)
     pds_state = solve_subproblem(
         SubproblemState(F=np.zeros((3, 4)), G=np.zeros((3, 4))),
-        spec, W, Yd, None, steps, 20000,
+        spec, W, W.T @ Yd, None, steps, 20000,
     )
     pds_obj = oracles.composite_objective(W, Yd, pds_state.F, l1_weight=lam)
     assert abs(pds_obj - got) <= 1e-5 * max(1.0, abs(got))
@@ -171,7 +171,7 @@ def test_a_visit_factors_once_and_solves_once_per_inner_iteration(monkeypatch):
     rng = np.random.default_rng(0)
     W, Yd = rng.random((12, 3)), rng.random((12, 4))
     state = SubproblemState(F=np.zeros((3, 4)), G=np.zeros((3, 4)))
-    solve_subproblem_admm(state, _l1_specs()[0], W, Yd, 1.0, 7)
+    solve_subproblem_admm(state, _l1_specs()[0], W, W.T @ Yd, 1.0, 7)
     assert calls == {"cho_factor": 1, "cho_solve": 7}
 
 
@@ -209,9 +209,9 @@ def test_penalty_is_the_visit_trace_over_rank(monkeypatch):
     seen = []
     real = admm_mod.solve_subproblem_admm
 
-    def spy(state, spec, W, Yd, rho, n_inner):
+    def spy(state, spec, W, B, rho, n_inner):
         seen.append(rho == pytest.approx(float(np.trace(W.T @ W)) / 2, rel=1e-12))
-        return real(state, spec, W, Yd, rho, n_inner)
+        return real(state, spec, W, B, rho, n_inner)
 
     monkeypatch.setattr(admm_mod, "solve_subproblem_admm", spy)
     res = ao_admm_factorize(Y, None, _l1_specs(), cfg)
@@ -222,6 +222,6 @@ def test_solve_subproblem_admm_validation():
     state = SubproblemState(np.ones((2, 2)), np.zeros((2, 2)))
     W, Yd = np.ones((3, 2)), np.ones((3, 2))
     with pytest.raises(ValueError, match="n_inner"):
-        solve_subproblem_admm(state, _l1_specs()[0], W, Yd, 1.0, 0)
+        solve_subproblem_admm(state, _l1_specs()[0], W, W.T @ Yd, 1.0, 0)
     with pytest.raises(ValueError, match="rho"):
-        solve_subproblem_admm(state, _l1_specs()[0], W, Yd, 0.0, 1)
+        solve_subproblem_admm(state, _l1_specs()[0], W, W.T @ Yd, 0.0, 1)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import runpy
 from pathlib import Path
 
@@ -217,6 +218,22 @@ def test_experiment_config_round_trip_and_validation():
             mode_dicts=benchmark_mode_dicts(),
             driver=DriverConfig(rank=5),
         )
+
+
+@pytest.mark.parametrize("section", ["synthetic", "driver"])
+@pytest.mark.parametrize("key, value, least", [("seed", 1.5, 0), ("rank", 0, 1)])
+def test_config_errors_name_their_section(section, key, value, least):
+    # synthetic.seed and driver.seed are both "seed": the message says which
+    want = "%s.%s must be an integer >= %d, got %r" % (section, key, least, value)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(want)):
+        ExperimentConfig.from_dict({section: {key: value}})
+
+
+@pytest.mark.parametrize("section", ["synthetic", "driver"])
+def test_unknown_keys_name_their_section(section):
+    # not the dataclass's "__init__() got an unexpected keyword argument"
+    with pytest.raises(ValueError, match="^unknown keys seeed in %s$" % section):
+        ExperimentConfig.from_dict({section: {"seeed": 1}})
 
 
 def test_default_driver_seed_never_starts_at_the_truth():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,13 +135,15 @@ def test_fit_calls_each_traced_layer_as_the_benchmark_counts(masked, monkeypatch
     specs = (ModeSpec(c, ProxFn("l1", 0.1), identity_op()), ModeSpec(c), ModeSpec(c))
     cfg = DriverConfig(rank=2, n_inner=4, max_outer=3, stop_tol=1e-30,
                        stop_metric="objective_rel_change", seed=23)
-    calls = {}
+    calls, shapes = {}, []
 
     def spy(module, name):
         real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls.setdefault(name, []).append((len(args), sorted(kwargs)))
+            if name == "solve_subproblem":
+                shapes.append((args[2].shape, args[3].shape))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -153,6 +157,8 @@ def test_fit_calls_each_traced_layer_as_the_benchmark_counts(masked, monkeypatch
     outer = res.outer_iterations
     assert outer == 3
     assert calls["solve_subproblem"] == [(7, [])] * (3 * outer)
+    # perfbench's _gradient_cost reads (P, R) from args[2] and N from args[3]
+    assert shapes == [((56, 2), (2, 9)), ((63, 2), (2, 8)), ((72, 2), (2, 7))] * outer
     assert len(calls["objective"]) == len(calls["cp_reconstruct"]) == outer
     assert len(calls["khatri_rao"]) == len(calls["compute_stepsizes"]) == 3 * outer
     assert len(calls["project"]) == 3 * outer * cfg.n_inner
@@ -183,9 +189,9 @@ def test_masked_visit_builds_one_gram_stack_for_bound_and_solver(masked, monkeyp
         bounds.append(trace_bound)
         return real_steps(trace_bound, op_norm)
 
-    def solve_spy(state, spec, W, Yd, grams, steps, n_inner):
+    def solve_spy(state, spec, W, B, grams, steps, n_inner):
         passed.append((W, grams))
-        return real_solve(state, spec, W, Yd, grams, steps, n_inner)
+        return real_solve(state, spec, W, B, grams, steps, n_inner)
 
     monkeypatch.setattr(pds, "column_grams", grams_spy)
     monkeypatch.setattr(pds, "compute_stepsizes", steps_spy)
@@ -204,6 +210,67 @@ def test_masked_visit_builds_one_gram_stack_for_bound_and_solver(masked, monkeyp
         assert given is grams
         assert bound == float(np.einsum("nrr->n", grams).max())
         assert bound < float(np.vdot(W, W))
+
+
+@pytest.mark.parametrize(
+    "module, name, fit, masked",
+    [
+        (pds, "solve_subproblem", factorize, False),
+        (pds, "solve_subproblem", factorize, True),
+        (admm_mod, "solve_subproblem_admm", ao_admm_factorize, False),
+    ],
+    ids=["pds-dense", "pds-masked", "admm-dense"],
+)
+def test_every_visit_gets_the_mttkrp_of_its_khatri_rao_product(module, name, fit, masked,
+                                                               monkeypatch):
+    # the outer loop's dimension tree against the dense matricization; mode 2
+    # must see the F_1 that mode 1 just updated (ADMM refuses masked data)
+    rng = np.random.default_rng(27)
+    Y, truth = _small_problem(seed=27, dims=(7, 6, 5), rank=3, noise=0.05)
+    mask = rng.random(Y.shape) < 0.6 if masked else None
+    if masked:
+        Y = np.where(mask, Y, 0.0)
+    cfg = DriverConfig(rank=3, n_inner=2, max_outer=3, stop_tol=1e-30,
+                       stop_metric="objective_rel_change", seed=28)
+    seen = []
+    real = getattr(module, name)
+
+    def spy(state, spec, W, B, *rest):
+        seen.append((W, B))
+        return real(state, spec, W, B, *rest)
+
+    monkeypatch.setattr(module, name, spy)
+    res = fit(Y, mask, _nonneg_specs(), cfg)
+    assert len(seen) == 3 * res.outer_iterations == 9
+    Yd = [oracles.matricize_dense(Y, d) for d in (1, 2, 3)]
+    for visit, (W, B) in enumerate(seen):
+        want = W.T @ Yd[visit % 3]
+        assert B.shape == want.shape
+        assert float(np.abs(B - want).max()) <= 1e-12 * float(np.abs(want).max())
+
+
+@pytest.mark.parametrize(
+    "fit, masked, most",
+    [(factorize, False, 1.5), (ao_admm_factorize, False, 1.5), (factorize, True, 3.5)],
+    ids=["pds-dense", "admm-dense", "pds-masked"],
+)
+def test_fit_holds_no_matricized_copy_of_the_data(fit, masked, most):
+    # a dense fit's one tensor-sized temporary is the objective's
+    # reconstruction; a matricized copy of Y would add another Y.nbytes
+    rng = np.random.default_rng(29)
+    Y, _ = _small_problem(seed=29, dims=(60, 50, 40), rank=4, noise=0.1)
+    # the raw masked data: the fit zeroes the unobserved entries in a copy
+    mask = rng.random(Y.shape) < 0.5 if masked else None
+    cfg = DriverConfig(rank=4, n_inner=2, max_outer=3, stop_tol=1e-30,
+                       stop_metric="objective_rel_change", seed=30)
+    tracemalloc.start()
+    try:
+        res = fit(Y, mask, _nonneg_specs(), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.outer_iterations == 3
+    assert peak < most * Y.nbytes
 
 
 def test_masked_visit_with_zero_observed_rows_degenerates_with_clear_error(monkeypatch):

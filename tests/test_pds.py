@@ -74,7 +74,7 @@ def _applied_gradient(F, W, Yd, grams=None):
     """The least-squares gradient solve_subproblem applies, read off one
     plain unconstrained step F1 = F - gamma1 * g."""
     steps = _steps_for(W)
-    F1 = solve_subproblem(SubproblemState(F), ModeSpec(), W, Yd, grams, steps, 1).F
+    F1 = solve_subproblem(SubproblemState(F), ModeSpec(), W, W.T @ Yd, grams, steps, 1).F
     return (F - F1) / steps.gamma1
 
 
@@ -131,7 +131,7 @@ def test_unconstrained_solver_reaches_least_squares_solution():
     Yd = rng.standard_normal((12, 4))
     spec = ModeSpec()
     state = SubproblemState(F=np.zeros((3, 4)))
-    out = solve_subproblem(state, spec, W, Yd, None, _steps_for(W), 2000)
+    out = solve_subproblem(state, spec, W, W.T @ Yd, None, _steps_for(W), 2000)
     want = np.linalg.solve(W.T @ W, W.T @ Yd)
     assert np.allclose(out.F, want, atol=1e-6)
 
@@ -148,7 +148,7 @@ def test_regularized_solver_matches_proximal_gradient_oracle():
     )
     steps = compute_stepsizes(float(np.trace(W.T @ W)), 1.0)
     state = SubproblemState(F=np.zeros((3, 4)), G=np.zeros((3, 4)))
-    out = solve_subproblem(state, spec, W, Yd, None, steps, 20000)
+    out = solve_subproblem(state, spec, W, W.T @ Yd, None, steps, 20000)
     ref = oracles.proximal_gradient(W, Yd, l1_weight=lam, nonneg=True)
     got = oracles.composite_objective(W, Yd, out.F, l1_weight=lam)
     want = oracles.composite_objective(W, Yd, ref, l1_weight=lam)
@@ -162,8 +162,8 @@ def test_inner_iteration_count_is_enforced():
     Yd = rng.standard_normal((6, 3))
     state = SubproblemState(F=np.ones((2, 3)))
     with pytest.raises(ValueError):
-        solve_subproblem(state, ModeSpec(), W, Yd, None, _steps_for(W), 0)
-    out = solve_subproblem(state, ModeSpec(), W, Yd, None, _steps_for(W), 1)
+        solve_subproblem(state, ModeSpec(), W, W.T @ Yd, None, _steps_for(W), 0)
+    out = solve_subproblem(state, ModeSpec(), W, W.T @ Yd, None, _steps_for(W), 1)
     assert not np.array_equal(out.F, state.F)
 
 
@@ -179,8 +179,8 @@ def test_solver_fixed_point_is_stationary():
     )
     steps = compute_stepsizes(float(np.trace(W.T @ W)), 1.0)
     state = SubproblemState(F=np.zeros((2, 3)), G=np.zeros((2, 3)))
-    settled = solve_subproblem(state, spec, W, Yd, None, steps, 100000)
-    moved = solve_subproblem(settled, spec, W, Yd, None, steps, 1)
+    settled = solve_subproblem(state, spec, W, W.T @ Yd, None, steps, 100000)
+    moved = solve_subproblem(settled, spec, W, W.T @ Yd, None, steps, 1)
     assert float(np.abs(moved.F - settled.F).max()) <= 1e-8
     got = oracles.composite_objective(W, Yd, settled.F, l1_weight=lam)
     ref = oracles.proximal_gradient(W, Yd, l1_weight=lam, nonneg=True)
@@ -197,7 +197,7 @@ def test_plain_gradient_descent_decreases_objective():
     state = SubproblemState(F=rng.standard_normal((3, 2)))
     prev = oracles.composite_objective(W, Yd, state.F)
     for _ in range(30):
-        state = solve_subproblem(state, spec, W, Yd, None, steps, 1)
+        state = solve_subproblem(state, spec, W, W.T @ Yd, None, steps, 1)
         cur = oracles.composite_objective(W, Yd, state.F)
         grad = _applied_gradient(state.F, W, Yd)
         if float(np.abs(grad).max()) <= 1e-9:
@@ -218,9 +218,9 @@ def test_warm_start_determinism():
     steps = compute_stepsizes(float(np.trace(W.T @ W)), 1.0)
     start = SubproblemState(F=rng.random((2, 3)), G=np.zeros((2, 3)))
     a = solve_subproblem(SubproblemState(start.F.copy(), start.G.copy()),
-                         spec, W, Yd, None, steps, 7)
+                         spec, W, W.T @ Yd, None, steps, 7)
     b = solve_subproblem(SubproblemState(start.F.copy(), start.G.copy()),
-                         spec, W, Yd, None, steps, 7)
+                         spec, W, W.T @ Yd, None, steps, 7)
     assert np.array_equal(a.F, b.F)
     assert np.array_equal(a.G, b.G)
 
@@ -233,7 +233,7 @@ def test_divergent_steps_raise_floating_point_error():
     state = SubproblemState(F=np.ones((2, 2)))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError):
-            solve_subproblem(state, ModeSpec(), W, Yd, None, insane, 400)
+            solve_subproblem(state, ModeSpec(), W, W.T @ Yd, None, insane, 400)
 
 
 def test_hard_constraint_holds_after_every_call():
@@ -244,7 +244,7 @@ def test_hard_constraint_holds_after_every_call():
     state = SubproblemState(F=rng.standard_normal((3, 4)))
     steps = _steps_for(W)
     for _ in range(5):
-        state = solve_subproblem(state, spec, W, Yd, None, steps, 3)
+        state = solve_subproblem(state, spec, W, W.T @ Yd, None, steps, 3)
         assert (state.F >= 0.0).all() and (state.F <= 0.5).all()
 
 
@@ -260,7 +260,7 @@ def test_dual_branch_handles_structured_operator():
     )
     steps = compute_stepsizes(float(np.trace(W.T @ W)), 4.0)
     state = SubproblemState(F=rng.random((2, 6)), G=np.zeros((2, 5)))
-    out = solve_subproblem(state, spec, W, Yd, None, steps, 50)
+    out = solve_subproblem(state, spec, W, W.T @ Yd, None, steps, 50)
     assert out.F.shape == (2, 6)
     assert out.G.shape == (2, 5)
     assert (out.F >= 0).all()
@@ -339,7 +339,7 @@ def test_masked_solver_matches_dense_gradient_reference(rank, kind):
         # an unobserved column has a zero Gram, so its gradient is exactly 0
         assert (grad[:, empty] == 0.0).all()
 
-        out = solve_subproblem(SubproblemState(F0, G0), spec, W, Yd, grams, steps, 6)
+        out = solve_subproblem(SubproblemState(F0, G0), spec, W, W.T @ Yd, grams, steps, 6)
         F_ref, G_ref = _reference_inner_loop(
             SubproblemState(F0, G0), spec, W, Yd, Md, steps, 6
         )
@@ -349,9 +349,9 @@ def test_masked_solver_matches_dense_gradient_reference(rank, kind):
             assert _close(out.G, G_ref)
 
         full = np.ones_like(Md)
-        unmasked = solve_subproblem(SubproblemState(F0, G0), spec, W, Yd, None, steps, 6)
+        unmasked = solve_subproblem(SubproblemState(F0, G0), spec, W, W.T @ Yd, None, steps, 6)
         explicit = solve_subproblem(
-            SubproblemState(F0, G0), spec, W, Yd, column_grams(W, full), steps, 6
+            SubproblemState(F0, G0), spec, W, W.T @ Yd, column_grams(W, full), steps, 6
         )
         assert _close(explicit.F, unmasked.F)
         if G0 is not None:
