@@ -8,11 +8,16 @@ baseline in :mod:`cpdsplit.admm`).  Both solvers carry one state per mode,
 exposes.  Each outer iteration visits modes 1..3 in order.  A visit
 rebuilds the Khatri-Rao product W of the other two factors (ascending mode
 order) and the Lipschitz bound of its least-squares gradient: trace(W^T W)
-on dense data; with a mask the per-column Grams G_n, built once per visit,
-and max_n trace(G_n), about half of trace(W^T W) at half observed.  A
-dimension tree (Phan, Tichavsky & Cichocki, IEEE TSP 2013) gives the MTTKRP
+on dense data; with a mask the per-column Grams G_n = W^T diag(m_n) W and
+max_n trace(G_n), about half of trace(W^T W) at half observed.  A dimension
+tree (Phan, Tichavsky & Cichocki, IEEE TSP 2013) gives the MTTKRP
 B_d = W^T Y_(d) with no matricized copy of Y, masked or not: T = Y x_3 F_3
 yields B_1 and B_2, mode 3 takes W^T against the (N1 N2 x N3) view of Y.
+The same tree gives the Grams, whose upper triangles are the MTTKRP of the
+mask against the pair factors P_d = F_d[:, iu] * F_d[:, ju] (the column-pair
+products of khatri_rao(F_i, F_j) are khatri_rao(P_i, P_j)): H = M x_3 P_3
+yields the Grams of modes 1 and 2, mode 3 takes W's pair products against
+the (N1 N2 x N3) view of one float copy of the mask made per fit.
 The visit hands B and the mode's warm-started state to the inner solver.
 One trace row (wall-clock seconds, objective, factor MSE when the ground
 truth is known) is recorded per outer iteration.
@@ -42,7 +47,6 @@ from .tensor import (
     cp_reconstruct,
     frobenius_norm_sq,
     khatri_rao,
-    matricize,
 )
 
 STOP_METRICS = ("mse_vs_truth", "objective_rel_change")
@@ -250,9 +254,10 @@ def alternate(Y, mask, specs, cfg, truth, start, visit):
     visit : callable (state, spec, W, B, grams, bound) -> pds.SubproblemState
         One mode visit: advance the warm-started state by cfg.n_inner
         iterations against the Khatri-Rao product W of the other factors,
-        the R x N_d MTTKRP B = W^T Y_(d) from the dimension tree, the
-        Grams of :func:`cpdsplit.pds.column_grams` (None on dense data)
-        and the positive Lipschitz bound, trace(W^T W) or max_n trace(G_n).
+        the R x N_d MTTKRP B = W^T Y_(d) and the exactly symmetric
+        (N_d, R, R) stack of Grams G_n = W^T diag(m_n) W (None on dense
+        data), both from the dimension tree, and the positive Lipschitz
+        bound, trace(W^T W) or max_n trace(G_n).
         The state's F is the feasible R x N_d factor the fit exposes, G
         its dual.
 
@@ -262,7 +267,9 @@ def alternate(Y, mask, specs, cfg, truth, start, visit):
     """
     Y, mask, specs = _prepare(Y, mask, specs, cfg, truth)
     Y3 = Y.reshape(-1, Y.shape[2])  # the (N1 N2 x N3) view: the mode-3 unfolding
-    Md = [matricize(mask, d) for d in (1, 2, 3)] if mask is not None else None
+    if mask is not None:  # the mask's mode-3 unfolding, as floats for the Gram GEMMs
+        M3 = np.ascontiguousarray(mask, dtype=Y.dtype).reshape(Y3.shape)
+        iu, ju = np.triu_indices(cfg.rank)
     init = init_factors(Y.shape, int(cfg.rank), cfg.seed)
     states = [
         start(np.ascontiguousarray(f.T), spec) for f, spec in zip(init.factors, specs)
@@ -270,6 +277,9 @@ def alternate(Y, mask, specs, cfg, truth, start, visit):
 
     def factors():
         return FactorSet(tuple(np.ascontiguousarray(s.F.T) for s in states))
+
+    def pairs(F):  # the column-pair products of an R x N factor, R(R+1)/2 x N
+        return F[iu] * F[ju]
 
     started = time.perf_counter()
     trace = []
@@ -281,17 +291,27 @@ def alternate(Y, mask, specs, cfg, truth, start, visit):
             if mask is None:
                 # W is column-major here: vdot would copy it, einsum reads it in place
                 grams, bound = None, np.einsum("pr,pr->", W, W)
-            else:  # a block-diagonal gradient: bound the largest block
-                grams = pds.column_grams(W, Md[d])
-                bound = np.einsum("nrr->n", grams).max()
-            bound = _positive_bound(bound, d)
-            if d == 0:  # T = Y x_3 F_3 serves modes 1 and 2: F_3 moves only at mode 3
+            # F_3 moves only at mode 3: T = Y x_3 F_3 and H = M x_3 P_3 serve modes 1 and 2
+            if d == 0:
                 T = (Y3 @ states[2].F.T).reshape(Y.shape[0], Y.shape[1], -1)
                 B = np.einsum("ijr,jr->ri", T, states[1].F.T)
+                if mask is not None:
+                    H = (pairs(states[2].F) @ M3.T).reshape(-1, Y.shape[0], Y.shape[1])
+                    g = np.matmul(H, pairs(states[1].F)[:, :, None])[:, :, 0]
             elif d == 1:
                 B = np.einsum("ijr,ir->rj", T, states[0].F.T)
+                if mask is not None:
+                    g = np.matmul(pairs(states[0].F)[:, None, :], H)[:, 0, :]
+                    del H  # freed before mode 3 and the trace, which set the peak memory
             else:
                 B = W.T @ Y3
+                if mask is not None:
+                    g = pairs(W.T) @ M3
+            if mask is not None:  # a block-diagonal gradient: bound the largest block
+                grams = np.empty((g.shape[1], cfg.rank, cfg.rank))
+                grams[:, iu, ju] = grams[:, ju, iu] = g.T
+                bound = np.einsum("nrr->n", grams).max()
+            bound = _positive_bound(bound, d)
             states[d] = visit(states[d], specs[d], W, B, grams, bound)
         trace.append(_trace_entry(k, started, Y, mask, factors(), specs, truth))
         if _converged(trace, cfg):

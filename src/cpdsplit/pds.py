@@ -9,11 +9,11 @@ constraint C and a composed regularizer h(L(F)), each inner iteration does
 with the gradient A F - B: A = W'W, or with a mask one Gram
 G_n = W' diag(mask[:, n]) W per column of F, so the masked iteration costs
 O(N R^2), not O(P N R).  The driver's outer loop gives the MTTKRP B = W'Yd
-(the solver never reads Yd) and the step sizes' Lipschitz bound, trace(W'W)
-on dense data and max_n trace(G_n) with a mask (the gradient is then
-block-diagonal over the columns); the steps keep the primal-dual product
-inside the convergence region.  The dual branch runs when the mode has an
-operator, that is, a nonzero regularizer.
+(the solver never reads Yd), the Grams G_n from its dimension tree, and the
+step sizes' Lipschitz bound, trace(W'W) on dense data and max_n trace(G_n)
+with a mask (the gradient is then block-diagonal over the columns); the
+steps keep the primal-dual product inside the convergence region.  The dual
+branch runs when the mode has an operator, that is, a nonzero regularizer.
 """
 
 import math
@@ -58,8 +58,8 @@ def compute_stepsizes(trace_bound, op_norm):
     ----------
     trace_bound : float
         An upper bound on the gradient's Lipschitz constant: trace(W^T W),
-        or with a mask max_n trace(G_n) over the per-column Grams of
-        :func:`column_grams`.
+        or with a mask max_n trace(G_n) over the per-column Grams
+        G_n = W^T diag(mask[:, n]) W.
     op_norm : float
         Upper bound on ||L*L||; 0 when the mode has no operator.
 
@@ -81,16 +81,6 @@ def compute_stepsizes(trace_bound, op_norm):
     return StepSizes(gamma1, gamma2, trace_bound, op_norm)
 
 
-def column_grams(W, mask):
-    """The per-column Grams G_n = W^T diag(mask[:, n]) W, shape (N, R, R),
-    built by one GEMM of the mask against W's column-pair products."""
-    iu, ju = np.triu_indices(W.shape[1])
-    g = np.asarray(mask).T.astype(W.dtype) @ (W[:, iu] * W[:, ju])
-    grams = np.empty((g.shape[0], W.shape[1], W.shape[1]))
-    grams[:, iu, ju] = grams[:, ju, iu] = g
-    return grams
-
-
 def _gram_product(W, grams):
     """F -> A F for A = W^T W, or the per-column Grams when given."""
     if grams is None:
@@ -103,8 +93,9 @@ def solve_subproblem(state, spec, W, B, grams, steps, n_inner):
     """Run exactly n_inner primal-dual iterations, warm-started from state.
 
     With a mask the caller passes the per-column Grams, which also give the
-    step sizes' bound; building them costs 0.4 / 0.9 / 2.2 / 3.1 direct
-    masked gradients at R = 5 / 10 / 15 / 20 (100^3, half observed).
+    step sizes' bound; the driver's tree builds them for about 0.1 / 0.25 /
+    0.65 / 1.1 direct masked gradients W^T(mask*(W F)) per visit at R = 5 /
+    10 / 15 / 20 (100^3, half observed, one BLAS thread).
 
     Parameters
     ----------
@@ -119,7 +110,8 @@ def solve_subproblem(state, spec, W, B, grams, steps, n_inner):
         The MTTKRP W^T Yd of the matricized data Yd, unobserved entries
         zero.
     grams : ndarray, shape (N, R, R), or None
-        :func:`column_grams` of W and the mask; None means fully observed.
+        The symmetric per-column Grams W^T diag(mask[:, n]) W; None means
+        fully observed.
     steps : StepSizes
     n_inner : int
         Number of iterations, at least 1.

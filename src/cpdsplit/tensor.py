@@ -1,20 +1,19 @@
 """Dense third-order tensor primitives.
 
 Tensors are C-ordered float arrays of shape (N1, N2, N3); the last index
-varies fastest in memory.  The mode-d matricization stacks the remaining
-axes in ascending order with the later axis fastest along the rows, which
-is exactly the ordering for which
+varies fastest in memory.  The mode-d matricization T_(d) stacks the
+remaining axes in ascending order with the later axis fastest along the
+rows, which is exactly the ordering for which
 
-    matricize(T, d) == khatri_rao(F_i, F_j) @ F_d.T     (i < j, both != d)
+    T_(d) == khatri_rao(F_i, F_j) @ F_d.T     (i < j, both != d)
 
-whenever T is the CP reconstruction of factors (F_1, F_2, F_3).
+whenever T is the CP reconstruction of factors (F_1, F_2, F_3).  T_(3) is
+the free view ``T.reshape(-1, N3)``; no other unfolding is ever formed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-_MODES = (1, 2, 3)
 
 
 def khatri_rao(x, y):
@@ -42,31 +41,6 @@ def khatri_rao(x, y):
     m, k = x.shape
     n = y.shape[0]
     return (x[:, None, :] * y[None, :, :]).reshape(m * n, k)
-
-
-def matricize(t, mode):
-    """Mode-d matricization of a third-order tensor.
-
-    Parameters
-    ----------
-    t : ndarray, shape (N1, N2, N3)
-    mode : int
-        Mode index in {1, 2, 3}.
-
-    Returns
-    -------
-    ndarray, shape (prod of the other two dims, N_mode)
-        Row ordering: the remaining axes in ascending order, later axis
-        fastest.  A view of ``t`` when the memory layout permits.
-    """
-    t = np.asarray(t)
-    if t.ndim != 3:
-        raise ValueError("matricize expects a 3-D array, got ndim=%d" % t.ndim)
-    if mode not in _MODES:
-        raise ValueError("mode must be 1, 2 or 3, got %r" % (mode,))
-    axis = mode - 1
-    rest = [a for a in range(3) if a != axis]
-    return t.transpose(rest + [axis]).reshape(-1, t.shape[axis])
 
 
 @dataclass

@@ -147,6 +147,13 @@ def masked_gradient_dense(F, W, Yd, mask):
     return W.T @ (np.where(mask, W @ F, 0.0) - Yd)
 
 
+def column_grams_dense(W, mask):
+    """The per-column Grams W^T diag(mask[:, n]) W of a P x N mask, shape
+    (N, R, R), one column at a time."""
+    mask = np.asarray(mask, dtype=float)
+    return np.stack([W.T @ (mask[:, n, None] * W) for n in range(mask.shape[1])])
+
+
 def fd_directional(fun, X, direction, h=1e-6):
     """Central finite-difference directional derivative of a scalar field."""
     return (fun(X + h * direction) - fun(X - h * direction)) / (2.0 * h)

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import cpdsplit.pds as pds_mod
 from cpdsplit.admm import UnsupportedSpecError, ao_admm_factorize
 from cpdsplit.bench import (
     SyntheticSpec,
@@ -33,8 +34,8 @@ from cpdsplit.operators import (
     prox_conjugate,
     row_difference_op,
 )
-from cpdsplit.pds import SubproblemState, column_grams, compute_stepsizes, solve_subproblem
-from cpdsplit.tensor import FactorSet, cp_reconstruct, khatri_rao, matricize
+from cpdsplit.pds import SubproblemState, compute_stepsizes, solve_subproblem
+from cpdsplit.tensor import FactorSet, cp_reconstruct, khatri_rao
 
 import oracles
 
@@ -234,7 +235,7 @@ def test_criterion_4_structured_regularizer_capability():
     )
 
 
-def test_criterion_5_invariant_suites():
+def test_criterion_5_invariant_suites(monkeypatch):
     rng = np.random.default_rng(50)
     checks = []
 
@@ -244,7 +245,7 @@ def test_criterion_5_invariant_suites():
     pairs = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}
     worst = 0.0
     for mode, (d, i, j) in pairs.items():
-        left = matricize(t, mode)
+        left = oracles.matricize_dense(t, mode)
         right = khatri_rao(factors[i], factors[j]) @ factors[d].T
         worst = max(worst, float(np.abs(left - right).max() / np.abs(left).max()))
     checks.append(("matricization 1e-12", worst <= 1e-12))
@@ -316,11 +317,20 @@ def test_criterion_5_invariant_suites():
     cfg = DriverConfig(rank=2, n_inner=2, max_outer=3, stop_tol=1e-30,
                        stop_metric="objective_rel_change", seed=7)
     raw = factorize(yt, mask, plain, cfg)
+    stacks = []
+    real_solve = pds_mod.solve_subproblem
+
+    def solve_spy(state, spec, W, B, grams, *rest):
+        stacks.append(grams)
+        return real_solve(state, spec, W, B, grams, *rest)
+
+    monkeypatch.setattr(pds_mod, "solve_subproblem", solve_spy)
     zeroed = factorize(np.where(mask, yt, 0.0), mask, plain, cfg)
+    monkeypatch.undo()
     exact &= all(np.array_equal(a, b)
                  for a, b in zip(raw.factors.factors, zeroed.factors.factors))
-    G = column_grams(rng.standard_normal((20, 3)), rng.random((20, 4)) < 0.5)
-    exact &= np.array_equal(G, G.transpose(0, 2, 1))
+    exact &= len(stacks) == 9
+    exact &= all(np.array_equal(G, G.transpose(0, 2, 1)) for G in stacks)
     checks.append(("mask exact", exact))
 
     # bit-exact determinism of a full fit
@@ -361,7 +371,7 @@ def test_criterion_6_gradient_finite_differences():
             mask = rng.random((9, 5)) < 0.6
             Yd = np.where(mask, Yd, 0.0)
             fun = lambda X: 0.5 * float(np.sum((Yd - np.where(mask, W @ X, 0.0)) ** 2))
-            grams = column_grams(W, mask)
+            grams = oracles.column_grams_dense(W, mask)
         else:
             fun = lambda X: 0.5 * float(np.sum((Yd - W @ X) ** 2))
         # the gradient a fit applies, read off one plain unconstrained step

@@ -9,7 +9,7 @@ import cpdsplit.pds as pds
 from cpdsplit.admm import ao_admm_factorize
 from cpdsplit.driver import DriverConfig, ModeSpec, factorize, init_factors, objective
 from cpdsplit.operators import Projection, ProxFn, identity_op, row_difference_op
-from cpdsplit.tensor import FactorSet, cp_reconstruct, matricize
+from cpdsplit.tensor import FactorSet, cp_reconstruct, khatri_rao
 
 import oracles
 
@@ -167,49 +167,68 @@ def test_fit_calls_each_traced_layer_as_the_benchmark_counts(masked, monkeypatch
         assert len(calls[name]) == outer * cfg.n_inner
 
 
-@pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
-def test_masked_visit_builds_one_gram_stack_for_bound_and_solver(masked, monkeypatch):
-    rng = np.random.default_rng(24)
-    Y, truth = _small_problem(seed=24, dims=(9, 8, 7), rank=3, noise=0.05)
-    mask = rng.random(Y.shape) < 0.5 if masked else None
-    if masked:
-        Y = np.where(mask, Y, 0.0)
-    cfg = DriverConfig(rank=3, n_inner=2, max_outer=4, stop_tol=1e-30,
-                       stop_metric="objective_rel_change", seed=25)
-    built, bounds, passed = [], [], []
-    real_grams = pds.column_grams
+def _spy_visits(monkeypatch):
+    """Record (trace bound, solve_subproblem's arguments, its result) for
+    every visit of a fit."""
+    bounds, visits = [], []
     real_steps = pds.compute_stepsizes
     real_solve = pds.solve_subproblem
-
-    def grams_spy(W, Md):
-        built.append(real_grams(W, Md))
-        return built[-1]
 
     def steps_spy(trace_bound, op_norm):
         bounds.append(trace_bound)
         return real_steps(trace_bound, op_norm)
 
     def solve_spy(state, spec, W, B, grams, steps, n_inner):
-        passed.append((W, grams))
-        return real_solve(state, spec, W, B, grams, steps, n_inner)
+        out = real_solve(state, spec, W, B, grams, steps, n_inner)
+        visits.append((W, grams, out))
+        return out
 
-    monkeypatch.setattr(pds, "column_grams", grams_spy)
     monkeypatch.setattr(pds, "compute_stepsizes", steps_spy)
     monkeypatch.setattr(pds, "solve_subproblem", solve_spy)
-    res = factorize(Y, mask, _nonneg_specs(), cfg)
-    visits = 3 * res.outer_iterations
-    assert len(bounds) == len(passed) == visits
+    return bounds, visits
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
+def test_masked_visit_builds_one_gram_stack_for_bound_and_solver(masked, monkeypatch):
     if not masked:
-        assert built == [] and all(g is None for _, g in passed)
+        Y, _ = _small_problem(seed=24, dims=(9, 8, 7), rank=3, noise=0.05)
+        cfg = DriverConfig(rank=3, n_inner=2, max_outer=4, stop_tol=1e-30,
+                           stop_metric="objective_rel_change", seed=25)
+        bounds, visits = _spy_visits(monkeypatch)
+        res = factorize(Y, None, _nonneg_specs(), cfg)
+        assert len(bounds) == len(visits) == 3 * res.outer_iterations
+        assert all(grams is None for _, grams, _ in visits)
         assert bounds == [
-            pytest.approx(float(np.trace(W.T @ W)), rel=1e-12) for W, _ in passed
+            pytest.approx(float(np.trace(W.T @ W)), rel=1e-12) for W, _, _ in visits
         ]
         return
-    assert len(built) == visits
-    for grams, bound, (W, given) in zip(built, bounds, passed):
-        assert given is grams
-        assert bound == float(np.einsum("nrr->n", grams).max())
-        assert bound < float(np.vdot(W, W))
+    # every masked visit's Gram stack against the column-by-column oracle on
+    # the Khatri-Rao product of the factors as they stand at that visit, so
+    # mode 2 must see the F_1 that mode 1 just updated
+    for rank in (1, 3, 5):
+        rng = np.random.default_rng(24 + rank)
+        Y, _ = _small_problem(seed=24 + rank, dims=(9, 8, 7), rank=rank, noise=0.05)
+        mask = rng.random(Y.shape) < 0.5
+        mask[2], mask[:, 5], mask[:, :, 0] = False, False, False  # one empty slice per mode
+        cfg = DriverConfig(rank=rank, n_inner=2, max_outer=4, stop_tol=1e-30,
+                           stop_metric="objective_rel_change", seed=25)
+        monkeypatch.undo()
+        bounds, visits = _spy_visits(monkeypatch)
+        res = factorize(np.where(mask, Y, 0.0), mask, _nonneg_specs(), cfg)
+        assert len(bounds) == len(visits) == 3 * res.outer_iterations
+        current = list(init_factors(Y.shape, rank, cfg.seed).factors)
+        Md = [oracles.matricize_dense(mask, d) for d in (1, 2, 3)]
+        for visit, (bound, (W, grams, out)) in enumerate(zip(bounds, visits)):
+            d = visit % 3
+            i, j = (a for a in range(3) if a != d)
+            want = oracles.column_grams_dense(khatri_rao(current[i], current[j]), Md[d])
+            assert grams.shape == want.shape
+            assert float(np.abs(grams - want).max()) <= 1e-12 * float(np.abs(want).max())
+            assert np.array_equal(grams, grams.transpose(0, 2, 1))
+            assert (grams[~Md[d].any(axis=0)] == 0.0).all()
+            assert bound == float(np.einsum("nrr->n", grams).max())
+            assert bound < float(np.vdot(W, W))
+            current[d] = out.F.T
 
 
 @pytest.mark.parametrize(
@@ -273,20 +292,35 @@ def test_fit_holds_no_matricized_copy_of_the_data(fit, masked, most):
     assert peak < most * Y.nbytes
 
 
+def test_masked_fit_does_not_depend_on_the_mask_layout():
+    # the fit makes its own C-ordered float copy of the mask for the Grams
+    rng = np.random.default_rng(31)
+    Y, _ = _small_problem(seed=31, dims=(7, 6, 5), rank=2, noise=0.05)
+    mask = rng.random(Y.shape) < 0.5
+    Y = np.where(mask, Y, 0.0)
+    cfg = DriverConfig(rank=2, n_inner=2, max_outer=3, stop_tol=1e-30,
+                       stop_metric="objective_rel_change", seed=32)
+    c_order = factorize(Y, mask, _nonneg_specs(), cfg)
+    f_order = factorize(np.asfortranarray(Y), np.asfortranarray(mask), _nonneg_specs(), cfg)
+    for a, b in zip(c_order.factors.factors, f_order.factors.factors):
+        assert np.array_equal(a, b)
+
+
 def test_masked_visit_with_zero_observed_rows_degenerates_with_clear_error(monkeypatch):
-    # W nonzero only on rows the mask hides: trace(W^T W) > 0, yet every
-    # per-column Gram is zero
+    # F_2 nonzero only on a mode-2 slice the mask hides: the other factors
+    # are nonzero, yet every mode-1 Gram is zero
     rng = np.random.default_rng(26)
     Y, _ = _small_problem(seed=26, dims=(6, 5, 4))
     mask = rng.random(Y.shape) < 0.7
     mask[:, 0, :] = False
-    observed = matricize(mask, 1).any(axis=1)
-    real = driver_mod.khatri_rao
+    real = driver_mod.init_factors
 
-    def hidden_only(x, y):
-        return np.where(observed[:, None], 0.0, real(x, y))
+    def hidden_only(dims, rank, seed):
+        f1, f2, f3 = real(dims, rank, seed).factors
+        f2[1:] = 0.0
+        return FactorSet((f1, f2, f3))
 
-    monkeypatch.setattr(driver_mod, "khatri_rao", hidden_only)
+    monkeypatch.setattr(driver_mod, "init_factors", hidden_only)
     cfg = DriverConfig(rank=2, max_outer=2, stop_metric="objective_rel_change")
     with pytest.raises(ValueError, match="mode 1 subproblem degenerated"):
         factorize(np.where(mask, Y, 0.0), mask, _nonneg_specs(), cfg)
@@ -366,14 +400,23 @@ def test_over_regularization_degenerates_with_clear_error(fit):
 
 
 def test_factorize_is_deterministic():
+    # bit for bit per seed, on dense data and on a half-observed mask
     Y, truth = _small_problem(seed=5, noise=0.05)
+    mask = np.random.default_rng(5).random(Y.shape) < 0.5
     cfg = DriverConfig(rank=2, n_inner=3, max_outer=10, stop_tol=1e-30,
                        stop_metric="objective_rel_change", seed=9)
-    r1 = factorize(Y, None, _nonneg_specs(), cfg)
-    r2 = factorize(Y, None, _nonneg_specs(), cfg)
-    for f1, f2 in zip(r1.factors.factors, r2.factors.factors):
-        assert np.array_equal(f1, f2)
-    assert [t.objective for t in r1.trace] == [t.objective for t in r2.trace]
+    specs = _nonneg_specs()[:2] + (ModeSpec(Projection("nonnegative"), ProxFn("l1", 0.1),
+                                            identity_op()),)
+    for m in (None, mask):
+        data = Y if m is None else np.where(m, Y, 0.0)
+        r1 = factorize(data, m, specs, cfg)
+        r2 = factorize(data, m, specs, cfg)
+        for a, b in zip(r1.factors.factors + tuple(r1.duals[2:]),
+                        r2.factors.factors + tuple(r2.duals[2:])):
+            assert a.tobytes() == b.tobytes()
+        assert r1.duals[:2] == r2.duals[:2] == [None, None]
+        assert np.array([t.objective for t in r1.trace]).tobytes() == \
+            np.array([t.objective for t in r2.trace]).tobytes()
 
 
 def test_mse_stop_requires_truth():

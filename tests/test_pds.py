@@ -17,11 +17,10 @@ from cpdsplit.operators import (
 from cpdsplit.pds import (
     StepSizes,
     SubproblemState,
-    column_grams,
     compute_stepsizes,
     solve_subproblem,
 )
-from cpdsplit.tensor import khatri_rao, matricize
+from cpdsplit.tensor import khatri_rao
 
 import oracles
 
@@ -95,7 +94,7 @@ def test_gradient_full_mask_equals_no_mask():
     full = np.ones((8, 4), dtype=bool)
     assert np.allclose(
         _applied_gradient(F, W, Yd),
-        _applied_gradient(F, W, Yd, column_grams(W, full)),
+        _applied_gradient(F, W, Yd, oracles.column_grams_dense(W, full)),
         atol=1e-12,
     )
 
@@ -114,7 +113,8 @@ def test_gradient_matches_finite_differences():
                 np.sum((np.where(mask, Yd, 0.0) - np.where(mask, W @ X, 0.0)) ** 2)
             )
         Yd_use = np.where(mask, Yd, 0.0) if mask is not None else Yd
-        g = _applied_gradient(F, W, Yd_use, None if mask is None else column_grams(W, mask))
+        grams = None if mask is None else oracles.column_grams_dense(W, mask)
+        g = _applied_gradient(F, W, Yd_use, grams)
         direction = rng.standard_normal((3, 4))
         fd = oracles.fd_directional(fun, F, direction)
         exact = float(np.vdot(g, direction))
@@ -280,7 +280,8 @@ def _masked_mode_problems(rank, seed, dims=(5, 6, 7)):
     for d in (1, 2, 3):
         i, j = (a for a in range(3) if a != d - 1)
         W = khatri_rao(factors[i], factors[j])
-        yield d, W, matricize(Y, d), matricize(mask, d), rng
+        Md = oracles.matricize_dense(mask, d).astype(bool)
+        yield d, W, oracles.matricize_dense(Y, d), Md, rng
 
 
 def _masked_spec(kind, n):
@@ -331,7 +332,7 @@ def test_masked_solver_matches_dense_gradient_reference(rank, kind):
             G0 = rng.standard_normal((rank, linop_output_cols(spec.operator)))
         F0 = rng.random((rank, n))
 
-        grams = column_grams(W, Md)
+        grams = oracles.column_grams_dense(W, Md)
         grad = _applied_gradient(F0, W, Yd, grams)
         assert _close(grad, oracles.masked_gradient_dense(F0, W, Yd, Md))
         empty = ~Md.any(axis=0)
@@ -351,7 +352,8 @@ def test_masked_solver_matches_dense_gradient_reference(rank, kind):
         full = np.ones_like(Md)
         unmasked = solve_subproblem(SubproblemState(F0, G0), spec, W, W.T @ Yd, None, steps, 6)
         explicit = solve_subproblem(
-            SubproblemState(F0, G0), spec, W, W.T @ Yd, column_grams(W, full), steps, 6
+            SubproblemState(F0, G0), spec, W, W.T @ Yd, oracles.column_grams_dense(W, full),
+            steps, 6,
         )
         assert _close(explicit.F, unmasked.F)
         if G0 is not None:
@@ -367,7 +369,7 @@ def test_masked_step_bound_is_valid(rank):
         W = rng.random((30, rank))
         mask = rng.random((30, 8)) < 0.5
         mask[:, 3] = False
-        grams = column_grams(W, mask)
+        grams = oracles.column_grams_dense(W, mask)
         bound = float(np.einsum("nrr->n", grams).max())
         beta = max(
             oracles.largest_eig(W.T @ np.diag(mask[:, n].astype(float)) @ W)
@@ -384,7 +386,7 @@ def test_masked_step_bound_is_valid(rank):
             # a rank-1 Gram's trace is its eigenvalue: the product is 1
             assert product == pytest.approx(1.0, abs=1e-12)
 
-        full = column_grams(W, np.ones_like(mask))
+        full = oracles.column_grams_dense(W, np.ones_like(mask))
         full_bound = float(np.einsum("nrr->n", full).max())
         assert full_bound == pytest.approx(float(np.vdot(W, W)), rel=1e-12)
 

@@ -6,7 +6,6 @@ from cpdsplit.tensor import (
     cp_reconstruct,
     frobenius_norm_sq,
     khatri_rao,
-    matricize,
 )
 
 import oracles
@@ -33,34 +32,14 @@ def test_khatri_rao_rejects_bad_inputs():
         khatri_rao(np.ones(4), np.ones((2, 2)))
 
 
-def test_matricize_matches_loop_oracle():
-    rng = np.random.default_rng(1)
-    t = rng.standard_normal((4, 3, 5))
-    for mode in (1, 2, 3):
-        assert np.array_equal(matricize(t, mode), oracles.matricize_dense(t, mode))
-
-
-def test_matricize_small_layout_example():
-    # dims (2,1,1) holding [a, b] flattens to the 1x2 matrix [[a, b]]
-    t = np.array([3.0, 8.0]).reshape(2, 1, 1)
-    assert np.array_equal(matricize(t, 1), [[3.0, 8.0]])
-
-
-def test_matricize_rejects_bad_mode_and_ndim():
-    with pytest.raises(ValueError):
-        matricize(np.zeros((2, 2, 2)), 0)
-    with pytest.raises(ValueError):
-        matricize(np.zeros((2, 2)), 1)
-
-
 def test_matricization_khatri_rao_identity():
-    # matricize(reconstruction, d) == khatri_rao(other factors) @ F_d^T
+    # the mode-d unfolding of the reconstruction == khatri_rao(other factors) @ F_d^T
     rng = np.random.default_rng(2)
     factors = tuple(rng.random((n, 3)) for n in (5, 4, 6))
     t = cp_reconstruct(FactorSet(factors))
     pairs = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}
     for mode, (d, i, j) in pairs.items():
-        left = matricize(t, mode)
+        left = oracles.matricize_dense(t, mode)
         right = khatri_rao(factors[i], factors[j]) @ factors[d].T
         assert np.allclose(left, right, rtol=1e-12, atol=1e-14)
 
@@ -69,7 +48,27 @@ def test_rank_one_matricization():
     rng = np.random.default_rng(3)
     u, v, w = rng.random((4, 1)), rng.random((3, 1)), rng.random((2, 1))
     t = cp_reconstruct(FactorSet((u, v, w)))
-    assert np.allclose(matricize(t, 1), khatri_rao(v, w) @ u.T, rtol=1e-12)
+    assert np.allclose(oracles.matricize_dense(t, 1), khatri_rao(v, w) @ u.T, rtol=1e-12)
+
+
+def test_mode3_unfolding_is_the_reshape_view():
+    # the outer loop takes Y_(3) and the mask's M_(3) as free reshapes
+    t = np.random.default_rng(4).standard_normal((4, 3, 5))
+    view = t.reshape(-1, t.shape[2])
+    assert np.shares_memory(view, t)
+    assert np.array_equal(view, oracles.matricize_dense(t, 3))
+
+
+def test_column_pairs_of_khatri_rao_are_khatri_rao_of_pair_factors():
+    # the identity behind the masked Grams' dimension tree: with
+    # P = F[:, iu] * F[:, ju], the column-pair products of khatri_rao(F_i, F_j)
+    # are khatri_rao(P_i, P_j)
+    rng = np.random.default_rng(7)
+    x, y = rng.standard_normal((4, 3)), rng.standard_normal((5, 3))
+    iu, ju = np.triu_indices(3)
+    w = khatri_rao(x, y)
+    got = khatri_rao(x[:, iu] * x[:, ju], y[:, iu] * y[:, ju])
+    assert np.allclose(w[:, iu] * w[:, ju], got, rtol=1e-14, atol=0)
 
 
 def test_cp_reconstruct_matches_triple_loop():
