@@ -247,14 +247,13 @@ class ExperimentConfig:
             raise ValueError("driver.n_inner is not read; set the inner counts in inner_iters")
         syn = _section("synthetic", SyntheticSpec, cfg.get("synthetic", {}))
         driver = {"rank": syn.rank, "seed": init_seed(syn.seed), **cfg.get("driver", {})}
+        # the other keys given, so that each default is stated once, in its field
+        given = {k: v for k, v in cfg.items() if k not in ("synthetic", "modes", "driver")}
         return cls(
             synthetic=syn,
             mode_dicts=cfg.get("modes", benchmark_mode_dicts()),
             driver=_section("driver", DriverConfig, driver),
-            algorithms=tuple(cfg.get("algorithms", ALGORITHMS)),
-            inner_iters=tuple(cfg.get("inner_iters", (5,))),
-            out_dir=cfg.get("out_dir", "results"),
-            mse_threshold=cfg.get("mse_threshold"),
+            **given,
         )
 
 
@@ -281,19 +280,17 @@ def read_trace_csv(path):
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != TRACE_HEADER:
             raise ValueError("%s: unexpected trace header %r" % (path, header))
         for row in reader:
-            out.append(
-                TraceRecord(
-                    int(row[0]),
-                    float(row[1]),
-                    float(row[2]),
-                    float(row[3]) if row[3] else None,
-                    float(row[4]) if row[4] else None,
-                )
-            )
+            if len(row) != len(TRACE_HEADER):
+                raise ValueError("%s, line %d: %d cells, not %d"
+                                 % (path, reader.line_num, len(row), len(TRACE_HEADER)))
+            out.append(TraceRecord(int(row[0]), float(row[1]), float(row[2]),
+                                   *(float(c) if c else None for c in row[3:])))
+    if not out:
+        raise ValueError("%s: no trace rows" % path)
     return out
 
 

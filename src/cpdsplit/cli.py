@@ -100,8 +100,11 @@ def _cmd_generate(args):
 
 
 def _load_truth(path):
-    data = np.load(path)
-    return FactorSet((data["f1"], data["f2"], data["f3"]))
+    with np.load(path) as data:
+        missing = [k for k in ("f1", "f2", "f3") if k not in data]
+        if missing:
+            raise ValueError("%s lacks the arrays %s" % (path, ", ".join(missing)))
+        return FactorSet((data["f1"], data["f2"], data["f3"]))
 
 
 def _cmd_run(args):

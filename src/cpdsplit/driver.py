@@ -9,15 +9,12 @@ exposes.  Each outer iteration visits modes 1..3 in order.  A visit
 rebuilds the Khatri-Rao product W of the other two factors (ascending mode
 order) and the Lipschitz bound of its least-squares gradient: trace(W^T W)
 on dense data; with a mask the per-column Grams G_n = W^T diag(m_n) W and
-max_n trace(G_n), about half of trace(W^T W) at half observed.  A dimension
-tree (Phan, Tichavsky & Cichocki, IEEE TSP 2013) gives the MTTKRP
-B_d = W^T Y_(d) with no matricized copy of Y, masked or not: T = Y x_3 F_3
-yields B_1 and B_2, mode 3 takes W^T against the (N1 N2 x N3) view of Y.
-The same tree gives the Grams, whose upper triangles are the MTTKRP of the
-mask against the pair factors P_d = F_d[:, iu] * F_d[:, ju] (the column-pair
-products of khatri_rao(F_i, F_j) are khatri_rao(P_i, P_j)): H = M x_3 P_3
-yields the Grams of modes 1 and 2, mode 3 takes W's pair products against
-the (N1 N2 x N3) view of one float copy of the mask made per fit.
+max_n trace(G_n), about half of trace(W^T W) at half observed.  One
+dimension tree (Phan, Tichavsky & Cichocki, IEEE TSP 2013), :func:`_tree`,
+gives the MTTKRP B_d = W^T Y_(d) with no matricized copy of Y, and the
+Grams, whose upper triangles are the mask's MTTKRP against the pair factors
+P_d = F_d[:, iu] * F_d[:, ju] (the column-pair products of khatri_rao(F_i,
+F_j) are khatri_rao(P_i, P_j)).
 The visit hands B and the mode's warm-started state to the inner solver.
 One trace row (wall-clock seconds, objective, factor MSE when the ground
 truth is known) is recorded per outer iteration.
@@ -192,6 +189,7 @@ def _prepare(Y, mask, specs, cfg, truth):
     Y = np.asarray(Y)
     if Y.ndim != 3:
         raise ValueError("Y must be a third-order tensor, got ndim=%d" % Y.ndim)
+    Y = np.ascontiguousarray(Y)  # the tree's reshapes are free views of a C-ordered Y
     if not np.isfinite(Y).all():
         raise ValueError("Y contains non-finite values")
     if len(specs) != 3:
@@ -243,6 +241,23 @@ def _trace_entry(k, started, Y, mask, fset, specs, truth):
     return TraceRecord(k, time.perf_counter() - started, obj, raw, aligned)
 
 
+def _tree(X, A, d, kept):
+    """Mode d's product of the C-ordered tensor X with the R' x N_k rows
+    A[k] of the other two modes: entry (r, n) sums X over those modes
+    weighted by their rows r, which is W^T X_(d) when A holds the factors.
+    X x_3 A[2], made at mode 1, waits in ``kept`` for mode 2 and the A[0]
+    that mode 1 just updated; mode 2 pops it, so it is freed before mode 3
+    and the trace, which set the peak memory.  Mode 3 contracts X x_1 A[0]."""
+    N1, N2, N3 = X.shape
+    if d == 0:
+        kept.append((A[2] @ X.reshape(-1, N3).T).reshape(-1, N1, N2))
+        return np.matmul(kept[0], A[1][:, :, None])[:, :, 0]
+    if d == 1:
+        return np.matmul(A[0][:, None, :], kept.pop())[:, 0, :]
+    U = (A[0] @ X.reshape(N1, -1)).reshape(-1, N2, N3)
+    return np.matmul(A[1][:, None, :], U)[:, 0, :]
+
+
 def alternate(Y, mask, specs, cfg, truth, start, visit):
     """The outer loop shared by every inner solver.
 
@@ -256,7 +271,7 @@ def alternate(Y, mask, specs, cfg, truth, start, visit):
         iterations against the Khatri-Rao product W of the other factors,
         the R x N_d MTTKRP B = W^T Y_(d) and the exactly symmetric
         (N_d, R, R) stack of Grams G_n = W^T diag(m_n) W (None on dense
-        data), both from the dimension tree, and the positive Lipschitz
+        data), both from :func:`_tree`, and the positive Lipschitz
         bound, trace(W^T W) or max_n trace(G_n).
         The state's F is the feasible R x N_d factor the fit exposes, G
         its dual.
@@ -266,9 +281,8 @@ def alternate(Y, mask, specs, cfg, truth, start, visit):
     FitResult
     """
     Y, mask, specs = _prepare(Y, mask, specs, cfg, truth)
-    Y3 = Y.reshape(-1, Y.shape[2])  # the (N1 N2 x N3) view: the mode-3 unfolding
-    if mask is not None:  # the mask's mode-3 unfolding, as floats for the Gram GEMMs
-        M3 = np.ascontiguousarray(mask, dtype=Y.dtype).reshape(Y3.shape)
+    if mask is not None:  # one C-ordered float copy of the mask, for the Gram GEMMs
+        M = np.ascontiguousarray(mask, dtype=Y.dtype)
         iu, ju = np.triu_indices(cfg.rank)
     init = init_factors(Y.shape, int(cfg.rank), cfg.seed)
     states = [
@@ -278,36 +292,20 @@ def alternate(Y, mask, specs, cfg, truth, start, visit):
     def factors():
         return FactorSet(tuple(np.ascontiguousarray(s.F.T) for s in states))
 
-    def pairs(F):  # the column-pair products of an R x N factor, R(R+1)/2 x N
-        return F[iu] * F[ju]
-
     started = time.perf_counter()
     trace = []
     stop_reason = "iteration_cap"
+    kept_y, kept_m = [], []
     for k in range(1, int(cfg.max_outer) + 1):
         for d in range(3):
-            i, j = (a for a in range(3) if a != d)
-            W = khatri_rao(states[i].F.T, states[j].F.T)
+            F = [s.F for s in states]
+            W = khatri_rao(*(F[a].T for a in range(3) if a != d))
+            B = _tree(Y, F, d, kept_y)
             if mask is None:
                 # W is column-major here: vdot would copy it, einsum reads it in place
                 grams, bound = None, np.einsum("pr,pr->", W, W)
-            # F_3 moves only at mode 3: T = Y x_3 F_3 and H = M x_3 P_3 serve modes 1 and 2
-            if d == 0:
-                T = (Y3 @ states[2].F.T).reshape(Y.shape[0], Y.shape[1], -1)
-                B = np.einsum("ijr,jr->ri", T, states[1].F.T)
-                if mask is not None:
-                    H = (pairs(states[2].F) @ M3.T).reshape(-1, Y.shape[0], Y.shape[1])
-                    g = np.matmul(H, pairs(states[1].F)[:, :, None])[:, :, 0]
-            elif d == 1:
-                B = np.einsum("ijr,ir->rj", T, states[0].F.T)
-                if mask is not None:
-                    g = np.matmul(pairs(states[0].F)[:, None, :], H)[:, 0, :]
-                    del H  # freed before mode 3 and the trace, which set the peak memory
-            else:
-                B = W.T @ Y3
-                if mask is not None:
-                    g = pairs(W.T) @ M3
-            if mask is not None:  # a block-diagonal gradient: bound the largest block
+            else:  # a block-diagonal gradient: bound the largest block
+                g = _tree(M, [f[iu] * f[ju] for f in F], d, kept_m)
                 grams = np.empty((g.shape[1], cfg.rank, cfg.rank))
                 grams[:, iu, ju] = grams[:, ju, iu] = g.T
                 bound = np.einsum("nrr->n", grams).max()
@@ -334,7 +332,8 @@ def factorize(Y, mask, specs, cfg, truth=None):
     Parameters
     ----------
     Y : ndarray, shape (N1, N2, N3)
-        Data tensor; entries the mask leaves unobserved are ignored.
+        Data tensor; entries the mask leaves unobserved are ignored.  A Y
+        that is not C-ordered is copied once per fit.
     mask : ndarray of bool or None
         Sampling mask; None or all-true means fully observed.
     specs : sequence of three ModeSpec

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import runpy
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,14 @@ def test_experiment_config_round_trip_and_validation():
     assert tuple(cfg.to_dict()) == CONFIG_KEYS
     # each arm's inner count comes from inner_iters, so the echo has none
     assert "n_inner" not in cfg.to_dict()["driver"]
+    # an empty config takes every default from its field or its section's
+    empty = ExperimentConfig.from_dict({})
+    assert empty.synthetic == SyntheticSpec()
+    assert empty.mode_dicts == benchmark_mode_dicts()
+    assert empty.driver == DriverConfig(rank=SyntheticSpec.rank, seed=init_seed(SyntheticSpec.seed))
+    for f in fields(ExperimentConfig):
+        if f.default is not MISSING:
+            assert getattr(empty, f.name) == f.default, f.name
 
     with pytest.raises(ValueError, match="algorithms"):
         ExperimentConfig.from_dict({"algorithms": ["newton"]})

@@ -432,6 +432,28 @@ def test_cli_maps_input_errors_to_clean_exits(tmp_path):
         main(["report", "--out-dir", str(tmp_path / "empty")])
 
 
+def test_report_refuses_a_truncated_trace_csv(tmp_path):
+    path = tmp_path / "aopds_n5.csv"
+    header = "outer_iter,elapsed_sec,objective,mse_raw,mse_aligned\n"
+    for text, want in (("", r"unexpected trace header \(\)"),
+                       (header, "no trace rows"),
+                       (header + "1,0.5,2.0,0.1,0.01\n2,0.75,1.5\n", "line 3: 3 cells, not 5")):
+        path.write_text(text)
+        with pytest.raises(SystemExit, match="^error: .*aopds_n5.csv.*%s$" % want):
+            main(["report", "--out-dir", str(tmp_path)])
+
+
+def test_truth_archive_missing_a_factor_is_refused(tmp_path):
+    data = tmp_path / "data"
+    main(["generate", "--dims", "6,5,4", "--rank", "2", "--out-dir", str(data)])
+    with np.load(data / "truth.npz") as truth:
+        np.savez(tmp_path / "bad.npz", f1=truth["f1"], f2=truth["f2"])
+    with pytest.raises(SystemExit, match="^error: .*bad.npz lacks the arrays f3$"):
+        main(["factorize", "--tensor", str(data / "tensor.tns3"),
+              "--truth", str(tmp_path / "bad.npz"), "--out-dir", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 def test_degenerate_small_problem_points_at_mode_weights(tmp_path):
     # the default mode weights are sized for the 100^3 stock problem
     data = tmp_path / "data"

@@ -244,28 +244,29 @@ def test_every_visit_gets_the_mttkrp_of_its_khatri_rao_product(module, name, fit
                                                                monkeypatch):
     # the outer loop's dimension tree against the dense matricization; mode 2
     # must see the F_1 that mode 1 just updated (ADMM refuses masked data)
-    rng = np.random.default_rng(27)
-    Y, truth = _small_problem(seed=27, dims=(7, 6, 5), rank=3, noise=0.05)
-    mask = rng.random(Y.shape) < 0.6 if masked else None
-    if masked:
-        Y = np.where(mask, Y, 0.0)
-    cfg = DriverConfig(rank=3, n_inner=2, max_outer=3, stop_tol=1e-30,
-                       stop_metric="objective_rel_change", seed=28)
-    seen = []
     real = getattr(module, name)
+    for rank in (1, 3):
+        rng = np.random.default_rng(27)
+        Y, truth = _small_problem(seed=27, dims=(7, 6, 5), rank=rank, noise=0.05)
+        mask = rng.random(Y.shape) < 0.6 if masked else None
+        if masked:
+            Y = np.where(mask, Y, 0.0)
+        cfg = DriverConfig(rank=rank, n_inner=2, max_outer=3, stop_tol=1e-30,
+                           stop_metric="objective_rel_change", seed=28)
+        seen = []
 
-    def spy(state, spec, W, B, *rest):
-        seen.append((W, B))
-        return real(state, spec, W, B, *rest)
+        def spy(state, spec, W, B, *rest):
+            seen.append((W, B))
+            return real(state, spec, W, B, *rest)
 
-    monkeypatch.setattr(module, name, spy)
-    res = fit(Y, mask, _nonneg_specs(), cfg)
-    assert len(seen) == 3 * res.outer_iterations == 9
-    Yd = [oracles.matricize_dense(Y, d) for d in (1, 2, 3)]
-    for visit, (W, B) in enumerate(seen):
-        want = W.T @ Yd[visit % 3]
-        assert B.shape == want.shape
-        assert float(np.abs(B - want).max()) <= 1e-12 * float(np.abs(want).max())
+        monkeypatch.setattr(module, name, spy)
+        res = fit(Y, mask, _nonneg_specs(), cfg)
+        assert len(seen) == 3 * res.outer_iterations == 9
+        Yd = [oracles.matricize_dense(Y, d) for d in (1, 2, 3)]
+        for visit, (W, B) in enumerate(seen):
+            want = W.T @ Yd[visit % 3]
+            assert B.shape == want.shape == (rank, Y.shape[visit % 3])
+            assert float(np.abs(B - want).max()) <= 1e-12 * float(np.abs(want).max())
 
 
 @pytest.mark.parametrize(
@@ -293,17 +294,29 @@ def test_fit_holds_no_matricized_copy_of_the_data(fit, masked, most):
 
 
 def test_masked_fit_does_not_depend_on_the_mask_layout():
-    # the fit makes its own C-ordered float copy of the mask for the Grams
+    # the fit reads one C-ordered Y, copied once from any other layout, and
+    # its own C-ordered float copy of the mask for the Grams; dense data too
     rng = np.random.default_rng(31)
     Y, _ = _small_problem(seed=31, dims=(7, 6, 5), rank=2, noise=0.05)
     mask = rng.random(Y.shape) < 0.5
-    Y = np.where(mask, Y, 0.0)
+    c = Projection("nonnegative")
+    specs = (ModeSpec(c, ProxFn("l1", 0.1), identity_op()), ModeSpec(c), ModeSpec(c))
     cfg = DriverConfig(rank=2, n_inner=2, max_outer=3, stop_tol=1e-30,
                        stop_metric="objective_rel_change", seed=32)
-    c_order = factorize(Y, mask, _nonneg_specs(), cfg)
-    f_order = factorize(np.asfortranarray(Y), np.asfortranarray(mask), _nonneg_specs(), cfg)
-    for a, b in zip(c_order.factors.factors, f_order.factors.factors):
-        assert np.array_equal(a, b)
+
+    def strided(a):  # a view that steps over every other mode-2 slice
+        wide = np.zeros((a.shape[0], 2 * a.shape[1], a.shape[2]), dtype=a.dtype)
+        wide[:, ::2] = a
+        return wide[:, ::2]
+
+    for m in (None, mask):
+        want = factorize(Y, m, specs, cfg)
+        for layout in (np.asfortranarray, strided):
+            got = factorize(layout(Y), None if m is None else layout(m), specs, cfg)
+            for a, b in zip(want.factors.factors + tuple(want.duals),
+                            got.factors.factors + tuple(got.duals)):
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
+            assert [r.objective for r in want.trace] == [r.objective for r in got.trace]
 
 
 def test_masked_visit_with_zero_observed_rows_degenerates_with_clear_error(monkeypatch):
