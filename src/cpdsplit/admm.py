@@ -126,13 +126,12 @@ def ao_admm_factorize(Y, mask, specs, cfg, truth=None):
         check_supported(spec)
     if mask is not None and not np.asarray(mask).all():
         raise UnsupportedSpecError("masked data is not supported by this baseline")
-    rank = int(cfg.rank)
 
     def start(F, spec):
         return SubproblemState(F=F, G=np.zeros_like(F))
 
     def visit(state, spec, W, B, grams, bound):
-        return solve_subproblem_admm(state, spec, W, B, bound / rank, cfg.n_inner)
+        return solve_subproblem_admm(state, spec, W, B, bound / cfg.rank, cfg.n_inner)
 
     result = alternate(Y, mask, specs, cfg, truth, start, visit)
     result.counters["cholesky_factorizations"] = 3 * result.outer_iterations

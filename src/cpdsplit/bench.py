@@ -27,8 +27,10 @@ from .metrics import factor_match_score
 from .operators import LinOp, ProxFn, Projection, overlapping_group_lasso
 from .tensor import FactorSet, cp_reconstruct
 
-ALGORITHMS = ("aopds", "aoadmm")
-TRACE_HEADER = ("outer_iter", "elapsed_sec", "objective", "mse_raw", "mse_aligned")
+# the solvers by their arm names, in the default sweep's order
+SOLVERS = {"aopds": factorize, "aoadmm": ao_admm_factorize}
+ALGORITHMS = tuple(SOLVERS)
+TRACE_HEADER = tuple(f.name for f in fields(TraceRecord))
 
 
 @dataclass(frozen=True)
@@ -150,25 +152,16 @@ def mode_spec_from_dict(cfg, n_cols):
     return ModeSpec(projection, reg, op)
 
 
-def benchmark_mode_dicts(l1_weight=5.0, frob_weight=2.0):
+def benchmark_mode_dicts():
     """The stock regularization: nonnegativity everywhere, l1 on mode 1,
     squared Frobenius on modes 2 and 3, identity operators."""
     return [
         {
             "projection": {"kind": "nonnegative"},
-            "regularizer": {"kind": "l1", "weight": l1_weight},
+            "regularizer": {"kind": kind, "weight": weight},
             "operator": {"kind": "identity"},
-        },
-        {
-            "projection": {"kind": "nonnegative"},
-            "regularizer": {"kind": "squared_frobenius", "weight": frob_weight},
-            "operator": {"kind": "identity"},
-        },
-        {
-            "projection": {"kind": "nonnegative"},
-            "regularizer": {"kind": "squared_frobenius", "weight": frob_weight},
-            "operator": {"kind": "identity"},
-        },
+        }
+        for kind, weight in (("l1", 5.0), ("squared_frobenius", 2.0), ("squared_frobenius", 2.0))
     ]
 
 
@@ -296,15 +289,6 @@ def read_trace_csv(path):
 
 # -- experiment orchestration ---------------------------------------------
 
-def run_solver(algo, Y, mask, specs, cfg, truth=None):
-    """Fit with the solver named ``algo`` (one of ALGORITHMS)."""
-    if algo == "aopds":
-        return factorize(Y, mask, specs, cfg, truth)
-    if algo == "aoadmm":
-        return ao_admm_factorize(Y, mask, specs, cfg, truth)
-    raise ValueError("algorithm must be one of %r, got %r" % (ALGORITHMS, algo))
-
-
 def arm_summary(name, result, wall, threshold, truth=None):
     """One arm's row of summary.json; the factor match score of the final
     factors is reported when the ground truth is given."""
@@ -372,7 +356,7 @@ def run_experiment(cfg, data=None):
             name = "%s_n%d" % (algo, n_inner)
             driver_cfg = replace(cfg.driver, n_inner=n_inner)
             started = time.perf_counter()
-            result = run_solver(algo, Y, mask, specs, driver_cfg, truth)
+            result = SOLVERS[algo](Y, mask, specs, driver_cfg, truth)
             wall = time.perf_counter() - started
             write_trace_csv(out_dir / (name + ".csv"), result.trace)
             f1, f2, f3 = result.factors.factors

@@ -14,6 +14,7 @@ from .bench import (
     report_table,
     run_experiment,
 )
+from .driver import STOP_METRICS
 from .tensor import FactorSet
 from .tensorio import read_mask, read_tensor, write_mask, write_tensor
 
@@ -100,7 +101,10 @@ def _cmd_generate(args):
 
 
 def _load_truth(path):
-    with np.load(path) as data:
+    data = np.load(path)
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError("%s is not an .npz archive of f1, f2, f3" % path)
+    with data:
         missing = [k for k in ("f1", "f2", "f3") if k not in data]
         if missing:
             raise ValueError("%s lacks the arrays %s" % (path, ", ".join(missing)))
@@ -170,7 +174,7 @@ def build_parser():
     p.add_argument("--truth", help="ground-truth .npz (f1, f2, f3)")
     p.add_argument("--max-outer", type=int, dest="max_outer")
     p.add_argument("--stop-tol", type=float, dest="stop_tol")
-    p.add_argument("--stop-metric", choices=("mse_vs_truth", "objective_rel_change"), dest="stop_metric")
+    p.add_argument("--stop-metric", choices=STOP_METRICS, dest="stop_metric")
     p.set_defaults(func=_cmd_run, defaults={"algorithms": ("aopds",)})
 
     p = sub.add_parser("bench", parents=[config, arms],

@@ -23,7 +23,7 @@ truth is known) is recorded per outer iteration.
 import numbers
 import operator
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 # numpy imports numpy.random lazily: load it with the package, not in a fit
@@ -31,20 +31,8 @@ from numpy.random import default_rng
 
 from . import pds
 from .metrics import mse
-from .operators import (
-    LinOp,
-    ProxFn,
-    Projection,
-    linop_forward,
-    linop_output_cols,
-    prox_value,
-)
-from .tensor import (
-    FactorSet,
-    cp_reconstruct,
-    frobenius_norm_sq,
-    khatri_rao,
-)
+from .operators import LinOp, ProxFn, Projection, linop_forward, prox_value
+from .tensor import FactorSet, cp_reconstruct, khatri_rao
 
 STOP_METRICS = ("mse_vs_truth", "objective_rel_change")
 _REL_EPS = 1e-12
@@ -136,7 +124,8 @@ def objective(Y, mask, fset, specs):
         if np.shape(mask) != recon.shape or np.asarray(mask).dtype != np.bool_:
             raise ValueError("mask must be a boolean array of the data's shape")
         np.multiply(recon, mask, out=recon)
-    value = 0.5 * frobenius_norm_sq(np.subtract(Y, recon, out=recon))
+    r = np.subtract(Y, recon, out=recon)
+    value = 0.5 * float(np.vdot(r, r))
     for d, spec in enumerate(specs):
         if spec.regularizer.kind == "zero":
             continue
@@ -169,22 +158,6 @@ def _converged(trace, cfg):
     return abs(last.objective - prev.objective) / max(prev.objective, _REL_EPS) < cfg.stop_tol
 
 
-def _bind_operator(spec, n_d, d):
-    """Fill in / check the operator's declared width against the mode size."""
-    if spec.operator is None:
-        return spec
-    op = spec.operator
-    if op.n_cols is None:
-        op = LinOp(op.kind, n_d, op.groups)
-        return replace(spec, operator=op)
-    if op.n_cols != n_d:
-        raise ValueError(
-            "mode %d operator declares %d columns but the mode has size %d"
-            % (d + 1, op.n_cols, n_d)
-        )
-    return spec
-
-
 def _prepare(Y, mask, specs, cfg, truth):
     Y = np.asarray(Y)
     if Y.ndim != 3:
@@ -194,7 +167,14 @@ def _prepare(Y, mask, specs, cfg, truth):
         raise ValueError("Y contains non-finite values")
     if len(specs) != 3:
         raise ValueError("exactly three mode specs required")
-    specs = tuple(_bind_operator(s, Y.shape[d], d) for d, s in enumerate(specs))
+    for d, spec in enumerate(specs):
+        # an identity may leave its width undeclared; it takes any
+        width = spec.operator.n_cols if spec.operator is not None else None
+        if width not in (None, Y.shape[d]):
+            raise ValueError(
+                "mode %d operator declares %d columns but the mode has size %d"
+                % (d + 1, width, Y.shape[d])
+            )
     if mask is not None:
         mask = np.asarray(mask)
         if mask.shape != Y.shape or mask.dtype != np.bool_:
@@ -284,7 +264,7 @@ def alternate(Y, mask, specs, cfg, truth, start, visit):
     if mask is not None:  # one C-ordered float copy of the mask, for the Gram GEMMs
         M = np.ascontiguousarray(mask, dtype=Y.dtype)
         iu, ju = np.triu_indices(cfg.rank)
-    init = init_factors(Y.shape, int(cfg.rank), cfg.seed)
+    init = init_factors(Y.shape, cfg.rank, cfg.seed)
     states = [
         start(np.ascontiguousarray(f.T), spec) for f, spec in zip(init.factors, specs)
     ]
@@ -296,7 +276,7 @@ def alternate(Y, mask, specs, cfg, truth, start, visit):
     trace = []
     stop_reason = "iteration_cap"
     kept_y, kept_m = [], []
-    for k in range(1, int(cfg.max_outer) + 1):
+    for k in range(1, cfg.max_outer + 1):
         for d in range(3):
             F = [s.F for s in states]
             W = khatri_rao(*(F[a].T for a in range(3) if a != d))
@@ -321,7 +301,7 @@ def alternate(Y, mask, specs, cfg, truth, start, visit):
         trace=trace,
         outer_iterations=len(trace),
         stop_reason=stop_reason,
-        counters={"inner_iterations": 3 * len(trace) * int(cfg.n_inner)},
+        counters={"inner_iterations": 3 * len(trace) * cfg.n_inner},
     )
 
 
@@ -349,13 +329,12 @@ def factorize(Y, mask, specs, cfg, truth=None):
         per-outer-iteration trace, and the stop reason ('converged' or
         'iteration_cap').
     """
-    rank = int(cfg.rank)
 
     def start(F, spec):
         if spec.operator is None:
             return pds.SubproblemState(F=F)
-        G = np.zeros((rank, linop_output_cols(spec.operator)))
-        return pds.SubproblemState(F=F, G=G)
+        # the dual lives in the range of the mode's operator
+        return pds.SubproblemState(F=F, G=np.zeros_like(linop_forward(spec.operator, F)))
 
     def visit(state, spec, W, B, grams, bound):
         op_norm = spec.operator.norm_bound if spec.operator is not None else 0.0

@@ -83,8 +83,3 @@ def cp_reconstruct(fset):
     out = khatri_rao(f1, f2) @ f3.T
     return out.reshape(f1.shape[0], f2.shape[0], f3.shape[0])
 
-
-def frobenius_norm_sq(a):
-    """Sum of squared entries, as a Python float."""
-    a = np.asarray(a)
-    return float(np.vdot(a, a))

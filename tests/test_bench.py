@@ -184,6 +184,8 @@ def test_benchmark_stock_modes_parse():
     table = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "workloads.py"))
     for m in table["STOCK_MODES"]:
         mode_spec_from_dict(m, 60)
+    # the table and the package state the stock regularization separately
+    assert benchmark_mode_dicts() == table["STOCK_MODES"]
 
 
 def test_experiment_config_round_trip_and_validation():
@@ -264,6 +266,14 @@ def test_default_driver_seed_never_starts_at_the_truth():
     assert explicit.driver.seed == 9
 
 
+def _mild_mode_dicts():
+    # the stock modes at weights that suit a tiny problem
+    modes = benchmark_mode_dicts()
+    for m, weight in zip(modes, (0.3, 0.1, 0.1)):
+        m["regularizer"]["weight"] = weight
+    return modes
+
+
 def _tiny_config(out_dir, **overrides):
     syn = SyntheticSpec(dims=(10, 9, 8), rank=2, sparsity=0.5,
                         noise_sigma=0.05, seed=0)
@@ -271,7 +281,7 @@ def _tiny_config(out_dir, **overrides):
                           stop_metric="objective_rel_change", seed=1)
     cfg = ExperimentConfig(
         synthetic=syn,
-        mode_dicts=benchmark_mode_dicts(l1_weight=0.3, frob_weight=0.1),
+        mode_dicts=_mild_mode_dicts(),
         driver=driver,
         inner_iters=(2, 5),
         out_dir=str(out_dir),

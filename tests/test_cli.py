@@ -448,10 +448,13 @@ def test_truth_archive_missing_a_factor_is_refused(tmp_path):
     main(["generate", "--dims", "6,5,4", "--rank", "2", "--out-dir", str(data)])
     with np.load(data / "truth.npz") as truth:
         np.savez(tmp_path / "bad.npz", f1=truth["f1"], f2=truth["f2"])
-    with pytest.raises(SystemExit, match="^error: .*bad.npz lacks the arrays f3$"):
-        main(["factorize", "--tensor", str(data / "tensor.tns3"),
-              "--truth", str(tmp_path / "bad.npz"), "--out-dir", str(tmp_path / "out")])
-    assert not (tmp_path / "out").exists()
+        np.save(tmp_path / "t.npy", truth["f1"])  # one array, not an archive
+    for name, why in (("bad.npz", "bad.npz lacks the arrays f3$"),
+                      ("t.npy", "t.npy is not an .npz archive")):
+        with pytest.raises(SystemExit, match="^error: .*" + why):
+            main(["factorize", "--tensor", str(data / "tensor.tns3"),
+                  "--truth", str(tmp_path / name), "--out-dir", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
 
 def test_degenerate_small_problem_points_at_mode_weights(tmp_path):

@@ -8,7 +8,14 @@ import cpdsplit.driver as driver_mod
 import cpdsplit.pds as pds
 from cpdsplit.admm import ao_admm_factorize
 from cpdsplit.driver import DriverConfig, ModeSpec, factorize, init_factors, objective
-from cpdsplit.operators import Projection, ProxFn, identity_op, row_difference_op
+from cpdsplit.operators import (
+    Projection,
+    ProxFn,
+    group_replicate_op,
+    identity_op,
+    linop_forward,
+    row_difference_op,
+)
 from cpdsplit.tensor import FactorSet, cp_reconstruct, khatri_rao
 
 import oracles
@@ -518,10 +525,11 @@ def test_shape_and_spec_mismatches_raise():
     cfg = DriverConfig(rank=3, stop_metric="objective_rel_change")
     with pytest.raises(ValueError, match="rank"):
         factorize(Y, None, _plain_specs(), cfg, truth=truth)
-    bad_op = ModeSpec(regularizer=ProxFn("l1", 0.1), operator=row_difference_op(99))
     cfg2 = DriverConfig(rank=2, stop_metric="objective_rel_change")
-    with pytest.raises(ValueError, match="operator"):
-        factorize(Y, None, (bad_op, ModeSpec(), ModeSpec()), cfg2)
+    for op in (row_difference_op(99), identity_op(99)):
+        bad_op = ModeSpec(regularizer=ProxFn("l1", 0.1), operator=op)
+        with pytest.raises(ValueError, match="mode 1 operator declares 99 columns"):
+            factorize(Y, None, (bad_op, ModeSpec(), ModeSpec()), cfg2)
     with pytest.raises(ValueError):
         factorize(Y[0], None, _plain_specs(), cfg2)
     with pytest.raises(ValueError):
@@ -530,11 +538,16 @@ def test_shape_and_spec_mismatches_raise():
         factorize(Y, None, (ModeSpec(), ModeSpec()), cfg2)
 
 
-def test_unbound_operator_width_is_filled_from_mode():
+def test_each_dual_has_the_shape_of_its_operators_output():
+    # R x N for an identity, also one of undeclared width; R x (N - 1) for
+    # row differences; R x (sum of group sizes) for overlapping groups
     Y, _ = _small_problem(seed=13)
-    spec = ModeSpec(regularizer=ProxFn("l1", 0.05), operator=identity_op())
+    ops = (identity_op(), row_difference_op(5), group_replicate_op([[0, 1, 2], [1, 2, 3]], 4))
+    specs = tuple(ModeSpec(regularizer=ProxFn("l1", 0.05), operator=op) for op in ops)
     cfg = DriverConfig(rank=2, n_inner=2, max_outer=2, stop_tol=1e-30,
                        stop_metric="objective_rel_change", seed=14)
-    res = factorize(Y, None, (spec, ModeSpec(), ModeSpec()), cfg)
-    assert res.duals[0].shape == (2, Y.shape[0])
-    assert res.duals[1] is None and res.duals[2] is None
+    res = factorize(Y, None, specs, cfg)
+    F0 = init_factors(Y.shape, cfg.rank, cfg.seed).factors
+    for d, op in enumerate(ops):
+        assert res.duals[d].shape == linop_forward(op, F0[d].T).shape
+    assert [g.shape for g in res.duals] == [(2, 6), (2, 4), (2, 6)]

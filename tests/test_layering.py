@@ -29,6 +29,32 @@ def test_no_module_imports_private_names():
     assert not offenders, offenders
 
 
+def test_no_module_has_an_unused_import():
+    # no linter runs on the package, so an import that a deletion leaves
+    # behind is caught here; a ``# noqa: F401`` import is kept on purpose
+    # (the benchmark's tracer looks up khatri_rao in admm)
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text, filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and "__all__" in {
+                    t.id for t in node.targets if isinstance(t, ast.Name)}:
+                used |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if "# noqa: F401" in "\n".join(lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append("%s:%d imports %s" % (path.name, node.lineno, name))
+    assert not unused, unused
+
+
 PUBLIC_API = {
     "DriverConfig", "ModeSpec", "FitResult", "TraceRecord", "factorize",
     "objective", "ao_admm_factorize", "UnsupportedSpecError", "Projection",

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from cpdsplit.tensor import (
-    FactorSet,
-    cp_reconstruct,
-    frobenius_norm_sq,
-    khatri_rao,
-)
+from cpdsplit.tensor import FactorSet, cp_reconstruct, khatri_rao
 
 import oracles
 
@@ -86,13 +81,6 @@ def test_cp_reconstruct_accepts_plain_sequences():
     rng = np.random.default_rng(6)
     factors = [rng.random((n, 2)) for n in (2, 3, 4)]
     assert np.allclose(cp_reconstruct(factors), oracles.cp_dense(factors))
-
-
-def test_frobenius_norm_sq_matches_sum():
-    rng = np.random.default_rng(9)
-    x = rng.standard_normal((4, 5))
-    direct = sum(x[i, j] ** 2 for i in range(4) for j in range(5))
-    assert abs(frobenius_norm_sq(x) - direct) <= 1e-12 * direct
 
 
 def test_factorset_validation_and_props():
