@@ -14,6 +14,8 @@ and truncated to the entry count.
 
 import csv
 import json
+import math
+import numbers
 import platform
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -22,15 +24,22 @@ from pathlib import Path
 import numpy as np
 
 from .admm import ao_admm_factorize
-from .driver import DriverConfig, ModeSpec, TraceRecord, as_count, factorize
+from .driver import DriverConfig, ModeSpec, TraceRecord, factorize
 from .metrics import factor_match_score
-from .operators import LinOp, ProxFn, Projection, overlapping_group_lasso
+from .operators import LinOp, ProxFn, Projection, as_count, overlapping_group_lasso
 from .tensor import FactorSet, cp_reconstruct
 
 # the solvers by their arm names, in the default sweep's order
 SOLVERS = {"aopds": factorize, "aoadmm": ao_admm_factorize}
 ALGORITHMS = tuple(SOLVERS)
 TRACE_HEADER = tuple(f.name for f in fields(TraceRecord))
+
+
+def _check_amount(name, value):
+    # a finite number >= 0: a bool, a string, NaN or inf is refused up front
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            math.isfinite(value) and value >= 0):
+        raise ValueError("%s must be a finite number >= 0, got %r" % (name, value))
 
 
 @dataclass(frozen=True)
@@ -53,8 +62,7 @@ class SyntheticSpec:
             raise ValueError("sparse_mode must be 1, 2 or 3")
         if not 0.0 <= self.sparsity < 1.0:
             raise ValueError("sparsity must be in [0, 1)")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        _check_amount("noise_sigma", self.noise_sigma)
 
 
 def gaussian_from_uniform(rng, count):
@@ -205,6 +213,10 @@ class ExperimentConfig:
         if not inner:
             raise ValueError("inner_iters must be a nonempty list of counts >= 1")
         self.inner_iters = inner
+        if not isinstance(self.out_dir, (str, Path)):
+            raise ValueError("out_dir must be a path, got %r" % (self.out_dir,))
+        if self.mse_threshold is not None:
+            _check_amount("mse_threshold", self.mse_threshold)
         if len(self.mode_dicts) != 3:
             raise ValueError("exactly three mode configurations required")
         # refuse a bad mode before any data is made or fitted

@@ -20,8 +20,6 @@ One trace row (wall-clock seconds, objective, factor MSE when the ground
 truth is known) is recorded per outer iteration.
 """
 
-import numbers
-import operator
 import time
 from dataclasses import dataclass, field
 
@@ -31,20 +29,11 @@ from numpy.random import default_rng
 
 from . import pds
 from .metrics import mse
-from .operators import LinOp, ProxFn, Projection, linop_forward, prox_value
+from .operators import LinOp, ProxFn, Projection, as_count, linop_forward, prox_value
 from .tensor import FactorSet, cp_reconstruct, khatri_rao
 
 STOP_METRICS = ("mse_vs_truth", "objective_rel_change")
 _REL_EPS = 1e-12
-
-
-def as_count(name, value, least):
-    """``value`` as an int >= ``least``.  A float, bool or None is refused,
-    not truncated or passed on: a count of 2.5 would run 2, a seed of None
-    would seed from OS entropy."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError("%s must be an integer >= %d, got %r" % (name, least, value))
-    return operator.index(value)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ pure.  Regularizer weights fold into the prox: for each kind here, the prox
 of ``w*h`` at step ``gamma`` equals the prox of ``h`` at step ``gamma*w``.
 """
 
+import functools
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,19 +18,26 @@ PROJECTION_KINDS = ("none", "nonnegative", "box")
 LINOP_KINDS = ("identity", "row_difference", "group_replicate")
 
 
+def as_count(name, value, least):
+    """``value`` as an int >= ``least``.  A float, bool or None is refused,
+    not truncated or passed on: a count of 2.5 would run 2, a seed of None
+    would seed from OS entropy, a group index of 2.9 would pick column 2."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError("%s must be an integer >= %d, got %r" % (name, least, value))
+    return operator.index(value)
+
+
 def _normalize_groups(groups, n_cols=None, allow_overlap=True):
-    # index blocks: nonempty, no repeats inside a block, in range
+    # index blocks: nonempty, integers >= 0, no repeats inside a block, in range
     if groups is None:
         raise ValueError("index blocks required")
     out = []
     for g in groups:
-        block = tuple(int(i) for i in g)
+        block = tuple(as_count("group index", i, 0) for i in g)
         if not block:
             raise ValueError("empty index block")
         if len(set(block)) != len(block):
             raise ValueError("repeated index inside a block: %r" % (block,))
-        if any(i < 0 for i in block):
-            raise ValueError("negative index in block: %r" % (block,))
         if n_cols is not None and any(i >= n_cols for i in block):
             raise ValueError("block %r out of range for %d columns" % (block, n_cols))
         out.append(block)
@@ -40,6 +50,17 @@ def _normalize_groups(groups, n_cols=None, allow_overlap=True):
                 raise ValueError("blocks must be disjoint, %r overlaps" % (block,))
             seen.update(block)
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=64)
+def _flatten(groups):
+    # the blocks' columns in block order (as group_replicate writes them),
+    # each block's start there and its size; read-only, as the cache shares them
+    index = np.concatenate([np.asarray(g, dtype=np.intp) for g in groups])
+    sizes = np.array([len(g) for g in groups])
+    starts = np.cumsum(sizes) - sizes
+    index.flags.writeable = starts.flags.writeable = sizes.flags.writeable = False
+    return index, starts, sizes
 
 
 @dataclass(frozen=True)
@@ -115,10 +136,7 @@ class LinOp:
         if self.kind not in LINOP_KINDS:
             raise ValueError("unknown operator kind %r" % (self.kind,))
         if self.n_cols is not None:
-            n = int(self.n_cols)
-            if n < 1:
-                raise ValueError("n_cols must be positive, got %r" % (self.n_cols,))
-            object.__setattr__(self, "n_cols", n)
+            object.__setattr__(self, "n_cols", as_count("n_cols", self.n_cols, 1))
         if self.kind == "identity":
             if self.groups is not None:
                 raise ValueError("identity operator takes no groups")
@@ -134,10 +152,7 @@ class LinOp:
                 raise ValueError("group_replicate needs n_cols")
             groups = _normalize_groups(self.groups, self.n_cols, allow_overlap=True)
             object.__setattr__(self, "groups", groups)
-            coverage = np.bincount(
-                np.concatenate([np.asarray(g) for g in groups]), minlength=self.n_cols
-            )
-            bound = float(coverage.max())
+            bound = float(np.bincount(_flatten(groups)[0], minlength=self.n_cols).max())
         object.__setattr__(self, "norm_bound", bound)
 
 
@@ -153,6 +168,14 @@ def group_replicate_op(groups, n_cols):
     return LinOp("group_replicate", n_cols, tuple(tuple(g) for g in groups))
 
 
+def _block_norms(p, x):
+    # group_l2: the gathered blocks of x, and the l2 norm of each row of
+    # each block (R x number of blocks)
+    index, starts, _ = _flatten(p.groups)
+    blocks = x[:, index]
+    return blocks, np.sqrt(np.add.reduceat(blocks * blocks, starts, axis=1))
+
+
 def prox_value(p, x):
     """Evaluate h(x) for the catalog function ``p`` (a Python float)."""
     x = np.asarray(x)
@@ -162,11 +185,7 @@ def prox_value(p, x):
         return p.weight * float(np.abs(x).sum())
     if p.kind == "squared_frobenius":
         return p.weight * float(np.vdot(x, x))
-    total = 0.0
-    for g in p.groups:
-        block = x[:, list(g)]
-        total += float(np.sqrt((block * block).sum(axis=1)).sum())
-    return p.weight * total
+    return p.weight * float(_block_norms(p, x)[1].sum())
 
 
 def prox_apply(p, x, gamma):
@@ -192,15 +211,13 @@ def prox_apply(p, x, gamma):
         return x / (1.0 + 2.0 * t)
     if x.ndim != 2:
         raise ValueError("group_l2 prox expects a 2-D array")
+    index, _, sizes = _flatten(p.groups)
+    blocks, norms = _block_norms(p, x)
+    # a row block of norm > t shrinks by 1 - t/norm, any other goes to 0;
+    # the ratio is not taken there, so t == 0 on a zero block is no 0/0
+    ratio = np.divide(t, norms, out=np.ones_like(norms), where=norms > t)
     out = np.array(x, dtype=float)
-    for g in p.groups:
-        idx = list(g)
-        block = x[:, idx]
-        norms = np.sqrt((block * block).sum(axis=1))
-        scale = np.zeros_like(norms)
-        keep = norms > t
-        scale[keep] = 1.0 - t / norms[keep]
-        out[:, idx] = block * scale[:, None]
+    out[:, index] = blocks * np.repeat(1.0 - ratio, sizes, axis=1)
     return out
 
 
@@ -239,7 +256,7 @@ def linop_output_cols(op):
         return op.n_cols
     if op.kind == "row_difference":
         return op.n_cols - 1
-    return sum(len(g) for g in op.groups)
+    return _flatten(op.groups)[0].size
 
 
 def linop_forward(op, x):
@@ -250,7 +267,7 @@ def linop_forward(op, x):
         return x
     if op.kind == "row_difference":
         return x[:, 1:] - x[:, :-1]
-    return np.concatenate([x[:, list(g)] for g in op.groups], axis=1)
+    return x[:, _flatten(op.groups)[0]]
 
 
 def linop_adjoint(op, y):
@@ -266,11 +283,8 @@ def linop_adjoint(op, y):
         out[:, :-1] -= y
         return out
     out = np.zeros((y.shape[0], op.n_cols))
-    offset = 0
-    for g in op.groups:
-        width = len(g)
-        out[:, list(g)] += y[:, offset : offset + width]
-        offset += width
+    # a column that several groups share sums their copies
+    np.add.at(out, (slice(None), _flatten(op.groups)[0]), y)
     return out
 
 
@@ -286,9 +300,6 @@ def overlapping_group_lasso(groups, weight, n_cols):
         space and the matching group_replicate operator.
     """
     op = group_replicate_op(groups, n_cols)
-    blocks = []
-    offset = 0
-    for g in op.groups:
-        blocks.append(tuple(range(offset, offset + len(g))))
-        offset += len(g)
-    return ProxFn("group_l2", weight, tuple(blocks)), op
+    _, starts, sizes = _flatten(op.groups)
+    blocks = tuple(tuple(range(s, s + n)) for s, n in zip(starts, sizes))
+    return ProxFn("group_l2", weight, blocks), op

@@ -102,6 +102,18 @@ def prox_grid_scalar(fun, x, gamma, lo=-2.0, hi=2.0, step=1e-6):
     return float(ys[np.argmin(vals)])
 
 
+def group_shrink(x, groups, t):
+    """Prox of t * (sum of row-block l2 norms), block by block and row by
+    row: each row block scaled by max(0, 1 - t / norm), other columns kept."""
+    out = np.array(x, dtype=float)
+    for row in range(x.shape[0]):
+        for g in groups:
+            cols = list(g)
+            norm = float(np.sqrt(sum(x[row, c] ** 2 for c in cols)))
+            out[row, cols] = x[row, cols] * (max(0.0, 1.0 - t / norm) if norm > 0 else 0.0)
+    return out
+
+
 def composite_objective(W, Yd, F, l1_weight=0.0, frob_weight=0.0):
     """0.5||Yd - W F||_F^2 + l1_weight*sum|F| + frob_weight*sum F^2."""
     resid = Yd - W @ F

@@ -39,8 +39,11 @@ def test_synthetic_spec_validation():
         SyntheticSpec(sparse_mode=0)
     with pytest.raises(ValueError):
         SyntheticSpec(sparsity=1.0)
-    with pytest.raises(ValueError):
-        SyntheticSpec(noise_sigma=-0.1)
+    # a non-finite noise level is refused here, under its own key, not later
+    # as non-finite data
+    for sigma in (-0.1, np.nan, np.inf, True, "0.1"):
+        with pytest.raises(ValueError, match="noise_sigma must be a finite number >= 0"):
+            SyntheticSpec(noise_sigma=sigma)
     with pytest.raises(ValueError):
         SyntheticSpec(rank=0)
     # counts and seeds are integers: a float is not truncated, None not passed on

@@ -266,6 +266,13 @@ def test_bench_rejects_inconsistent_config(tmp_path):
     good.write_text(json.dumps(cfg))
     with pytest.raises(SystemExit, match="bad config"):
         main(["bench", "--config", str(good), "--inner-iters", "0"])
+    # an out_dir that is no path is refused before a fit, not by the writer
+    cfg["out_dir"] = 5
+    no_path = tmp_path / "no_path.json"
+    no_path.write_text(json.dumps(cfg))
+    for command in (["bench"], ["factorize"]):
+        with pytest.raises(SystemExit, match="^bad config: out_dir must be a path, got 5$"):
+            main(command + ["--config", str(no_path)])
 
 
 @pytest.mark.parametrize("key", ["admm_rho", "mse_treshold"])
@@ -296,10 +303,18 @@ def test_config_with_unknown_top_level_key_is_refused(tmp_path, key):
     {"driver": {"seed": 1.5}},
     {"driver": {"max_outer": 2.5}},
     {"driver": {"seed": None}},
+    {"mse_threshold": "abc"},
+    {"mse_threshold": True},
+    {"mse_threshold": -0.5},
+    {"synthetic": {"noise_sigma": float("nan")}},
+    {"modes": [{}, {"regularizer": {"kind": "overlapping_group_l2", "weight": 2.0,
+                                    "groups": [[0, 1.5], [1.2, 3]]}}, {}]},
 ], ids=["synthetic.dimz", "driver.max_outr", "null-synthetic", "null-driver",
         "array-root", "driver.n_inner", "modes.regulariser", "float-synthetic.rank",
         "float-synthetic.seed", "float-synthetic.sparse_mode", "float-driver.seed",
-        "float-driver.max_outer", "null-driver.seed"])
+        "float-driver.max_outer", "null-driver.seed", "string-mse_threshold",
+        "bool-mse_threshold", "negative-mse_threshold", "nan-synthetic.noise_sigma",
+        "float-group-index"])
 def test_every_command_refuses_a_bad_config_before_running(tmp_path, command, cfg):
     # every command reads the one schema through ExperimentConfig.from_dict
     path = tmp_path / "bad.json"

@@ -5,6 +5,7 @@ import pytest
 
 import cpdsplit.admm as admm_mod
 import cpdsplit.driver as driver_mod
+import cpdsplit.operators as operators_mod
 import cpdsplit.pds as pds
 from cpdsplit.admm import ao_admm_factorize
 from cpdsplit.driver import DriverConfig, ModeSpec, factorize, init_factors, objective
@@ -14,6 +15,7 @@ from cpdsplit.operators import (
     group_replicate_op,
     identity_op,
     linop_forward,
+    overlapping_group_lasso,
     row_difference_op,
 )
 from cpdsplit.tensor import FactorSet, cp_reconstruct, khatri_rao
@@ -138,11 +140,16 @@ def test_fit_calls_each_traced_layer_as_the_benchmark_counts(masked, monkeypatch
     mask = rng.random(Y.shape) < 0.6 if masked else None
     if masked:
         Y = np.where(mask, Y, 0.0)
+    # every mode is regularized, two of them through structured operators:
+    # an overlapping group lasso on mode 2, total variation on mode 3
     c = Projection("nonnegative")
-    specs = (ModeSpec(c, ProxFn("l1", 0.1), identity_op()), ModeSpec(c), ModeSpec(c))
+    groups = ((0, 1, 2, 3), (2, 3, 4, 5), (4, 5, 6, 7))
+    specs = (ModeSpec(c, ProxFn("l1", 0.1), identity_op()),
+             ModeSpec(c, *overlapping_group_lasso(groups, 0.1, 8)),
+             ModeSpec(c, ProxFn("l1", 0.1), row_difference_op(7)))
     cfg = DriverConfig(rank=2, n_inner=4, max_outer=3, stop_tol=1e-30,
                        stop_metric="objective_rel_change", seed=23)
-    calls, shapes = {}, []
+    calls, shapes, kinds = {}, [], {}
 
     def spy(module, name):
         real = getattr(module, name)
@@ -151,6 +158,8 @@ def test_fit_calls_each_traced_layer_as_the_benchmark_counts(masked, monkeypatch
             calls.setdefault(name, []).append((len(args), sorted(kwargs)))
             if name == "solve_subproblem":
                 shapes.append((args[2].shape, args[3].shape))
+            if name.startswith("linop_"):
+                kinds.setdefault(name, []).append(args[0].kind)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -160,6 +169,8 @@ def test_fit_calls_each_traced_layer_as_the_benchmark_counts(masked, monkeypatch
         spy(pds, name)
     for name in ("objective", "cp_reconstruct", "khatri_rao"):
         spy(driver_mod, name)
+    # prox_conjugate reaches prox_apply through this global, as the tracer does
+    spy(operators_mod, "prox_apply")
     res = factorize(Y, mask, specs, cfg, truth)
     outer = res.outer_iterations
     assert outer == 3
@@ -169,9 +180,14 @@ def test_fit_calls_each_traced_layer_as_the_benchmark_counts(masked, monkeypatch
     assert len(calls["objective"]) == len(calls["cp_reconstruct"]) == outer
     assert len(calls["khatri_rao"]) == len(calls["compute_stepsizes"]) == 3 * outer
     assert len(calls["project"]) == 3 * outer * cfg.n_inner
-    # only mode 1 carries a regularizer
-    for name in ("prox_conjugate", "linop_forward", "linop_adjoint"):
-        assert len(calls[name]) == outer * cfg.n_inner
+    # one operator call each way and one conjugate prox per inner iteration
+    # of each regularized mode, one prox_apply per conjugate prox, and none
+    # from the objective's prox_value
+    for name in ("prox_conjugate", "prox_apply", "linop_forward", "linop_adjoint"):
+        assert len(calls[name]) == 3 * outer * cfg.n_inner
+    visits = [[kind] * cfg.n_inner for kind in ("identity", "group_replicate", "row_difference")]
+    for name in ("linop_forward", "linop_adjoint"):
+        assert kinds[name] == sum(visits, []) * outer
 
 
 def _spy_visits(monkeypatch):

@@ -69,6 +69,27 @@ def test_group_prox_matches_radial_grid():
     r = float(np.sqrt(np.vdot(x, x)))
     want_r = oracles.prox_grid_scalar(lambda v: 0.6 * abs(v), r, 0.7, lo=0.0, hi=r)
     assert np.allclose(got, x * (want_r / r), atol=2e-5)
+    # each row of each block on its own: blocks out of column order, a
+    # one-column block, column 2 in no block, all-zero and below-threshold
+    # row blocks
+    p = ProxFn("group_l2", 0.6, ((3, 4), (0,), (5, 1)))
+    x = np.array([[0.8, -0.5, 0.3, 0.2, -0.1, 0.6], [0.0, 0.7, -0.4, 0.0, 0.0, 0.0]])
+    got = prox_apply(p, x, 0.7)
+    want = x.copy()
+    for row in range(2):
+        for g in p.groups:
+            block = x[row, list(g)]
+            r = float(np.sqrt(np.vdot(block, block)))
+            if r > 0:
+                r_min = oracles.prox_grid_scalar(lambda v: 0.6 * abs(v), r, 0.7, lo=0.0, hi=r)
+                want[row, list(g)] = block * (r_min / r)
+    assert np.allclose(got, want, atol=2e-5)
+    assert np.array_equal(got[:, 2], x[:, 2]) and np.all(got[:, [3, 4]] == 0.0)
+    exact = oracles.group_shrink(x, p.groups, 0.6 * 0.7)
+    assert np.allclose(got, exact, rtol=1e-14, atol=0)
+    # weight 0 returns the input, its zero blocks included, with no 0/0
+    with np.errstate(all="raise"):
+        assert np.array_equal(prox_apply(ProxFn("group_l2", 0.0, p.groups), x, 0.7), x)
 
 
 def test_prox_weight_folds_into_step():
@@ -146,6 +167,11 @@ def test_prox_value_examples():
     assert prox_value(ProxFn("squared_frobenius", 0.5), x) == pytest.approx(2.625)
     got = prox_value(ProxFn("group_l2", 1.0, ((0, 1),)), x)
     assert got == pytest.approx(np.sqrt(5.0) + 0.5)
+    # blocks out of column order, a one-column block, column 1 in no block,
+    # an all-zero row block: 2 * (|(0, 3)| + |4| + 0 + 0)
+    y = np.array([[3.0, 9.0, 0.0, 4.0], [0.0, 9.0, 0.0, 0.0]])
+    assert prox_value(ProxFn("group_l2", 2.0, ((2, 0), (3,))), y) == pytest.approx(14.0)
+    assert prox_value(ProxFn("group_l2", 0.0, ((2, 0), (3,))), y) == 0.0
 
 
 def test_projection_idempotent_and_optimal():
@@ -195,6 +221,9 @@ def test_linops_match_dense_matrices():
         (identity_op(4), "identity", 4, None),
         (row_difference_op(5), "row_difference", 5, None),
         (group_replicate_op(((0, 2), (1, 2, 3)), 4), "group_replicate", 4, ((0, 2), (1, 2, 3))),
+        # out of column order, a one-column group, columns 2 and 5 in none
+        (group_replicate_op(((3, 1), (0,), (3, 4)), 6), "group_replicate", 6,
+         ((3, 1), (0,), (3, 4))),
     ]
     for op, kind, n, groups in cases:
         d = oracles.operator_matrix(kind, n, groups)
@@ -210,6 +239,7 @@ def test_adjoint_identity_random_pairs():
         identity_op(6),
         row_difference_op(6),
         group_replicate_op(((0, 1, 2), (2, 3), (5,)), 6),
+        group_replicate_op(((4, 0), (3,), (0, 4, 1)), 6),
     ]
     for op in ops:
         m = linop_output_cols(op)
@@ -285,6 +315,14 @@ def test_group_validation_rules():
         group_replicate_op(((0, 0),), 3)
     with pytest.raises(ValueError):
         ProxFn("l1", 1.0, groups=((0,),))
+    # an index is an integer: 2.9 or True is refused, not truncated to a column
+    for groups in ([[True, 2.9]], ((0, 1.5), (1.2, 3)), ((0, 2.0),)):
+        with pytest.raises(ValueError, match="group index must be an integer >= 0"):
+            group_replicate_op(groups, 4)
+    with pytest.raises(ValueError, match="group index must be an integer >= 0"):
+        ProxFn("group_l2", 1.0, ((0, 1.0),))
+    op = group_replicate_op(((np.int64(2), 0),), 3)
+    assert op.groups == ((2, 0),) and all(type(i) is int for i in op.groups[0])
 
 
 def test_operator_validation_rules():
@@ -306,6 +344,11 @@ def test_operator_validation_rules():
         linop_adjoint(group_replicate_op(((0, 1, 2), (2, 3)), 4), np.ones((2, 4)))
     with pytest.raises(ValueError):
         linop_output_cols(identity_op())
+    # a width is an integer: 5.7 is refused, not truncated to 5
+    for build in (lambda: row_difference_op(5.7), lambda: identity_op(3.0),
+                  lambda: identity_op(True), lambda: group_replicate_op(((0,),), 4.5)):
+        with pytest.raises(ValueError, match="n_cols must be an integer >= 1"):
+            build()
     # an identity with no declared width accepts any
     for n in (1, 3, 7):
         y = np.ones((2, n))
