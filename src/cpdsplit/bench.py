@@ -14,8 +14,6 @@ and truncated to the entry count.
 
 import csv
 import json
-import math
-import numbers
 import platform
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -26,20 +24,13 @@ import numpy as np
 from .admm import ao_admm_factorize
 from .driver import DriverConfig, ModeSpec, TraceRecord, factorize
 from .metrics import factor_match_score
-from .operators import LinOp, ProxFn, Projection, as_count, overlapping_group_lasso
+from .operators import LinOp, ProxFn, Projection, as_amount, as_count, overlapping_group_lasso
 from .tensor import FactorSet, cp_reconstruct
 
 # the solvers by their arm names, in the default sweep's order
 SOLVERS = {"aopds": factorize, "aoadmm": ao_admm_factorize}
 ALGORITHMS = tuple(SOLVERS)
 TRACE_HEADER = tuple(f.name for f in fields(TraceRecord))
-
-
-def _check_amount(name, value):
-    # a finite number >= 0: a bool, a string, NaN or inf is refused up front
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-            math.isfinite(value) and value >= 0):
-        raise ValueError("%s must be a finite number >= 0, got %r" % (name, value))
 
 
 @dataclass(frozen=True)
@@ -60,9 +51,10 @@ class SyntheticSpec:
             object.__setattr__(self, key, as_count(key, getattr(self, key), least))
         if self.sparse_mode not in (1, 2, 3):
             raise ValueError("sparse_mode must be 1, 2 or 3")
-        if not 0.0 <= self.sparsity < 1.0:
-            raise ValueError("sparsity must be in [0, 1)")
-        _check_amount("noise_sigma", self.noise_sigma)
+        for key in ("sparsity", "noise_sigma"):
+            object.__setattr__(self, key, as_amount(key, getattr(self, key)))
+        if self.sparsity >= 1:
+            raise ValueError("sparsity must be < 1, got %r" % (self.sparsity,))
 
 
 def gaussian_from_uniform(rng, count):
@@ -138,24 +130,18 @@ def mode_spec_from_dict(cfg, n_cols):
     reg_cfg = cfg.get("regularizer", {"kind": "zero"})
     _refuse_unknown(reg_cfg, ("kind", "weight", "groups"), "a regularizer")
     kind = reg_cfg.get("kind", "zero")
-    weight = float(reg_cfg.get("weight", 0.0))
+    weight, groups = reg_cfg.get("weight", 0.0), reg_cfg.get("groups")
     if kind == "overlapping_group_l2":
         if "operator" in cfg:
             raise ValueError("overlapping_group_l2 builds its own operator; drop 'operator'")
-        reg, op = overlapping_group_lasso(reg_cfg["groups"], weight, n_cols)
+        reg, op = overlapping_group_lasso(groups, weight, n_cols)
         return ModeSpec(projection, reg, op)
-    groups = reg_cfg.get("groups")
-    reg = ProxFn(kind, weight, tuple(tuple(g) for g in groups) if groups else None)
+    reg = ProxFn(kind, weight, groups)
     if reg.kind == "zero" and "operator" not in cfg:
         return ModeSpec(projection, reg, None)
     op_cfg = cfg.get("operator", {"kind": "identity"})
     _refuse_unknown(op_cfg, ("kind", "groups"), "an operator")
-    op_groups = op_cfg.get("groups")
-    op = LinOp(
-        op_cfg.get("kind", "identity"),
-        n_cols,
-        tuple(tuple(g) for g in op_groups) if op_groups else None,
-    )
+    op = LinOp(op_cfg.get("kind", "identity"), n_cols, op_cfg.get("groups"))
     # ModeSpec refuses an operator section on a zero regularizer
     return ModeSpec(projection, reg, op)
 
@@ -216,7 +202,7 @@ class ExperimentConfig:
         if not isinstance(self.out_dir, (str, Path)):
             raise ValueError("out_dir must be a path, got %r" % (self.out_dir,))
         if self.mse_threshold is not None:
-            _check_amount("mse_threshold", self.mse_threshold)
+            self.mse_threshold = as_amount("mse_threshold", self.mse_threshold)
         if len(self.mode_dicts) != 3:
             raise ValueError("exactly three mode configurations required")
         # refuse a bad mode before any data is made or fitted

@@ -29,7 +29,7 @@ from numpy.random import default_rng
 
 from . import pds
 from .metrics import mse
-from .operators import LinOp, ProxFn, Projection, as_count, linop_forward, prox_value
+from .operators import LinOp, ProxFn, Projection, as_amount, as_count, linop_forward, prox_value
 from .tensor import FactorSet, cp_reconstruct, khatri_rao
 
 STOP_METRICS = ("mse_vs_truth", "objective_rel_change")
@@ -70,8 +70,9 @@ class DriverConfig:
     def __post_init__(self):
         for key, least in (("rank", 1), ("n_inner", 1), ("max_outer", 1), ("seed", 0)):
             object.__setattr__(self, key, as_count(key, getattr(self, key), least))
-        if not self.stop_tol > 0:
-            raise ValueError("stop_tol must be positive, got %r" % (self.stop_tol,))
+        object.__setattr__(self, "stop_tol", as_amount("stop_tol", self.stop_tol))
+        if self.stop_tol == 0:
+            raise ValueError("stop_tol must be > 0, got %r" % (self.stop_tol,))
         if self.stop_metric not in STOP_METRICS:
             raise ValueError(
                 "stop_metric must be one of %r, got %r"
@@ -149,9 +150,13 @@ def _converged(trace, cfg):
 
 def _prepare(Y, mask, specs, cfg, truth):
     Y = np.asarray(Y)
+    if Y.dtype.kind not in "biuf":
+        raise ValueError("Y must hold real numbers, got dtype %s" % Y.dtype)
     if Y.ndim != 3:
         raise ValueError("Y must be a third-order tensor, got ndim=%d" % Y.ndim)
-    Y = np.ascontiguousarray(Y)  # the tree's reshapes are free views of a C-ordered Y
+    # one float64 copy at most: the tree's reshapes are free views of a
+    # C-ordered Y, and its GEMMs would cast any other dtype on every call
+    Y = np.ascontiguousarray(Y, dtype=np.float64)
     if not np.isfinite(Y).all():
         raise ValueError("Y contains non-finite values")
     if len(specs) != 3:
@@ -301,8 +306,8 @@ def factorize(Y, mask, specs, cfg, truth=None):
     Parameters
     ----------
     Y : ndarray, shape (N1, N2, N3)
-        Data tensor; entries the mask leaves unobserved are ignored.  A Y
-        that is not C-ordered is copied once per fit.
+        Data tensor of real numbers; entries the mask leaves unobserved are
+        ignored.  A Y that is not C-ordered float64 is converted once per fit.
     mask : ndarray of bool or None
         Sampling mask; None or all-true means fully observed.
     specs : sequence of three ModeSpec

@@ -27,6 +27,17 @@ def as_count(name, value, least):
     return operator.index(value)
 
 
+def as_amount(name, value, least=0.0):
+    """``value`` as a finite float >= ``least``.  A bool, a string, None,
+    NaN or inf is refused, not converted: a weight of True would weigh 1,
+    a stop tolerance of inf would stop every fit at its second iteration."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            math.isfinite(value) and value >= least):
+        bound = "" if least == -math.inf else " >= %r" % least
+        raise ValueError("%s must be a finite number%s, got %r" % (name, bound, value))
+    return float(value)
+
+
 def _normalize_groups(groups, n_cols=None, allow_overlap=True):
     # index blocks: nonempty, integers >= 0, no repeats inside a block, in range
     if groups is None:
@@ -79,10 +90,7 @@ class ProxFn:
     def __post_init__(self):
         if self.kind not in PROX_KINDS:
             raise ValueError("unknown prox kind %r" % (self.kind,))
-        w = float(self.weight)
-        if not math.isfinite(w) or w < 0:
-            raise ValueError("weight must be finite and nonnegative, got %r" % w)
-        object.__setattr__(self, "weight", w)
+        object.__setattr__(self, "weight", as_amount("weight", self.weight))
         if self.kind == "group_l2":
             object.__setattr__(
                 self, "groups", _normalize_groups(self.groups, allow_overlap=False)
@@ -104,13 +112,9 @@ class Projection:
         if self.kind not in PROJECTION_KINDS:
             raise ValueError("unknown projection kind %r" % (self.kind,))
         if self.kind == "box":
-            if self.lo is None or self.hi is None:
-                raise ValueError("box projection needs lo and hi")
-            lo, hi = float(self.lo), float(self.hi)
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-                raise ValueError("box bounds must be finite with lo <= hi")
+            lo = as_amount("lo", self.lo, -math.inf)
             object.__setattr__(self, "lo", lo)
-            object.__setattr__(self, "hi", hi)
+            object.__setattr__(self, "hi", as_amount("hi", self.hi, lo))
         elif self.lo is not None or self.hi is not None:
             raise ValueError("bounds are only meaningful for kind 'box'")
 
@@ -165,7 +169,7 @@ def row_difference_op(n_cols):
 
 
 def group_replicate_op(groups, n_cols):
-    return LinOp("group_replicate", n_cols, tuple(tuple(g) for g in groups))
+    return LinOp("group_replicate", n_cols, groups)
 
 
 def _block_norms(p, x):

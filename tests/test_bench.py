@@ -37,8 +37,9 @@ def test_synthetic_spec_validation():
         SyntheticSpec(dims=(10, 10))
     with pytest.raises(ValueError):
         SyntheticSpec(sparse_mode=0)
-    with pytest.raises(ValueError):
-        SyntheticSpec(sparsity=1.0)
+    for sparsity in (1.0, False, "0.5", -0.1):
+        with pytest.raises(ValueError, match="sparsity must be"):
+            SyntheticSpec(sparsity=sparsity)
     # a non-finite noise level is refused here, under its own key, not later
     # as non-finite data
     for sigma in (-0.1, np.nan, np.inf, True, "0.1"):
@@ -175,6 +176,9 @@ def test_overlapping_group_shorthand_expands():
     ({"regularizer": {"kind": "zero"}, "operator": {"kind": "identity"}}, "operator"),
     ({"regularizer": {"kind": "overlapping_group_l2", "weight": 1.0, "groups": [[0, 1]]},
       "operator": {"kind": "identity"}}, "operator"),
+    ({"regularizer": {"kind": "l1", "weight": 1.0, "groups": []}}, "groups"),
+    ({"regularizer": {"kind": "l1", "weight": 1.0},
+      "operator": {"kind": "identity", "groups": []}}, "groups"),
 ])
 def test_mode_spec_from_dict_refuses_what_it_would_drop(cfg, key):
     # each of these would otherwise build a spec without the stated part

@@ -309,12 +309,14 @@ def test_config_with_unknown_top_level_key_is_refused(tmp_path, key):
     {"synthetic": {"noise_sigma": float("nan")}},
     {"modes": [{}, {"regularizer": {"kind": "overlapping_group_l2", "weight": 2.0,
                                     "groups": [[0, 1.5], [1.2, 3]]}}, {}]},
+    {"driver": {"stop_tol": float("inf")}},
+    {"modes": [{"regularizer": {"kind": "l1", "weight": True}}, {}, {}]},
 ], ids=["synthetic.dimz", "driver.max_outr", "null-synthetic", "null-driver",
         "array-root", "driver.n_inner", "modes.regulariser", "float-synthetic.rank",
         "float-synthetic.seed", "float-synthetic.sparse_mode", "float-driver.seed",
         "float-driver.max_outer", "null-driver.seed", "string-mse_threshold",
         "bool-mse_threshold", "negative-mse_threshold", "nan-synthetic.noise_sigma",
-        "float-group-index"])
+        "float-group-index", "infinite-driver.stop_tol", "bool-weight"])
 def test_every_command_refuses_a_bad_config_before_running(tmp_path, command, cfg):
     # every command reads the one schema through ExperimentConfig.from_dict
     path = tmp_path / "bad.json"

@@ -59,6 +59,10 @@ def test_driver_config_validation():
         DriverConfig(rank=2, max_outer=0)
     with pytest.raises(ValueError):
         DriverConfig(rank=2, stop_tol=0.0)
+    # inf would stop every fit at its second iteration
+    for tol in (True, np.inf, "1e-5", np.nan, -1e-5):
+        with pytest.raises(ValueError, match="stop_tol must be a finite number"):
+            DriverConfig(rank=2, stop_tol=tol)
     with pytest.raises(ValueError):
         DriverConfig(rank=2, stop_metric="wall_clock")
     for bad in ({"rank": 2.5}, {"n_inner": 3.0}, {"max_outer": 2.5}, {"max_outer": None},
@@ -317,10 +321,12 @@ def test_fit_holds_no_matricized_copy_of_the_data(fit, masked, most):
 
 
 def test_masked_fit_does_not_depend_on_the_mask_layout():
-    # the fit reads one C-ordered Y, copied once from any other layout, and
-    # its own C-ordered float copy of the mask for the Grams; dense data too
+    # the fit reads one C-ordered float64 Y, converted once from any other
+    # layout or dtype, and its own C-ordered float copy of the mask for the
+    # Grams; dense data too
     rng = np.random.default_rng(31)
     Y, _ = _small_problem(seed=31, dims=(7, 6, 5), rank=2, noise=0.05)
+    Y = Y.astype(np.float32).astype(np.float64)  # the float64 cast of a float32 Y
     mask = rng.random(Y.shape) < 0.5
     c = Projection("nonnegative")
     specs = (ModeSpec(c, ProxFn("l1", 0.1), identity_op()), ModeSpec(c), ModeSpec(c))
@@ -332,9 +338,12 @@ def test_masked_fit_does_not_depend_on_the_mask_layout():
         wide[:, ::2] = a
         return wide[:, ::2]
 
+    def single(a):  # float32 data; the mask stays boolean
+        return a if a.dtype == np.bool_ else a.astype(np.float32)
+
     for m in (None, mask):
         want = factorize(Y, m, specs, cfg)
-        for layout in (np.asfortranarray, strided):
+        for layout in (np.asfortranarray, strided, single):
             got = factorize(layout(Y), None if m is None else layout(m), specs, cfg)
             for a, b in zip(want.factors.factors + tuple(want.duals),
                             got.factors.factors + tuple(got.duals)):
@@ -552,6 +561,10 @@ def test_shape_and_spec_mismatches_raise():
         factorize(Y, np.ones(Y.shape), _plain_specs(), cfg2)
     with pytest.raises(ValueError):
         factorize(Y, None, (ModeSpec(), ModeSpec()), cfg2)
+    # refused by dtype, not later as a degenerate mode or an isfinite TypeError
+    for bad in (Y.astype(complex), Y.astype(str)):
+        with pytest.raises(ValueError, match="Y must hold real numbers, got dtype %s" % bad.dtype):
+            factorize(bad, None, _plain_specs(), cfg2)
 
 
 def test_each_dual_has_the_shape_of_its_operators_output():

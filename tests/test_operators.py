@@ -114,6 +114,10 @@ def test_prox_rejects_bad_arguments():
         prox_apply(ProxFn("l1", 1.0), np.ones(3), -1.0)
     with pytest.raises(ValueError):
         ProxFn("l1", -0.5)
+    # a weight is a real number: a bool or a numeric string is not read as one
+    for weight in (True, "3"):
+        with pytest.raises(ValueError, match="weight must be a finite number >= 0"):
+            ProxFn("l1", weight)
     with pytest.raises(ValueError):
         ProxFn("huber", 1.0)
     with pytest.raises(ValueError):
@@ -200,6 +204,10 @@ def test_projection_validation():
         Projection("nonnegative", lo=0.0)
     with pytest.raises(ValueError):
         Projection("simplex")
+    for lo, hi in ((False, True), ("0", "1"), (0.0, True), ("0", 1.0)):
+        with pytest.raises(ValueError, match="(lo|hi) must be a finite number"):
+            Projection("box", lo, hi)
+    assert Projection("box", -1, np.float32(2)) == Projection("box", -1.0, 2.0)
 
 
 def test_row_difference_hand_example():
