@@ -43,9 +43,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        dims = tuple(as_count("dims", n, 1) for n in self.dims)
+        dims = tuple(as_count("dims", n, 1) for n in self.dims) if np.iterable(self.dims) else ()
         if len(dims) != 3:
-            raise ValueError("dims must be three positive integers")
+            raise ValueError("dims must be three positive integers, got %r" % (self.dims,))
         object.__setattr__(self, "dims", dims)
         for key, least in (("rank", 1), ("sparse_mode", 1), ("seed", 0)):
             object.__setattr__(self, key, as_count(key, getattr(self, key), least))
@@ -107,10 +107,19 @@ def generate_synthetic(spec):
 
 # -- mode specs from config dicts -----------------------------------------
 
+def config_object(value, name):
+    """``value`` if it is a config object (a dict), else a ValueError naming it."""
+    if not isinstance(value, dict):
+        raise ValueError("%s must be an object, got %r" % (name, value))
+    return value
+
+
 def _refuse_unknown(cfg, known, section):
-    unknown = sorted(set(cfg) - set(known))
+    """``cfg``, a config object with no key outside ``known``."""
+    unknown = sorted(set(config_object(cfg, section)) - set(known))
     if unknown:
         raise ValueError("unknown keys %s in %s" % (", ".join(unknown), section))
+    return cfg
 
 
 def mode_spec_from_dict(cfg, n_cols):
@@ -122,13 +131,10 @@ def mode_spec_from_dict(cfg, n_cols):
     documented schema is refused, so a misspelt section cannot be dropped.
     """
     _refuse_unknown(cfg, ("projection", "regularizer", "operator"), "a mode")
-    proj_cfg = cfg.get("projection", {"kind": "none"})
-    _refuse_unknown(proj_cfg, ("kind", "lo", "hi"), "a projection")
-    projection = Projection(
-        proj_cfg.get("kind", "none"), proj_cfg.get("lo"), proj_cfg.get("hi")
-    )
-    reg_cfg = cfg.get("regularizer", {"kind": "zero"})
-    _refuse_unknown(reg_cfg, ("kind", "weight", "groups"), "a regularizer")
+    proj_cfg = _refuse_unknown(cfg.get("projection", {}), ("kind", "lo", "hi"), "a projection")
+    projection = Projection(**proj_cfg)
+    reg_cfg = _refuse_unknown(cfg.get("regularizer", {}), ("kind", "weight", "groups"),
+                              "a regularizer")
     kind = reg_cfg.get("kind", "zero")
     weight, groups = reg_cfg.get("weight", 0.0), reg_cfg.get("groups")
     if kind == "overlapping_group_l2":
@@ -139,8 +145,7 @@ def mode_spec_from_dict(cfg, n_cols):
     reg = ProxFn(kind, weight, groups)
     if reg.kind == "zero" and "operator" not in cfg:
         return ModeSpec(projection, reg, None)
-    op_cfg = cfg.get("operator", {"kind": "identity"})
-    _refuse_unknown(op_cfg, ("kind", "groups"), "an operator")
+    op_cfg = _refuse_unknown(cfg.get("operator", {}), ("kind", "groups"), "an operator")
     op = LinOp(op_cfg.get("kind", "identity"), n_cols, op_cfg.get("groups"))
     # ModeSpec refuses an operator section on a zero regularizer
     return ModeSpec(projection, reg, op)
@@ -165,13 +170,19 @@ def init_seed(data_seed):
     return int(data_seed) + 1
 
 
-def _section(name, build, kwargs):
-    """``build(**kwargs)``; a refused key or value names the config section."""
-    _refuse_unknown(kwargs, [f.name for f in fields(build)], name)
+def _named(label, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a refused value's message starts with ``label``."""
     try:
-        return build(**kwargs)
+        return build(*args, **kwargs)
     except ValueError as exc:
-        raise ValueError("%s.%s" % (name, exc)) from None
+        raise ValueError(label + str(exc)) from None
+
+
+def _section(name, build, kwargs, **derived):
+    """``build(**derived, **kwargs)``, a key given overriding a derived one;
+    a refused key or value names the config section."""
+    _refuse_unknown(kwargs, [f.name for f in fields(build)], name)
+    return _named(name + ".", build, **{**derived, **kwargs})
 
 
 # the top-level keys of an experiment config, in ExperimentConfig.to_dict
@@ -189,13 +200,12 @@ class ExperimentConfig:
     mse_threshold: float = None
 
     def __post_init__(self):
-        algos = tuple(self.algorithms)
+        algos = tuple(self.algorithms) if np.iterable(self.algorithms) else ()
         if not algos or any(a not in ALGORITHMS for a in algos):
-            raise ValueError(
-                "algorithms must be a nonempty subset of %r" % (ALGORITHMS,)
-            )
+            raise ValueError("algorithms must be a nonempty subset of %r" % (ALGORITHMS,))
         self.algorithms = algos
-        inner = tuple(as_count("inner_iters", n, 1) for n in self.inner_iters)
+        inner = (tuple(as_count("inner_iters", n, 1) for n in self.inner_iters)
+                 if np.iterable(self.inner_iters) else ())
         if not inner:
             raise ValueError("inner_iters must be a nonempty list of counts >= 1")
         self.inner_iters = inner
@@ -203,18 +213,16 @@ class ExperimentConfig:
             raise ValueError("out_dir must be a path, got %r" % (self.out_dir,))
         if self.mse_threshold is not None:
             self.mse_threshold = as_amount("mse_threshold", self.mse_threshold)
-        if len(self.mode_dicts) != 3:
-            raise ValueError("exactly three mode configurations required")
-        # refuse a bad mode before any data is made or fitted
-        for m, n in zip(self.mode_dicts, self.synthetic.dims):
-            mode_spec_from_dict(m, n)
+        if not isinstance(self.mode_dicts, (list, tuple)) or len(self.mode_dicts) != 3:
+            raise ValueError("modes must be a list of three modes, got %r" % (self.mode_dicts,))
+        # refuse a bad mode, by its index, before any data is made or fitted
+        for i, (m, n) in enumerate(zip(self.mode_dicts, self.synthetic.dims)):
+            _named("modes[%d]: " % i, mode_spec_from_dict, m, n)
         # every arm scores its trace against the generating factors, so a
         # fit rank that differs from the synthetic rank can never run
         if self.driver.rank != self.synthetic.rank:
-            raise ValueError(
-                "driver rank %d != synthetic rank %d"
-                % (self.driver.rank, self.synthetic.rank)
-            )
+            raise ValueError("driver rank %d != synthetic rank %d"
+                             % (self.driver.rank, self.synthetic.rank))
 
     def to_dict(self):
         return {
@@ -234,18 +242,15 @@ class ExperimentConfig:
         rank and seed default to the synthetic rank and :func:`init_seed`.
         A driver ``n_inner`` is refused: ``inner_iters`` sets each arm's."""
         _refuse_unknown(cfg, CONFIG_KEYS, "the config")
+        syn = _section("synthetic", SyntheticSpec, cfg.get("synthetic", {}))
+        driver = _section("driver", DriverConfig, cfg.get("driver", {}),
+                          rank=syn.rank, seed=init_seed(syn.seed))
         if "n_inner" in cfg.get("driver", {}):
             raise ValueError("driver.n_inner is not read; set the inner counts in inner_iters")
-        syn = _section("synthetic", SyntheticSpec, cfg.get("synthetic", {}))
-        driver = {"rank": syn.rank, "seed": init_seed(syn.seed), **cfg.get("driver", {})}
         # the other keys given, so that each default is stated once, in its field
         given = {k: v for k, v in cfg.items() if k not in ("synthetic", "modes", "driver")}
-        return cls(
-            synthetic=syn,
-            mode_dicts=cfg.get("modes", benchmark_mode_dicts()),
-            driver=_section("driver", DriverConfig, driver),
-            **given,
-        )
+        return cls(synthetic=syn, mode_dicts=cfg.get("modes", benchmark_mode_dicts()),
+                   driver=driver, **given)
 
 
 # -- trace serialization ---------------------------------------------------
@@ -275,11 +280,13 @@ def read_trace_csv(path):
         if header != TRACE_HEADER:
             raise ValueError("%s: unexpected trace header %r" % (path, header))
         for row in reader:
-            if len(row) != len(TRACE_HEADER):
-                raise ValueError("%s, line %d: %d cells, not %d"
-                                 % (path, reader.line_num, len(row), len(TRACE_HEADER)))
-            out.append(TraceRecord(int(row[0]), float(row[1]), float(row[2]),
-                                   *(float(c) if c else None for c in row[3:])))
+            try:
+                if len(row) != len(TRACE_HEADER):
+                    raise ValueError("%d cells, not %d" % (len(row), len(TRACE_HEADER)))
+                out.append(TraceRecord(int(row[0]), float(row[1]), float(row[2]),
+                                       *(float(c) if c else None for c in row[3:])))
+            except ValueError as exc:
+                raise ValueError("%s, line %d: %s" % (path, reader.line_num, exc)) from None
     if not out:
         raise ValueError("%s: no trace rows" % path)
     return out

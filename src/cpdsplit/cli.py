@@ -8,9 +8,10 @@ import numpy as np
 
 from .bench import (
     ALGORITHMS,
+    CONFIG_KEYS,
     ExperimentConfig,
+    config_object,
     generate_synthetic,
-    init_seed,
     report_table,
     run_experiment,
 )
@@ -20,63 +21,48 @@ from .tensorio import read_mask, read_tensor, write_mask, write_tensor
 
 
 def _load_config(path):
-    """The --config file's JSON object, or {} without one."""
+    """The --config file's JSON, or {} without one."""
     if path is None:
         return {}
     with open(path) as fh:
-        cfg = json.load(fh)
-    # the flags fold into these sections before from_dict reads them
-    if not isinstance(cfg, dict):
-        raise ValueError("the config must be a JSON object, got %s" % json.dumps(cfg))
-    for key in ("synthetic", "driver"):
-        if not isinstance(cfg.get(key, {}), dict):
-            raise ValueError("%s must be an object, got %s" % (key, json.dumps(cfg[key])))
-    return cfg
+        return json.load(fh)
 
 
-def _parse_ints(text):
-    return tuple(int(p) for p in str(text).split(",") if p != "")
+def int_list(text):
+    """A comma list of integers, e.g. ``3,5,7``."""
+    return tuple(int(p) for p in text.split(",") if p != "")
 
 
 def _experiment_config(args, data=None, **defaults):
-    """Every command's config: the --config dict over ``defaults``, with the
-    flags given in ``args`` folded in, validated once by
-    ExperimentConfig.from_dict.  ``data=(Y, mask, truth)`` read from files
-    sets the synthetic dims and, without --rank or a driver rank, the rank."""
+    """Every command's config: the --config dict over ``defaults``, each flag
+    given set at the key its dest names (``section.key`` or a top-level key),
+    read by ExperimentConfig.from_dict.  ``data=(Y, mask, truth)`` read from
+    files sets the synthetic dims and, without --rank, the rank:
+    driver.rank, else the truth's."""
     try:
-        cfg = {**defaults, **_load_config(args.config)}
-        syn = cfg.setdefault("synthetic", {})
-        driver = cfg.setdefault("driver", {})
-        flags = {k: v for k, v in vars(args).items() if v is not None}
-        for key in ("sparsity", "noise_sigma"):
-            if key in flags:
-                syn[key] = flags[key]
-        for key in ("max_outer", "stop_tol", "stop_metric"):
-            if key in flags:
-                driver[key] = flags[key]
-        if "dims" in flags:
-            syn["dims"] = _parse_ints(flags["dims"])
-        if "seed" in flags:
-            syn["seed"] = flags["seed"]
-            driver["seed"] = init_seed(flags["seed"])
-        if "algo" in flags:
-            cfg["algorithms"] = (flags["algo"],)
-        if "inner_iters" in flags:
-            cfg["inner_iters"] = _parse_ints(flags["inner_iters"])
-        if "out_dir" in flags:
-            cfg["out_dir"] = flags["out_dir"]
-        rank = flags.get("rank")
+        cfg = {**defaults, **config_object(_load_config(args.config), "the config")}
+
+        def section(name):
+            return config_object(cfg.setdefault(name, {}), name)
+
+        for dest, value in vars(args).items():
+            name, _, key = dest.rpartition(".")
+            if value is not None and (name or key in CONFIG_KEYS):
+                (section(name) if name else cfg)[key] = value
+                # from_dict derives the driver's rank and seed from the
+                # synthetic ones, so a flag that sets either drops the file's
+                if name == "synthetic" and key in ("rank", "seed"):
+                    section("driver").pop(key, None)
         if data is not None:
             Y, _, truth = data
-            syn["dims"] = Y.shape
+            section("synthetic")["dims"] = Y.shape
             if truth is None:
-                driver.setdefault("stop_metric", "objective_rel_change")
-            if rank is None:
-                rank = driver.get("rank", truth.rank if truth is not None else None)
-            if rank is None:
-                raise SystemExit("--rank is required without ground truth")
-        if rank is not None:
-            syn["rank"] = driver["rank"] = rank
+                section("driver").setdefault("stop_metric", "objective_rel_change")
+            if vars(args)["synthetic.rank"] is None:
+                rank = section("driver").get("rank", truth.rank if truth is not None else None)
+                if rank is None:
+                    raise SystemExit("--rank is required without ground truth")
+                section("synthetic")["rank"] = rank
         return ExperimentConfig.from_dict(cfg)
     except (TypeError, ValueError) as exc:
         raise SystemExit("bad config: %s" % exc)
@@ -114,13 +100,13 @@ def _load_truth(path):
 def _cmd_run(args):
     """factorize and bench: fit the configured arms and print their table."""
     # a flag of the data source not in use would be dropped without a word
-    tensor = getattr(args, "tensor", None)
+    tensor = vars(args).get("tensor")
     if tensor:
         unused, why = ("dims", "sparsity", "noise_sigma"), "sets synthetic data, not --tensor data"
     else:
         unused, why = ("mask", "truth"), "needs --tensor"
     for key in unused:
-        if getattr(args, key, None) is not None:
+        if vars(args).get(("synthetic." if tensor else "") + key) is not None:
             raise SystemExit("error: --%s %s" % (key.replace("_", "-"), why))
     data = None
     if tensor:
@@ -148,15 +134,21 @@ def build_parser():
     )
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", help="JSON experiment config")
-    config.add_argument("--rank", type=int)
-    config.add_argument("--seed", type=int)
+    # each config flag's dest is the config key it sets
+    config.add_argument("--rank", type=int, dest="synthetic.rank", metavar="RANK")
+    config.add_argument("--seed", type=int, dest="synthetic.seed", metavar="SEED")
     synthetic = argparse.ArgumentParser(add_help=False)
-    synthetic.add_argument("--dims", help="comma-separated synthetic dims, e.g. 100,100,100")
-    synthetic.add_argument("--sparsity", type=float)
-    synthetic.add_argument("--noise-sigma", type=float, dest="noise_sigma")
+    synthetic.add_argument("--dims", type=int_list, dest="synthetic.dims", metavar="DIMS",
+                           help="comma-separated synthetic dims, e.g. 100,100,100")
+    synthetic.add_argument("--sparsity", type=float, dest="synthetic.sparsity",
+                           metavar="SPARSITY")
+    synthetic.add_argument("--noise-sigma", type=float, dest="synthetic.noise_sigma",
+                           metavar="NOISE_SIGMA")
     arms = argparse.ArgumentParser(add_help=False)
-    arms.add_argument("--algo", choices=ALGORITHMS)
-    arms.add_argument("--inner-iters", dest="inner_iters", help="comma list, e.g. 3,5,7")
+    # one value, stored as the one-item list of algorithms
+    arms.add_argument("--algo", choices=ALGORITHMS, nargs=1, dest="algorithms")
+    arms.add_argument("--inner-iters", type=int_list, dest="inner_iters",
+                      help="comma list, e.g. 3,5,7")
     arms.add_argument("--out-dir")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -172,9 +164,9 @@ def build_parser():
     p.add_argument("--tensor", help="input .tns3 file (else synthetic data)")
     p.add_argument("--mask", help="input .msk3 file")
     p.add_argument("--truth", help="ground-truth .npz (f1, f2, f3)")
-    p.add_argument("--max-outer", type=int, dest="max_outer")
-    p.add_argument("--stop-tol", type=float, dest="stop_tol")
-    p.add_argument("--stop-metric", choices=STOP_METRICS, dest="stop_metric")
+    p.add_argument("--max-outer", type=int, dest="driver.max_outer", metavar="MAX_OUTER")
+    p.add_argument("--stop-tol", type=float, dest="driver.stop_tol", metavar="STOP_TOL")
+    p.add_argument("--stop-metric", choices=STOP_METRICS, dest="driver.stop_metric")
     p.set_defaults(func=_cmd_run, defaults={"algorithms": ("aopds",)})
 
     p = sub.add_parser("bench", parents=[config, arms],

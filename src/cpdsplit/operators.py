@@ -40,8 +40,8 @@ def as_amount(name, value, least=0.0):
 
 def _normalize_groups(groups, n_cols=None, allow_overlap=True):
     # index blocks: nonempty, integers >= 0, no repeats inside a block, in range
-    if groups is None:
-        raise ValueError("index blocks required")
+    if not np.iterable(groups) or not all(map(np.iterable, groups)):
+        raise ValueError("index blocks must be lists of column indices, got %r" % (groups,))
     out = []
     for g in groups:
         block = tuple(as_count("group index", i, 0) for i in g)

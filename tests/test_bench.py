@@ -35,6 +35,9 @@ def _digest(arr):
 def test_synthetic_spec_validation():
     with pytest.raises(ValueError):
         SyntheticSpec(dims=(10, 10))
+    # not a sequence: a ValueError that says what dims must be, not a TypeError
+    with pytest.raises(ValueError, match=r"^dims must be three positive integers, got 5$"):
+        SyntheticSpec(dims=5)
     with pytest.raises(ValueError):
         SyntheticSpec(sparse_mode=0)
     for sparsity in (1.0, False, "0.5", -0.1):
@@ -245,6 +248,27 @@ def test_config_errors_name_their_section(section, key, value, least):
     want = "%s.%s must be an integer >= %d, got %r" % (section, key, least, value)
     with pytest.raises(ValueError, match="^%s$" % re.escape(want)):
         ExperimentConfig.from_dict({section: {key: value}})
+
+
+@pytest.mark.parametrize("cfg, want", [
+    ({"synthetic": 5}, "synthetic must be an object, got 5"),
+    ({"driver": "x"}, "driver must be an object, got 'x'"),
+    ({"modes": 5}, "modes must be a list of three modes, got 5"),
+    ({"modes": [1, 2, 3]}, "modes[0]: a mode must be an object, got 1"),
+    ({"modes": [{}, {"projection": 3}, {}]}, "modes[1]: a projection must be an object, got 3"),
+    ({"synthetic": {"dims": 5}}, "synthetic.dims must be three positive integers, got 5"),
+    ({"algorithms": 5}, "algorithms must be a nonempty subset of ('aopds', 'aoadmm')"),
+    ({"inner_iters": 5}, "inner_iters must be a nonempty list of counts >= 1"),
+    ({"modes": [{}, {"regularizer": {"kind": "group_l2", "weight": 1.0, "groups": 5}}, {}]},
+     "modes[1]: index blocks must be lists of column indices, got 5"),
+    ({"modes": [{}, {}, {"regularizer": {"kind": "overlapping_group_l2", "weight": 1.0,
+                                         "groups": [0, 1]}}]},
+     "modes[2]: index blocks must be lists of column indices, got [0, 1]"),
+])
+def test_a_malformed_config_is_refused_by_name(cfg, want):
+    # a ValueError that names the key, not a TypeError from reading it
+    with pytest.raises(ValueError, match="^%s$" % re.escape(want)):
+        ExperimentConfig.from_dict(cfg)
 
 
 @pytest.mark.parametrize("section", ["synthetic", "driver"])

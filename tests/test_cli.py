@@ -1,12 +1,14 @@
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cpdsplit.bench import ExperimentConfig, read_trace_csv
-from cpdsplit.cli import build_parser, main
+from cpdsplit.bench import CONFIG_KEYS, ExperimentConfig, SyntheticSpec, read_trace_csv
+from cpdsplit.cli import build_parser, int_list, main
+from cpdsplit.driver import DriverConfig
 from cpdsplit.metrics import factor_match_score
 from cpdsplit.tensor import FactorSet
 from cpdsplit.tensorio import read_mask, read_tensor
@@ -175,42 +177,43 @@ def test_bench_and_report(tmp_path, capsys):
     assert "aopds_n3" in capsys.readouterr().out
 
 
-# (option strings, dest, type, default, choices) of every flag but --help
+# (option strings, dest, type, default, choices) of every flag but --help;
+# a config flag's dest is the config key it sets
 _OPTIONS = {
     "generate": {
         (("--config",), "config", None, None, None),
-        (("--dims",), "dims", None, None, None),
-        (("--rank",), "rank", int, None, None),
-        (("--sparsity",), "sparsity", float, None, None),
-        (("--noise-sigma",), "noise_sigma", float, None, None),
-        (("--seed",), "seed", int, None, None),
+        (("--dims",), "synthetic.dims", int_list, None, None),
+        (("--rank",), "synthetic.rank", int, None, None),
+        (("--sparsity",), "synthetic.sparsity", float, None, None),
+        (("--noise-sigma",), "synthetic.noise_sigma", float, None, None),
+        (("--seed",), "synthetic.seed", int, None, None),
         (("--observed",), "observed", float, None, None),
         (("--out-dir",), "data_dir", None, "data", None),
     },
     "factorize": {
         (("--config",), "config", None, None, None),
-        (("--algo",), "algo", None, None, ("aopds", "aoadmm")),
+        (("--algo",), "algorithms", None, None, ("aopds", "aoadmm")),
         (("--tensor",), "tensor", None, None, None),
         (("--mask",), "mask", None, None, None),
         (("--truth",), "truth", None, None, None),
-        (("--dims",), "dims", None, None, None),
-        (("--rank",), "rank", int, None, None),
-        (("--inner-iters",), "inner_iters", None, None, None),
-        (("--seed",), "seed", int, None, None),
-        (("--max-outer",), "max_outer", int, None, None),
-        (("--stop-tol",), "stop_tol", float, None, None),
-        (("--stop-metric",), "stop_metric", None, None,
+        (("--dims",), "synthetic.dims", int_list, None, None),
+        (("--rank",), "synthetic.rank", int, None, None),
+        (("--inner-iters",), "inner_iters", int_list, None, None),
+        (("--seed",), "synthetic.seed", int, None, None),
+        (("--max-outer",), "driver.max_outer", int, None, None),
+        (("--stop-tol",), "driver.stop_tol", float, None, None),
+        (("--stop-metric",), "driver.stop_metric", None, None,
          ("mse_vs_truth", "objective_rel_change")),
-        (("--sparsity",), "sparsity", float, None, None),
-        (("--noise-sigma",), "noise_sigma", float, None, None),
+        (("--sparsity",), "synthetic.sparsity", float, None, None),
+        (("--noise-sigma",), "synthetic.noise_sigma", float, None, None),
         (("--out-dir",), "out_dir", None, None, None),
     },
     "bench": {
         (("--config",), "config", None, None, None),
-        (("--algo",), "algo", None, None, ("aopds", "aoadmm")),
-        (("--inner-iters",), "inner_iters", None, None, None),
-        (("--seed",), "seed", int, None, None),
-        (("--rank",), "rank", int, None, None),
+        (("--algo",), "algorithms", None, None, ("aopds", "aoadmm")),
+        (("--inner-iters",), "inner_iters", int_list, None, None),
+        (("--seed",), "synthetic.seed", int, None, None),
+        (("--rank",), "synthetic.rank", int, None, None),
         (("--out-dir",), "out_dir", None, None, None),
     },
     "report": {
@@ -231,6 +234,23 @@ def test_each_subcommand_keeps_its_options():
         for name, parser in sub.choices.items()
     }
     assert built == _OPTIONS
+
+
+def test_every_config_flag_sets_a_key_from_dict_reads():
+    # the flags fold into the keys their dests name, so a misnamed dest
+    # would set a key that is refused or never read
+    sections = {"synthetic": SyntheticSpec, "driver": DriverConfig}
+    not_config = {"command", "config", "tensor", "mask", "truth", "observed", "data_dir"}
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    dests = {a.dest for parser in sub.choices.values() for a in parser._actions
+             if a.dest != "help"} - not_config
+    assert len(dests) == 11
+    for dest in dests:
+        name, _, key = dest.rpartition(".")
+        if name:
+            assert key in {f.name for f in fields(sections[name])}, dest
+        else:
+            assert key in CONFIG_KEYS, dest
 
 
 def test_factorize_prints_the_table_report_prints(tmp_path, capsys):
@@ -311,12 +331,17 @@ def test_config_with_unknown_top_level_key_is_refused(tmp_path, key):
                                     "groups": [[0, 1.5], [1.2, 3]]}}, {}]},
     {"driver": {"stop_tol": float("inf")}},
     {"modes": [{"regularizer": {"kind": "l1", "weight": True}}, {}, {}]},
+    {"modes": 5},
+    {"modes": [1, 2, 3]},
+    {"modes": [{}, {"projection": 3}, {}]},
+    {"synthetic": {"dims": 5}},
 ], ids=["synthetic.dimz", "driver.max_outr", "null-synthetic", "null-driver",
         "array-root", "driver.n_inner", "modes.regulariser", "float-synthetic.rank",
         "float-synthetic.seed", "float-synthetic.sparse_mode", "float-driver.seed",
         "float-driver.max_outer", "null-driver.seed", "string-mse_threshold",
         "bool-mse_threshold", "negative-mse_threshold", "nan-synthetic.noise_sigma",
-        "float-group-index", "infinite-driver.stop_tol", "bool-weight"])
+        "float-group-index", "infinite-driver.stop_tol", "bool-weight", "int-modes",
+        "int-mode", "int-projection", "int-synthetic.dims"])
 def test_every_command_refuses_a_bad_config_before_running(tmp_path, command, cfg):
     # every command reads the one schema through ExperimentConfig.from_dict
     path = tmp_path / "bad.json"
@@ -325,6 +350,15 @@ def test_every_command_refuses_a_bad_config_before_running(tmp_path, command, cf
     with pytest.raises(SystemExit, match="^bad config: "):
         main([command, "--config", str(path), "--out-dir", str(out)])
     assert not out.exists()
+
+
+def test_a_refused_mode_value_names_its_mode(tmp_path):
+    # as synthetic.* and driver.* values do, a mode's value says where it is
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"modes": [{}, {"regularizer": {"kind": "l1", "weight": True}}, {}]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert str(exc.value) == "bad config: modes[1]: weight must be a finite number >= 0.0, got True"
 
 
 def _arms(out):
@@ -454,7 +488,9 @@ def test_report_refuses_a_truncated_trace_csv(tmp_path):
     header = "outer_iter,elapsed_sec,objective,mse_raw,mse_aligned\n"
     for text, want in (("", r"unexpected trace header \(\)"),
                        (header, "no trace rows"),
-                       (header + "1,0.5,2.0,0.1,0.01\n2,0.75,1.5\n", "line 3: 3 cells, not 5")):
+                       (header + "1,0.5,2.0,0.1,0.01\n2,0.75,1.5\n", "line 3: 3 cells, not 5"),
+                       (header + "1,0.5,abc,0.1,0.01\n",
+                        "line 2: could not convert string to float: 'abc'")):
         path.write_text(text)
         with pytest.raises(SystemExit, match="^error: .*aopds_n5.csv.*%s$" % want):
             main(["report", "--out-dir", str(tmp_path)])
