@@ -70,14 +70,15 @@ def solve_subproblem_admm(state, spec, W, B, rho, n_inner):
     state : SubproblemState
         Feasible variable F and scaled dual G, both R x N.
     spec : ModeSpec
-        Must pass :func:`check_supported`.
+        Passes :func:`check_supported`, which :func:`ao_admm_factorize`
+        calls on every spec before its loop.
     W : ndarray, shape (P, R)
         Khatri-Rao product of the fixed factors (fully observed data).
     B : ndarray, shape (R, N)
         The MTTKRP W^T Yd of the matricized data Yd, built by the outer
         loop; this solver never reads Yd.
     rho : float
-        Positive penalty.
+        Positive, finite penalty.
     n_inner : int
         Iterations, at least 1.
 
@@ -86,11 +87,6 @@ def solve_subproblem_admm(state, spec, W, B, rho, n_inner):
     SubproblemState
         F is the feasible factor estimate.
     """
-    check_supported(spec)
-    if n_inner < 1:
-        raise ValueError("n_inner must be >= 1, got %r" % (n_inner,))
-    if not rho > 0:
-        raise ValueError("rho must be positive, got %r" % (rho,))
     rank = W.shape[1]
     gram = W.T @ W
     factor = cho_factor(gram + rho * np.eye(rank))

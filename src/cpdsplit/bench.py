@@ -16,7 +16,7 @@ import csv
 import json
 import platform
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -260,16 +260,7 @@ def write_trace_csv(path, trace):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
-        for rec in trace:
-            writer.writerow(
-                [
-                    rec.outer_iter,
-                    repr(rec.elapsed_sec),
-                    repr(rec.objective),
-                    "" if rec.mse_raw is None else repr(rec.mse_raw),
-                    "" if rec.mse_aligned is None else repr(rec.mse_aligned),
-                ]
-            )
+        writer.writerows(["" if v is None else repr(v) for v in astuple(rec)] for rec in trace)
 
 
 def read_trace_csv(path):

@@ -127,10 +127,8 @@ def objective(Y, mask, fset, specs):
 def init_factors(dims, rank, seed):
     """Uniform(0,1) factor matrices from a seeded generator, drawn in mode
     order; every entry is feasible for the nonnegativity constraint."""
-    if rank < 1:
-        raise ValueError("rank must be >= 1, got %r" % (rank,))
     rng = default_rng(seed)
-    return FactorSet(tuple(rng.random((int(n), int(rank))) for n in dims))
+    return FactorSet(tuple(rng.random((n, rank)) for n in dims))
 
 
 def _converged(trace, cfg):
@@ -154,6 +152,8 @@ def _prepare(Y, mask, specs, cfg, truth):
         raise ValueError("Y must hold real numbers, got dtype %s" % Y.dtype)
     if Y.ndim != 3:
         raise ValueError("Y must be a third-order tensor, got ndim=%d" % Y.ndim)
+    if 0 in Y.shape:
+        raise ValueError("mode %d of Y is empty: shape %r" % (Y.shape.index(0) + 1, Y.shape))
     # one float64 copy at most: the tree's reshapes are free views of a
     # C-ordered Y, and its GEMMs would cast any other dtype on every call
     Y = np.ascontiguousarray(Y, dtype=np.float64)
@@ -179,6 +179,8 @@ def _prepare(Y, mask, specs, cfg, truth):
             # the objective and the products W^T Y_d read every entry of Y
             Y = np.where(mask, Y, 0.0)
     if truth is not None:
+        if not isinstance(truth, FactorSet):
+            truth = FactorSet(tuple(truth))
         if truth.rank != cfg.rank:
             raise ValueError(
                 "truth rank %d != configured rank %d" % (truth.rank, cfg.rank)
@@ -189,17 +191,23 @@ def _prepare(Y, mask, specs, cfg, truth):
             )
     if cfg.stop_metric == "mse_vs_truth" and truth is None:
         raise ValueError("stop_metric 'mse_vs_truth' requires ground-truth factors")
-    return Y, mask, specs
+    return Y, mask, truth
 
 
 def _positive_bound(bound, d):
     """The mode-d visit's Lipschitz bound as a float, or the clear error
-    when the other factors vanish on every observed entry."""
+    when the other factors vanish on every observed entry or their
+    products overflow; the inner solvers take the bound as checked."""
     if bound <= 0:
         raise ValueError(
             "mode %d subproblem degenerated: the other factors have a "
             "zero Khatri-Rao product on the observed entries (likely "
             "over-regularization)" % (d + 1,)
+        )
+    if not np.isfinite(bound):
+        raise ValueError(
+            "mode %d subproblem overflowed: its Lipschitz bound is %r, so the "
+            "data's scale overflowed float64 (rescale Y)" % (d + 1, float(bound))
         )
     return float(bound)
 
@@ -254,7 +262,7 @@ def alternate(Y, mask, specs, cfg, truth, start, visit):
     -------
     FitResult
     """
-    Y, mask, specs = _prepare(Y, mask, specs, cfg, truth)
+    Y, mask, truth = _prepare(Y, mask, specs, cfg, truth)
     if mask is not None:  # one C-ordered float copy of the mask, for the Gram GEMMs
         M = np.ascontiguousarray(mask, dtype=Y.dtype)
         iu, ju = np.triu_indices(cfg.rank)
@@ -312,7 +320,7 @@ def factorize(Y, mask, specs, cfg, truth=None):
         Sampling mask; None or all-true means fully observed.
     specs : sequence of three ModeSpec
     cfg : DriverConfig
-    truth : FactorSet, optional
+    truth : FactorSet or sequence of three (N_d, R) arrays, optional
         Ground-truth factors; required for the mse_vs_truth stopping rule
         and for the MSE trace columns.
 

@@ -217,11 +217,3 @@ def test_penalty_is_the_visit_trace_over_rank(monkeypatch):
     res = ao_admm_factorize(Y, None, _l1_specs(), cfg)
     assert seen == [True] * (3 * res.outer_iterations)
 
-
-def test_solve_subproblem_admm_validation():
-    state = SubproblemState(np.ones((2, 2)), np.zeros((2, 2)))
-    W, Yd = np.ones((3, 2)), np.ones((3, 2))
-    with pytest.raises(ValueError, match="n_inner"):
-        solve_subproblem_admm(state, _l1_specs()[0], W, W.T @ Yd, 1.0, 0)
-    with pytest.raises(ValueError, match="rho"):
-        solve_subproblem_admm(state, _l1_specs()[0], W, W.T @ Yd, 0.0, 1)

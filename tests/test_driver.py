@@ -444,6 +444,28 @@ def test_over_regularization_degenerates_with_clear_error(fit):
         fit(Y, None, (crushed, frob, frob), cfg)
 
 
+@pytest.mark.parametrize("fit", [factorize, ao_admm_factorize], ids=["pds", "admm"])
+def test_an_overflowing_data_scale_is_refused_by_mode(fit):
+    # mode 1's factor takes Y's scale, so mode 2's bound, a sum of its
+    # squares, overflows; errstate keeps the tree's overflow warning from
+    # failing the fit first
+    Y = np.random.default_rng(0).random((6, 7, 8)) * 1e160
+    cfg = DriverConfig(rank=2, max_outer=5, stop_metric="objective_rel_change")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="mode 2 subproblem overflowed.*rescale Y"):
+            fit(Y, None, _plain_specs(), cfg)
+
+
+@pytest.mark.parametrize("fit", [factorize, ao_admm_factorize], ids=["pds", "admm"])
+def test_an_empty_mode_is_refused_by_name(fit):
+    cfg = DriverConfig(rank=2, stop_metric="objective_rel_change")
+    for d in range(3):
+        dims = [6, 7, 8]
+        dims[d] = 0
+        with pytest.raises(ValueError, match=r"mode %d of Y is empty: shape \(" % (d + 1)):
+            fit(np.zeros(dims), None, _plain_specs(), cfg)
+
+
 def test_factorize_is_deterministic():
     # bit for bit per seed, on dense data and on a half-observed mask
     Y, truth = _small_problem(seed=5, noise=0.05)
@@ -469,6 +491,18 @@ def test_mse_stop_requires_truth():
     cfg = DriverConfig(rank=2, stop_metric="mse_vs_truth")
     with pytest.raises(ValueError, match="ground-truth"):
         factorize(Y, None, _plain_specs(), cfg)
+
+
+def test_truth_as_three_arrays_fits_as_its_factor_set():
+    Y, truth = _small_problem(seed=13, noise=0.05)
+    cfg = DriverConfig(rank=2, n_inner=3, max_outer=8, stop_tol=1e-30, seed=14)
+    a = factorize(Y, None, _nonneg_specs(), cfg, truth=truth)
+    b = factorize(Y, None, _nonneg_specs(), cfg, truth=list(truth.factors))
+    for fa, fb in zip(a.factors.factors, b.factors.factors):
+        assert fa.tobytes() == fb.tobytes()
+    rows = [[(t.objective, t.mse_raw, t.mse_aligned) for t in r.trace] for r in (a, b)]
+    assert rows[0] == rows[1] and len(rows[0]) == 8 and rows[0][0][1] is not None
+    assert a.stop_reason == b.stop_reason
 
 
 def test_convergence_reported_with_reason():

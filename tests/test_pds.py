@@ -58,17 +58,6 @@ def test_stepsizes_strict_with_true_lipschitz_constant():
         assert steps.gamma1 * (beta / 2.0 + steps.gamma2 * s) < 1.0
 
 
-def test_stepsizes_validation():
-    with pytest.raises(ValueError):
-        compute_stepsizes(0.0, 1.0)
-    with pytest.raises(ValueError):
-        compute_stepsizes(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        compute_stepsizes(np.inf, 1.0)
-    with pytest.raises(ValueError):
-        compute_stepsizes(1.0, -0.5)
-
-
 def _applied_gradient(F, W, Yd, grams=None):
     """The least-squares gradient solve_subproblem applies, read off one
     plain unconstrained step F1 = F - gamma1 * g."""
@@ -161,8 +150,6 @@ def test_inner_iteration_count_is_enforced():
     W = rng.standard_normal((6, 2))
     Yd = rng.standard_normal((6, 3))
     state = SubproblemState(F=np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        solve_subproblem(state, ModeSpec(), W, W.T @ Yd, None, _steps_for(W), 0)
     out = solve_subproblem(state, ModeSpec(), W, W.T @ Yd, None, _steps_for(W), 1)
     assert not np.array_equal(out.F, state.F)
 
