@@ -100,21 +100,23 @@ class FitResult:
 
 
 def objective(Y, mask, fset, specs):
-    """½||Y - mask*reconstruction||_F^2 plus the weighted regularizers
-    h_d(L_d(F_d^T)); indicator terms of the hard constraints excluded."""
+    """½||mask*(Y - reconstruction)||_F^2 plus the weighted regularizers
+    h_d(L_d(F_d^T)) of a FactorSet or three (N_d, R) arrays; indicator
+    terms of the hard constraints excluded."""
+    fset = fset if isinstance(fset, FactorSet) else FactorSet(tuple(fset))
     recon = cp_reconstruct(fset)
     if recon.shape != np.shape(Y):
         raise ValueError(
             "factor dims %r do not match data shape %r"
             % (recon.shape, np.shape(Y))
         )
-    # the residual reuses recon's buffer; for finite recon, multiplying by the
-    # mask equals zeroing and is ~10x faster than a masked write
+    # the residual reuses recon's buffer; for finite Y and recon, multiplying
+    # by the mask equals zeroing and is ~10x faster than a masked write
+    r = np.subtract(Y, recon, out=recon)
     if mask is not None:
         if np.shape(mask) != recon.shape or np.asarray(mask).dtype != np.bool_:
             raise ValueError("mask must be a boolean array of the data's shape")
-        np.multiply(recon, mask, out=recon)
-    r = np.subtract(Y, recon, out=recon)
+        np.multiply(r, mask, out=r)
     value = 0.5 * float(np.vdot(r, r))
     for d, spec in enumerate(specs):
         if spec.regularizer.kind == "zero":
@@ -175,9 +177,14 @@ def _prepare(Y, mask, specs, cfg, truth):
             raise ValueError("mask must be a boolean array of the data's shape")
         if mask.all():
             mask = None
-        elif np.any(Y, where=~mask):
-            # the objective and the products W^T Y_d read every entry of Y
-            Y = np.where(mask, Y, 0.0)
+        else:  # a row no entry observes would keep its initial value
+            for d in range(3):
+                seen = mask.any(axis=tuple({0, 1, 2} - {d}))
+                if not seen.all():
+                    raise ValueError("mode %d index %d has no observed entry"
+                                     % (d + 1, seen.argmin()))
+            if np.any(Y, where=~mask):  # the products W^T Y_d read every entry
+                Y = np.where(mask, Y, 0.0)
     if truth is not None:
         if not isinstance(truth, FactorSet):
             truth = FactorSet(tuple(truth))
@@ -189,6 +196,8 @@ def _prepare(Y, mask, specs, cfg, truth):
             raise ValueError(
                 "truth dims %r != data shape %r" % (truth.dims, Y.shape)
             )
+        if not all(np.isfinite(f).all() for f in truth.factors):
+            raise ValueError("truth contains non-finite values")
     if cfg.stop_metric == "mse_vs_truth" and truth is None:
         raise ValueError("stop_metric 'mse_vs_truth' requires ground-truth factors")
     return Y, mask, truth

@@ -175,6 +175,23 @@ def test_a_visit_factors_once_and_solves_once_per_inner_iteration(monkeypatch):
     assert calls == {"cho_factor": 1, "cho_solve": 7}
 
 
+def test_a_non_finite_least_squares_iterate_is_refused(monkeypatch):
+    # one NaN in a least-squares iterate X reaches F and the dual G; the
+    # visit refuses it before the objective or the stop rule reads it
+    real = admm_mod.cho_solve
+
+    def poisoned(l_inv, b):
+        x = real(l_inv, b)
+        x[0, 0] = np.nan
+        return x
+
+    monkeypatch.setattr(admm_mod, "cho_solve", poisoned)
+    Y, _ = _problem(seed=9)
+    cfg = DriverConfig(rank=2, max_outer=2, stop_metric="objective_rel_change")
+    with pytest.raises(FloatingPointError, match="non-finite ADMM iterate"):
+        ao_admm_factorize(Y, None, _l1_specs(), cfg)
+
+
 def test_admm_driver_is_deterministic_and_feasible():
     Y, truth = _problem(seed=5)
     cfg = DriverConfig(rank=2, n_inner=5, max_outer=12, stop_tol=1e-30,

@@ -5,7 +5,6 @@ import pytest
 
 import cpdsplit.admm as admm_mod
 import cpdsplit.driver as driver_mod
-import cpdsplit.operators as operators_mod
 import cpdsplit.pds as pds
 from cpdsplit.admm import ao_admm_factorize
 from cpdsplit.driver import DriverConfig, ModeSpec, factorize, init_factors, objective
@@ -15,7 +14,6 @@ from cpdsplit.operators import (
     group_replicate_op,
     identity_op,
     linop_forward,
-    overlapping_group_lasso,
     row_difference_op,
 )
 from cpdsplit.tensor import FactorSet, cp_reconstruct, khatri_rao
@@ -127,71 +125,45 @@ def test_objective_is_exact_and_leaves_inputs_alone(masked):
     assert got == pytest.approx(0.5 * float(np.sum(r * r)), rel=1e-12)
 
 
+def test_objective_ignores_the_unobserved_entries_of_a_raw_y():
+    # factorize takes a raw Y and zeroes it; the objective reads it either way
+    rng = np.random.default_rng(23)
+    Y, truth = _small_problem(seed=23, dims=(7, 6, 5), rank=3, noise=0.1)
+    mask = rng.random(Y.shape) < 0.5
+    raw = np.where(mask, Y, 100.0 * rng.standard_normal(Y.shape))
+    zeroed = np.where(mask, Y, 0.0)
+    est = FactorSet(tuple(rng.random(f.shape) for f in truth.factors))
+    got = objective(raw, mask, est, _plain_specs())
+    assert got == objective(zeroed, mask, est, _plain_specs())
+    r = np.where(mask, Y - oracles.cp_dense(est.factors), 0.0)
+    assert got == pytest.approx(0.5 * float(np.sum(r * r)), rel=1e-12)
+
+
+def test_objective_takes_factors_as_three_arrays():
+    # as factorize's truth, cp_reconstruct and mse do, also with a
+    # regularized mode, which reads the factors one by one
+    Y, truth = _small_problem(seed=24, noise=0.1)
+    c = Projection("nonnegative")
+    specs = (ModeSpec(c, ProxFn("l1", 0.5), identity_op()), ModeSpec(c),
+             ModeSpec(c, ProxFn("squared_frobenius", 2.0), row_difference_op(4)))
+    want = objective(Y, None, truth, specs)
+    for form in (tuple, list):
+        assert objective(Y, None, form(truth.factors), specs) == want
+
+
+def test_objective_refuses_factors_of_other_dims():
+    Y, truth = _small_problem(seed=25)
+    with pytest.raises(ValueError, match=r"factor dims \(6, 5, 4\) do not match data shape "
+                                         r"\(6, 5, 3\)"):
+        objective(Y[:, :, :3], None, truth, _plain_specs())
+
+
 def test_objective_rejects_malformed_mask():
     Y, truth = _small_problem(seed=21)
     with pytest.raises(ValueError, match="mask"):
         objective(Y, np.ones(Y.shape, dtype=np.uint8), truth, _plain_specs())
     with pytest.raises(ValueError, match="mask"):
         objective(Y, np.ones(Y.shape[:2] + (1,), dtype=bool), truth, _plain_specs())
-
-
-@pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
-def test_fit_calls_each_traced_layer_as_the_benchmark_counts(masked, monkeypatch):
-    # perfbench's --trace 1 wraps these module globals and requires these
-    # call counts; a fit that routes around them reports an incomplete trace
-    rng = np.random.default_rng(22)
-    Y, truth = _small_problem(seed=22, dims=(9, 8, 7), rank=2, noise=0.05)
-    mask = rng.random(Y.shape) < 0.6 if masked else None
-    if masked:
-        Y = np.where(mask, Y, 0.0)
-    # every mode is regularized, two of them through structured operators:
-    # an overlapping group lasso on mode 2, total variation on mode 3
-    c = Projection("nonnegative")
-    groups = ((0, 1, 2, 3), (2, 3, 4, 5), (4, 5, 6, 7))
-    specs = (ModeSpec(c, ProxFn("l1", 0.1), identity_op()),
-             ModeSpec(c, *overlapping_group_lasso(groups, 0.1, 8)),
-             ModeSpec(c, ProxFn("l1", 0.1), row_difference_op(7)))
-    cfg = DriverConfig(rank=2, n_inner=4, max_outer=3, stop_tol=1e-30,
-                       stop_metric="objective_rel_change", seed=23)
-    calls, shapes, kinds = {}, [], {}
-
-    def spy(module, name):
-        real = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls.setdefault(name, []).append((len(args), sorted(kwargs)))
-            if name == "solve_subproblem":
-                shapes.append((args[2].shape, args[3].shape))
-            if name.startswith("linop_"):
-                kinds.setdefault(name, []).append(args[0].kind)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    for name in ("solve_subproblem", "compute_stepsizes", "project",
-                 "prox_conjugate", "linop_forward", "linop_adjoint"):
-        spy(pds, name)
-    for name in ("objective", "cp_reconstruct", "khatri_rao"):
-        spy(driver_mod, name)
-    # prox_conjugate reaches prox_apply through this global, as the tracer does
-    spy(operators_mod, "prox_apply")
-    res = factorize(Y, mask, specs, cfg, truth)
-    outer = res.outer_iterations
-    assert outer == 3
-    assert calls["solve_subproblem"] == [(7, [])] * (3 * outer)
-    # perfbench's _gradient_cost reads (P, R) from args[2] and N from args[3]
-    assert shapes == [((56, 2), (2, 9)), ((63, 2), (2, 8)), ((72, 2), (2, 7))] * outer
-    assert len(calls["objective"]) == len(calls["cp_reconstruct"]) == outer
-    assert len(calls["khatri_rao"]) == len(calls["compute_stepsizes"]) == 3 * outer
-    assert len(calls["project"]) == 3 * outer * cfg.n_inner
-    # one operator call each way and one conjugate prox per inner iteration
-    # of each regularized mode, one prox_apply per conjugate prox, and none
-    # from the objective's prox_value
-    for name in ("prox_conjugate", "prox_apply", "linop_forward", "linop_adjoint"):
-        assert len(calls[name]) == 3 * outer * cfg.n_inner
-    visits = [[kind] * cfg.n_inner for kind in ("identity", "group_replicate", "row_difference")]
-    for name in ("linop_forward", "linop_adjoint"):
-        assert kinds[name] == sum(visits, []) * outer
 
 
 def _spy_visits(monkeypatch):
@@ -236,7 +208,6 @@ def test_masked_visit_builds_one_gram_stack_for_bound_and_solver(masked, monkeyp
         rng = np.random.default_rng(24 + rank)
         Y, _ = _small_problem(seed=24 + rank, dims=(9, 8, 7), rank=rank, noise=0.05)
         mask = rng.random(Y.shape) < 0.5
-        mask[2], mask[:, 5], mask[:, :, 0] = False, False, False  # one empty slice per mode
         cfg = DriverConfig(rank=rank, n_inner=2, max_outer=4, stop_tol=1e-30,
                            stop_metric="objective_rel_change", seed=25)
         monkeypatch.undo()
@@ -252,10 +223,19 @@ def test_masked_visit_builds_one_gram_stack_for_bound_and_solver(masked, monkeyp
             assert grams.shape == want.shape
             assert float(np.abs(grams - want).max()) <= 1e-12 * float(np.abs(want).max())
             assert np.array_equal(grams, grams.transpose(0, 2, 1))
-            assert (grams[~Md[d].any(axis=0)] == 0.0).all()
             assert bound == float(np.einsum("nrr->n", grams).max())
             assert bound < float(np.vdot(W, W))
             current[d] = out.F.T
+        # the fit refuses a mask with an empty slice, so the tree's Gram
+        # columns of such slices are checked directly: each is zero
+        mask[2], mask[:, 5], mask[:, :, 0] = False, False, False
+        iu, ju = np.triu_indices(rank)
+        pairs = [f.T[iu] * f.T[ju] for f in current]
+        kept = []
+        for d, empty in enumerate((2, 5, 0)):
+            g = driver_mod._tree(mask.astype(float), pairs, d, kept)
+            assert g.shape == (len(iu), Y.shape[d])
+            assert (g[:, empty] == 0.0).all() and np.delete(g, empty, axis=1).all()
 
 
 @pytest.mark.parametrize(
@@ -352,23 +332,36 @@ def test_masked_fit_does_not_depend_on_the_mask_layout():
 
 
 def test_masked_visit_with_zero_observed_rows_degenerates_with_clear_error(monkeypatch):
-    # F_2 nonzero only on a mode-2 slice the mask hides: the other factors
-    # are nonzero, yet every mode-1 Gram is zero
+    # F_2 and F_3 nonzero only on a mode-1 fiber the mask hides: the other
+    # factors are nonzero, yet every mode-1 Gram is zero
     rng = np.random.default_rng(26)
     Y, _ = _small_problem(seed=26, dims=(6, 5, 4))
     mask = rng.random(Y.shape) < 0.7
-    mask[:, 0, :] = False
+    mask[:, 0, 0] = False
     real = driver_mod.init_factors
 
     def hidden_only(dims, rank, seed):
         f1, f2, f3 = real(dims, rank, seed).factors
-        f2[1:] = 0.0
+        f2[1:] = f3[1:] = 0.0
         return FactorSet((f1, f2, f3))
 
     monkeypatch.setattr(driver_mod, "init_factors", hidden_only)
     cfg = DriverConfig(rank=2, max_outer=2, stop_metric="objective_rel_change")
     with pytest.raises(ValueError, match="mode 1 subproblem degenerated"):
         factorize(np.where(mask, Y, 0.0), mask, _nonneg_specs(), cfg)
+
+
+def test_a_mask_slice_with_no_observed_entry_is_refused_by_mode_and_index():
+    # the fit could not move that factor row off its initial value
+    rng = np.random.default_rng(27)
+    Y, _ = _small_problem(seed=27, dims=(8, 7, 6))
+    cfg = DriverConfig(rank=2, stop_metric="objective_rel_change")
+    for d, index in enumerate((3, 0, 5)):
+        mask = rng.random(Y.shape) < 0.7
+        mask[(slice(None),) * d + (index,)] = False
+        with pytest.raises(ValueError, match="mode %d index %d has no observed entry"
+                                             % (d + 1, index)):
+            factorize(np.where(mask, Y, 0.0), mask, _nonneg_specs(), cfg)
 
 
 def test_init_factors_seeded_uniform():
@@ -491,6 +484,31 @@ def test_mse_stop_requires_truth():
     cfg = DriverConfig(rank=2, stop_metric="mse_vs_truth")
     with pytest.raises(ValueError, match="ground-truth"):
         factorize(Y, None, _plain_specs(), cfg)
+
+
+def test_non_finite_data_is_refused():
+    Y, _ = _small_problem(seed=6)
+    cfg = DriverConfig(rank=2, stop_metric="objective_rel_change")
+    for bad in (np.nan, np.inf, -np.inf):
+        Y[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="Y contains non-finite values"):
+            factorize(Y, None, _plain_specs(), cfg)
+
+
+def test_truth_of_other_dims_is_refused():
+    Y, truth = _small_problem(seed=6)
+    cfg = DriverConfig(rank=2)
+    with pytest.raises(ValueError, match=r"truth dims \(6, 5, 4\) != data shape \(6, 5, 3\)"):
+        factorize(Y[:, :, :3], None, _plain_specs(), cfg, truth)
+
+
+@pytest.mark.parametrize("fit", [factorize, ao_admm_factorize], ids=["pds", "admm"])
+def test_a_non_finite_truth_is_refused_before_the_first_iteration(fit, monkeypatch):
+    Y, truth = _small_problem(seed=6)
+    truth.factors[2][1, 0] = np.nan
+    monkeypatch.setattr(driver_mod, "khatri_rao", None)  # no visit may start
+    with pytest.raises(ValueError, match="truth contains non-finite values"):
+        fit(Y, None, _plain_specs(), DriverConfig(rank=2), truth)
 
 
 def test_truth_as_three_arrays_fits_as_its_factor_set():
