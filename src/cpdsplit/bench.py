@@ -208,6 +208,8 @@ class ExperimentConfig:
                  if np.iterable(self.inner_iters) else ())
         if not inner:
             raise ValueError("inner_iters must be a nonempty list of counts >= 1")
+        if len(set(algos)) < len(algos) or len(set(inner)) < len(inner):  # one file set per arm
+            raise ValueError("arm listed twice: algorithms %r, inner_iters %r" % (algos, inner))
         self.inner_iters = inner
         if not isinstance(self.out_dir, (str, Path)):
             raise ValueError("out_dir must be a path, got %r" % (self.out_dir,))

@@ -102,8 +102,9 @@ class FitResult:
 def objective(Y, mask, fset, specs):
     """½||mask*(Y - reconstruction)||_F^2 plus the weighted regularizers
     h_d(L_d(F_d^T)) of a FactorSet or three (N_d, R) arrays; indicator
-    terms of the hard constraints excluded."""
-    fset = fset if isinstance(fset, FactorSet) else FactorSet(tuple(fset))
+    terms of the hard constraints excluded.  It reads only the observed
+    entries of Y, which must be finite everywhere: NaN times 0 is NaN."""
+    fset = FactorSet(fset)
     recon = cp_reconstruct(fset)
     if recon.shape != np.shape(Y):
         raise ValueError(
@@ -159,8 +160,6 @@ def _prepare(Y, mask, specs, cfg, truth):
     # one float64 copy at most: the tree's reshapes are free views of a
     # C-ordered Y, and its GEMMs would cast any other dtype on every call
     Y = np.ascontiguousarray(Y, dtype=np.float64)
-    if not np.isfinite(Y).all():
-        raise ValueError("Y contains non-finite values")
     if len(specs) != 3:
         raise ValueError("exactly three mode specs required")
     for d, spec in enumerate(specs):
@@ -185,9 +184,10 @@ def _prepare(Y, mask, specs, cfg, truth):
                                      % (d + 1, seen.argmin()))
             if np.any(Y, where=~mask):  # the products W^T Y_d read every entry
                 Y = np.where(mask, Y, 0.0)
+    if not np.isfinite(Y).all():  # a NaN or inf left unobserved was zeroed above
+        raise ValueError("Y contains non-finite values at an observed entry")
     if truth is not None:
-        if not isinstance(truth, FactorSet):
-            truth = FactorSet(tuple(truth))
+        truth = FactorSet(truth)
         if truth.rank != cfg.rank:
             raise ValueError(
                 "truth rank %d != configured rank %d" % (truth.rank, cfg.rank)
@@ -323,8 +323,9 @@ def factorize(Y, mask, specs, cfg, truth=None):
     Parameters
     ----------
     Y : ndarray, shape (N1, N2, N3)
-        Data tensor of real numbers; entries the mask leaves unobserved are
-        ignored.  A Y that is not C-ordered float64 is converted once per fit.
+        Data tensor of real numbers, finite where observed; the entries the
+        mask leaves unobserved, NaN or inf included, are ignored.  A Y that
+        is not C-ordered float64 is converted once per fit.
     mask : ndarray of bool or None
         Sampling mask; None or all-true means fully observed.
     specs : sequence of three ModeSpec

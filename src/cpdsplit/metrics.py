@@ -17,10 +17,7 @@ from .tensor import FactorSet
 
 
 def _check_pair(fset, truth):
-    if not isinstance(fset, FactorSet):
-        fset = FactorSet(tuple(fset))
-    if not isinstance(truth, FactorSet):
-        truth = FactorSet(tuple(truth))
+    fset, truth = FactorSet(fset), FactorSet(truth)
     if fset.rank != truth.rank:
         raise ValueError("rank mismatch: %d vs %d" % (fset.rank, truth.rank))
     if fset.dims != truth.dims:

@@ -5,7 +5,6 @@ pure.  Regularizer weights fold into the prox: for each kind here, the prox
 of ``w*h`` at step ``gamma`` equals the prox of ``h`` at step ``gamma*w``.
 """
 
-import functools
 import math
 import numbers
 import operator
@@ -63,15 +62,12 @@ def _normalize_groups(groups, n_cols=None, allow_overlap=True):
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=64)
 def _flatten(groups):
     # the blocks' columns in block order (as group_replicate writes them),
-    # each block's start there and its size; read-only, as the cache shares them
+    # each block's start there and its size; ProxFn and LinOp keep them as ``_flat``
     index = np.concatenate([np.asarray(g, dtype=np.intp) for g in groups])
     sizes = np.array([len(g) for g in groups])
-    starts = np.cumsum(sizes) - sizes
-    index.flags.writeable = starts.flags.writeable = sizes.flags.writeable = False
-    return index, starts, sizes
+    return index, np.cumsum(sizes) - sizes, sizes
 
 
 @dataclass(frozen=True)
@@ -86,15 +82,16 @@ class ProxFn:
     kind: str
     weight: float = 0.0
     groups: tuple = None
+    _flat: tuple = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in PROX_KINDS:
             raise ValueError("unknown prox kind %r" % (self.kind,))
         object.__setattr__(self, "weight", as_amount("weight", self.weight))
         if self.kind == "group_l2":
-            object.__setattr__(
-                self, "groups", _normalize_groups(self.groups, allow_overlap=False)
-            )
+            groups = _normalize_groups(self.groups, allow_overlap=False)
+            object.__setattr__(self, "groups", groups)
+            object.__setattr__(self, "_flat", _flatten(groups))
         elif self.groups is not None:
             raise ValueError("groups are only meaningful for kind 'group_l2'")
 
@@ -128,36 +125,40 @@ class LinOp:
     overlapping column blocks so an overlapping-group penalty becomes
     separable downstream.  ``norm_bound`` caches an upper bound on ||L*L||,
     exact for identity and group_replicate, and the classical bound 4 for
-    row_difference.
+    row_difference, and ``out_cols`` the output width (None for an identity
+    of undeclared width).
     """
 
     kind: str
     n_cols: int = None
     groups: tuple = None
     norm_bound: float = field(init=False, default=0.0)
+    out_cols: int = field(init=False, default=None)
+    _flat: tuple = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in LINOP_KINDS:
             raise ValueError("unknown operator kind %r" % (self.kind,))
         if self.n_cols is not None:
             object.__setattr__(self, "n_cols", as_count("n_cols", self.n_cols, 1))
+        if self.kind != "group_replicate" and self.groups is not None:
+            raise ValueError("%s operator takes no groups" % self.kind)
         if self.kind == "identity":
-            if self.groups is not None:
-                raise ValueError("identity operator takes no groups")
-            bound = 1.0
+            bound, cols = 1.0, self.n_cols
         elif self.kind == "row_difference":
-            if self.groups is not None:
-                raise ValueError("row_difference operator takes no groups")
             if self.n_cols is None or self.n_cols < 2:
                 raise ValueError("row_difference needs n_cols >= 2")
-            bound = 4.0
+            bound, cols = 4.0, self.n_cols - 1
         else:
             if self.n_cols is None:
                 raise ValueError("group_replicate needs n_cols")
             groups = _normalize_groups(self.groups, self.n_cols, allow_overlap=True)
             object.__setattr__(self, "groups", groups)
-            bound = float(np.bincount(_flatten(groups)[0], minlength=self.n_cols).max())
+            object.__setattr__(self, "_flat", _flatten(groups))
+            index = self._flat[0]
+            bound, cols = float(np.bincount(index, minlength=self.n_cols).max()), index.size
         object.__setattr__(self, "norm_bound", bound)
+        object.__setattr__(self, "out_cols", cols)
 
 
 def identity_op(n_cols=None):
@@ -175,7 +176,7 @@ def group_replicate_op(groups, n_cols):
 def _block_norms(p, x):
     # group_l2: the gathered blocks of x, and the l2 norm of each row of
     # each block (R x number of blocks)
-    index, starts, _ = _flatten(p.groups)
+    index, starts, _ = p._flat
     blocks = x[:, index]
     return blocks, np.sqrt(np.add.reduceat(blocks * blocks, starts, axis=1))
 
@@ -215,7 +216,7 @@ def prox_apply(p, x, gamma):
         return x / (1.0 + 2.0 * t)
     if x.ndim != 2:
         raise ValueError("group_l2 prox expects a 2-D array")
-    index, _, sizes = _flatten(p.groups)
+    index, _, sizes = p._flat
     blocks, norms = _block_norms(p, x)
     # a row block of norm > t shrinks by 1 - t/norm, any other goes to 0;
     # the ratio is not taken there, so t == 0 on a zero block is no 0/0
@@ -252,17 +253,6 @@ def _check_width(x, width, message):
         raise ValueError(message % (width, x.shape[1]))
 
 
-def linop_output_cols(op):
-    """Number of output columns; requires n_cols to be declared."""
-    if op.n_cols is None:
-        raise ValueError("operator has no declared input width")
-    if op.kind == "identity":
-        return op.n_cols
-    if op.kind == "row_difference":
-        return op.n_cols - 1
-    return _flatten(op.groups)[0].size
-
-
 def linop_forward(op, x):
     """Apply the operator to an R x N matrix."""
     x = np.asarray(x)
@@ -271,14 +261,13 @@ def linop_forward(op, x):
         return x
     if op.kind == "row_difference":
         return x[:, 1:] - x[:, :-1]
-    return x[:, _flatten(op.groups)[0]]
+    return x[:, op._flat[0]]
 
 
 def linop_adjoint(op, y):
     """Apply the adjoint; satisfies <L(x), y> == <x, adjoint(y)>."""
     y = np.asarray(y)
-    cols = None if op.n_cols is None else linop_output_cols(op)
-    _check_width(y, cols, "adjoint expects %d columns, got %d")
+    _check_width(y, op.out_cols, "adjoint expects %d columns, got %d")
     if op.kind == "identity":
         return y
     if op.kind == "row_difference":
@@ -288,7 +277,7 @@ def linop_adjoint(op, y):
         return out
     out = np.zeros((y.shape[0], op.n_cols))
     # a column that several groups share sums their copies
-    np.add.at(out, (slice(None), _flatten(op.groups)[0]), y)
+    np.add.at(out, (slice(None), op._flat[0]), y)
     return out
 
 
@@ -304,6 +293,6 @@ def overlapping_group_lasso(groups, weight, n_cols):
         space and the matching group_replicate operator.
     """
     op = group_replicate_op(groups, n_cols)
-    _, starts, sizes = _flatten(op.groups)
+    _, starts, sizes = op._flat
     blocks = tuple(tuple(range(s, s + n)) for s, n in zip(starts, sizes))
     return ProxFn("group_l2", weight, blocks), op

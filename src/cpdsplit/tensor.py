@@ -45,12 +45,14 @@ def khatri_rao(x, y):
 
 @dataclass
 class FactorSet:
-    """Factor matrices (F_1, F_2, F_3) of a rank-R CP model, each N_d x R."""
+    """Factor matrices (F_1, F_2, F_3) of a rank-R CP model, each N_d x R.
+    ``FactorSet(x)`` takes another FactorSet's factors or any three arrays."""
 
     factors: tuple
 
     def __post_init__(self):
-        factors = tuple(np.asarray(f) for f in self.factors)
+        given = self.factors.factors if isinstance(self.factors, FactorSet) else self.factors
+        factors = tuple(np.asarray(f) for f in given)
         if len(factors) != 3:
             raise ValueError("FactorSet needs exactly 3 factor matrices")
         ranks = {f.shape[1] if f.ndim == 2 else -1 for f in factors}
@@ -78,8 +80,7 @@ def cp_reconstruct(fset):
     -------
     ndarray, shape (N1, N2, N3)
     """
-    factors = fset.factors if isinstance(fset, FactorSet) else tuple(fset)
-    f1, f2, f3 = (np.asarray(f) for f in factors)
+    f1, f2, f3 = FactorSet(fset).factors
     out = khatri_rao(f1, f2) @ f3.T
     return out.reshape(f1.shape[0], f2.shape[0], f3.shape[0])
 

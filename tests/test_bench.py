@@ -40,6 +40,8 @@ def test_synthetic_spec_validation():
         SyntheticSpec(dims=5)
     with pytest.raises(ValueError):
         SyntheticSpec(sparse_mode=0)
+    with pytest.raises(ValueError, match="sparse_mode must be 1, 2 or 3"):
+        SyntheticSpec(sparse_mode=4)
     for sparsity in (1.0, False, "0.5", -0.1):
         with pytest.raises(ValueError, match="sparsity must be"):
             SyntheticSpec(sparsity=sparsity)
@@ -264,6 +266,13 @@ def test_config_errors_name_their_section(section, key, value, least):
     ({"modes": [{}, {}, {"regularizer": {"kind": "overlapping_group_l2", "weight": 1.0,
                                          "groups": [0, 1]}}]},
      "modes[2]: index blocks must be lists of column indices, got [0, 1]"),
+    # a repeated arm would be fitted twice, the second fit overwriting the first's files
+    ({"algorithms": ["aopds", "aopds"]},
+     "arm listed twice: algorithms ('aopds', 'aopds'), inner_iters (5,)"),
+    ({"inner_iters": [5, 3, 5]},
+     "arm listed twice: algorithms ('aopds', 'aoadmm'), inner_iters (5, 3, 5)"),
+    ({"modes": [{}, {"regularizer": {"kind": "group_l2", "weight": 1.0, "groups": []}}, {}]},
+     "modes[1]: at least one index block required"),
 ])
 def test_a_malformed_config_is_refused_by_name(cfg, want):
     # a ValueError that names the key, not a TypeError from reading it

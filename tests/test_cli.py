@@ -6,7 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpdsplit.bench import CONFIG_KEYS, ExperimentConfig, SyntheticSpec, read_trace_csv
+from cpdsplit.bench import (
+    CONFIG_KEYS,
+    ExperimentConfig,
+    SyntheticSpec,
+    mode_spec_from_dict,
+    read_trace_csv,
+)
 from cpdsplit.cli import build_parser, int_list, main
 from cpdsplit.driver import DriverConfig
 from cpdsplit.metrics import factor_match_score
@@ -286,6 +292,8 @@ def test_bench_rejects_inconsistent_config(tmp_path):
     good.write_text(json.dumps(cfg))
     with pytest.raises(SystemExit, match="bad config"):
         main(["bench", "--config", str(good), "--inner-iters", "0"])
+    with pytest.raises(SystemExit, match=r"^bad config: arm listed twice: .*inner_iters \(5, 5\)$"):
+        main(["factorize", "--config", str(good), "--inner-iters", "5,5"])
     # an out_dir that is no path is refused before a fit, not by the writer
     cfg["out_dir"] = 5
     no_path = tmp_path / "no_path.json"
@@ -423,6 +431,13 @@ def test_readme_config_example_builds(tmp_path):
     (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
     example = json.loads(block)
     assert ExperimentConfig.from_dict(example).to_dict() == example
+    # README: the values are the defaults except inner_iters; its modes 2
+    # and 3 leave out the identity operator, so the modes compare as built
+    built, default = (ExperimentConfig.from_dict(c) for c in (example, {"inner_iters": [3, 5, 7]}))
+    assert built.to_dict() | {"modes": None} == default.to_dict() | {"modes": None}
+    specs = [[mode_spec_from_dict(m, n) for m, n in zip(c.mode_dicts, c.synthetic.dims)]
+             for c in (built, default)]
+    assert specs[0] == specs[1]
     path = tmp_path / "readme.json"
     path.write_text(block)
     data = tmp_path / "data"

@@ -489,10 +489,14 @@ def test_mse_stop_requires_truth():
 def test_non_finite_data_is_refused():
     Y, _ = _small_problem(seed=6)
     cfg = DriverConfig(rank=2, stop_metric="objective_rel_change")
+    partial = np.ones(Y.shape, dtype=bool)
+    partial[0, 0, 0] = False
     for bad in (np.nan, np.inf, -np.inf):
         Y[1, 2, 3] = bad
-        with pytest.raises(ValueError, match="Y contains non-finite values"):
-            factorize(Y, None, _plain_specs(), cfg)
+        # no mask, an all-true one and a partial one all observe Y[1, 2, 3]
+        for mask in (None, np.ones(Y.shape, dtype=bool), partial):
+            with pytest.raises(ValueError, match="Y contains non-finite values"):
+                factorize(Y, mask, _plain_specs(), cfg)
 
 
 def test_truth_of_other_dims_is_refused():
@@ -587,14 +591,16 @@ def test_unobserved_entries_are_ignored():
     Y, truth = _small_problem(seed=15, dims=(12, 11, 10), noise=0.05)
     mask = rng.random(Y.shape) < 0.6
     cfg = DriverConfig(rank=2, n_inner=3, max_outer=10, seed=16)
-    dirty = np.where(mask, Y, 100.0 * rng.standard_normal(Y.shape))
-    kept = dirty.copy()
-    a = factorize(dirty, mask, _nonneg_specs(), cfg, truth)
     b = factorize(np.where(mask, Y, 0.0), mask, _nonneg_specs(), cfg, truth)
-    assert np.array_equal(dirty, kept)
-    for fa, fb in zip(a.factors.factors, b.factors.factors):
-        assert np.array_equal(fa, fb)
-    assert [t.objective for t in a.trace] == [t.objective for t in b.trace]
+    # NaN is the usual marker of a missing entry
+    for fill in (100.0 * rng.standard_normal(Y.shape), np.nan, np.inf, -np.inf):
+        dirty = np.where(mask, Y, fill)
+        kept = dirty.copy()
+        a = factorize(dirty, mask, _nonneg_specs(), cfg, truth)
+        assert np.array_equal(dirty, kept, equal_nan=True)
+        for fa, fb in zip(a.factors.factors, b.factors.factors):
+            assert np.array_equal(fa, fb)
+        assert [t.objective for t in a.trace] == [t.objective for t in b.trace]
 
 
 def test_shape_and_spec_mismatches_raise():

@@ -11,7 +11,6 @@ from cpdsplit.operators import (
     identity_op,
     linop_adjoint,
     linop_forward,
-    linop_output_cols,
     overlapping_group_lasso,
     project,
     prox_apply,
@@ -112,6 +111,8 @@ def test_prox_rejects_bad_arguments():
         prox_apply(ProxFn("l1", 1.0), np.ones(3), 0.0)
     with pytest.raises(ValueError):
         prox_apply(ProxFn("l1", 1.0), np.ones(3), -1.0)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        prox_conjugate(ProxFn("l1", 1.0), np.ones(3), 0.0)
     with pytest.raises(ValueError):
         ProxFn("l1", -0.5)
     # a weight is a real number: a bool or a numeric string is not read as one
@@ -220,7 +221,7 @@ def test_group_replicate_hand_example():
     op = group_replicate_op(((0, 1), (1, 2)), 3)
     x = np.array([[5.0, 7.0, 11.0]])
     assert np.array_equal(linop_forward(op, x), [[5.0, 7.0, 7.0, 11.0]])
-    assert linop_output_cols(op) == 4
+    assert op.out_cols == 4
 
 
 def test_linops_match_dense_matrices():
@@ -250,7 +251,7 @@ def test_adjoint_identity_random_pairs():
         group_replicate_op(((4, 0), (3,), (0, 4, 1)), 6),
     ]
     for op in ops:
-        m = linop_output_cols(op)
+        m = op.out_cols
         for _ in range(50):
             x = rng.standard_normal((2, 6))
             y = rng.standard_normal((2, m))
@@ -323,6 +324,8 @@ def test_group_validation_rules():
         group_replicate_op(((0, 0),), 3)
     with pytest.raises(ValueError):
         ProxFn("l1", 1.0, groups=((0,),))
+    with pytest.raises(ValueError, match="at least one index block required"):
+        ProxFn("group_l2", 1.0, [])
     # an index is an integer: 2.9 or True is refused, not truncated to a column
     for groups in ([[True, 2.9]], ((0, 1.5), (1.2, 3)), ((0, 2.0),)):
         with pytest.raises(ValueError, match="group index must be an integer >= 0"):
@@ -340,6 +343,10 @@ def test_operator_validation_rules():
         row_difference_op(1)
     with pytest.raises(ValueError):
         LinOp("identity", 4, groups=((0,),))
+    with pytest.raises(ValueError, match="row_difference operator takes no groups"):
+        LinOp("row_difference", 5, ((0,),))
+    with pytest.raises(ValueError, match="operator input must be 2-D"):
+        linop_forward(identity_op(), np.ones(3))
     with pytest.raises(ValueError):
         LinOp("group_replicate", None, ((0,),))
     with pytest.raises(ValueError):
@@ -350,8 +357,7 @@ def test_operator_validation_rules():
         linop_adjoint(identity_op(4), np.ones((2, 3)))
     with pytest.raises(ValueError, match="adjoint expects 5 columns, got 4"):
         linop_adjoint(group_replicate_op(((0, 1, 2), (2, 3)), 4), np.ones((2, 4)))
-    with pytest.raises(ValueError):
-        linop_output_cols(identity_op())
+    assert identity_op().out_cols is None
     # a width is an integer: 5.7 is refused, not truncated to 5
     for build in (lambda: row_difference_op(5.7), lambda: identity_op(3.0),
                   lambda: identity_op(True), lambda: group_replicate_op(((0,),), 4.5)):

@@ -8,7 +8,6 @@ from cpdsplit.operators import (
     identity_op,
     linop_adjoint,
     linop_forward,
-    linop_output_cols,
     overlapping_group_lasso,
     project,
     prox_conjugate,
@@ -316,7 +315,7 @@ def test_masked_solver_matches_dense_gradient_reference(rank, kind):
         steps = compute_stepsizes(float(np.vdot(W, W)), op_norm)
         G0 = None
         if spec.operator is not None:
-            G0 = rng.standard_normal((rank, linop_output_cols(spec.operator)))
+            G0 = rng.standard_normal((rank, spec.operator.out_cols))
         F0 = rng.random((rank, n))
 
         grams = oracles.column_grams_dense(W, Md)

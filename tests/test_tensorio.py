@@ -65,6 +65,10 @@ def test_tensor_read_rejects_corrupted_files(tmp_path):
     with pytest.raises(ValueError, match="truncated"):
         read_tensor(tmp_path / "short.tns3")
 
+    # N2, the header's second uint64 after the 5-byte magic and version, set to 0
+    (tmp_path / "zero.tns3").write_bytes(raw[:13] + struct.pack("<Q", 0) + raw[21:])
+    with pytest.raises(ValueError, match="non-positive dimension in header"):
+        read_tensor(tmp_path / "zero.tns3")
 
 def test_tensor_read_rejects_nonfinite_payload(tmp_path):
     path = tmp_path / "t.tns3"
