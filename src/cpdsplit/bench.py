@@ -64,8 +64,6 @@ def gaussian_from_uniform(rng, count):
     z0 = sqrt(-2 log(1-u1)) cos(2 pi u2), z1 = sqrt(-2 log(1-u1)) sin(2 pi u2),
     interleaved (z0, z1, z0, ...) and truncated to ``count``.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
     pairs = (count + 1) // 2
     u1 = rng.random(pairs)
     u2 = rng.random(pairs)

@@ -61,7 +61,7 @@ def _experiment_config(args, data=None, **defaults):
             if vars(args)["synthetic.rank"] is None:
                 rank = section("driver").get("rank", truth.rank if truth is not None else None)
                 if rank is None:
-                    raise SystemExit("--rank is required without ground truth")
+                    raise SystemExit("error: --rank is required without ground truth")
                 section("synthetic")["rank"] = rank
         return ExperimentConfig.from_dict(cfg)
     except (TypeError, ValueError) as exc:
@@ -71,7 +71,7 @@ def _experiment_config(args, data=None, **defaults):
 def _cmd_generate(args):
     spec = _experiment_config(args).synthetic
     if args.observed is not None and not 0.0 < args.observed <= 1.0:
-        raise SystemExit("--observed must be in (0, 1]")
+        raise SystemExit("error: --observed must be in (0, 1]")
     out = Path(args.data_dir)
     out.mkdir(parents=True, exist_ok=True)
     Y, truth, mask = generate_synthetic(spec)

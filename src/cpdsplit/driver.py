@@ -89,7 +89,7 @@ class TraceRecord:
     mse_aligned: float = None
 
 
-@dataclass
+@dataclass(eq=False)
 class FitResult:
     factors: FactorSet
     duals: list
@@ -103,7 +103,9 @@ def objective(Y, mask, fset, specs):
     """½||mask*(Y - reconstruction)||_F^2 plus the weighted regularizers
     h_d(L_d(F_d^T)) of a FactorSet or three (N_d, R) arrays; indicator
     terms of the hard constraints excluded.  It reads only the observed
-    entries of Y, which must be finite everywhere: NaN times 0 is NaN."""
+    entries of Y, which must be finite everywhere: NaN times 0 is NaN.
+    Like :func:`factorize` it refuses, by mode, a spec list that is not
+    three long or an operator whose width is not its mode's size."""
     fset = FactorSet(fset)
     recon = cp_reconstruct(fset)
     if recon.shape != np.shape(Y):
@@ -111,6 +113,7 @@ def objective(Y, mask, fset, specs):
             "factor dims %r do not match data shape %r"
             % (recon.shape, np.shape(Y))
         )
+    _check_specs(specs, recon.shape)
     # the residual reuses recon's buffer; for finite Y and recon, multiplying
     # by the mask equals zeroing and is ~10x faster than a masked write
     r = np.subtract(Y, recon, out=recon)
@@ -149,6 +152,18 @@ def _converged(trace, cfg):
     return abs(last.objective - prev.objective) / max(prev.objective, _REL_EPS) < cfg.stop_tol
 
 
+def _check_specs(specs, shape):
+    # three specs, each operator as wide as its mode (an identity may leave
+    # its width undeclared; it takes any): the operators check nothing
+    if len(specs) != 3:
+        raise ValueError("exactly three mode specs required")
+    for d, spec in enumerate(specs):
+        width = spec.operator.n_cols if spec.operator is not None else None
+        if width not in (None, shape[d]):
+            raise ValueError("mode %d operator declares %d columns but the mode has size %d"
+                             % (d + 1, width, shape[d]))
+
+
 def _prepare(Y, mask, specs, cfg, truth):
     Y = np.asarray(Y)
     if Y.dtype.kind not in "biuf":
@@ -160,16 +175,7 @@ def _prepare(Y, mask, specs, cfg, truth):
     # one float64 copy at most: the tree's reshapes are free views of a
     # C-ordered Y, and its GEMMs would cast any other dtype on every call
     Y = np.ascontiguousarray(Y, dtype=np.float64)
-    if len(specs) != 3:
-        raise ValueError("exactly three mode specs required")
-    for d, spec in enumerate(specs):
-        # an identity may leave its width undeclared; it takes any
-        width = spec.operator.n_cols if spec.operator is not None else None
-        if width not in (None, Y.shape[d]):
-            raise ValueError(
-                "mode %d operator declares %d columns but the mode has size %d"
-                % (d + 1, width, Y.shape[d])
-            )
+    _check_specs(specs, Y.shape)
     if mask is not None:
         mask = np.asarray(mask)
         if mask.shape != Y.shape or mask.dtype != np.bool_:

@@ -183,7 +183,6 @@ def _block_norms(p, x):
 
 def prox_value(p, x):
     """Evaluate h(x) for the catalog function ``p`` (a Python float)."""
-    x = np.asarray(x)
     if p.kind == "zero":
         return 0.0
     if p.kind == "l1":
@@ -202,11 +201,9 @@ def prox_apply(p, x, gamma):
     x : ndarray
         2-D for kind 'group_l2'; any shape otherwise.
     gamma : float
-        Positive step.
+        Positive step.  Neither is checked: the inner solvers call this on
+        every iteration with what the fit's door has checked.
     """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive, got %r" % (gamma,))
-    x = np.asarray(x)
     if p.kind == "zero":
         return x
     t = gamma * p.weight
@@ -214,8 +211,6 @@ def prox_apply(p, x, gamma):
         return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
     if p.kind == "squared_frobenius":
         return x / (1.0 + 2.0 * t)
-    if x.ndim != 2:
-        raise ValueError("group_l2 prox expects a 2-D array")
     index, _, sizes = p._flat
     blocks, norms = _block_norms(p, x)
     # a row block of norm > t shrinks by 1 - t/norm, any other goes to 0;
@@ -228,16 +223,13 @@ def prox_apply(p, x, gamma):
 
 def prox_conjugate(p, x, gamma):
     """Prox of the convex conjugate h* at step gamma, via the Moreau
-    decomposition: x - gamma * prox_apply(p, x/gamma, 1/gamma)."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive, got %r" % (gamma,))
-    x = np.asarray(x)
+    decomposition: x - gamma * prox_apply(p, x/gamma, 1/gamma).  ``x`` is
+    an ndarray and ``gamma`` positive, unchecked as in :func:`prox_apply`."""
     return x - gamma * prox_apply(p, x / gamma, 1.0 / gamma)
 
 
 def project(c, x):
     """Metric projection of ``x`` onto the set described by ``c``."""
-    x = np.asarray(x)
     if c.kind == "none":
         return x
     if c.kind == "nonnegative":
@@ -245,18 +237,8 @@ def project(c, x):
     return np.clip(x, c.lo, c.hi)
 
 
-def _check_width(x, width, message):
-    # width None: an identity with no declared width takes any
-    if x.ndim != 2:
-        raise ValueError("operator input must be 2-D, got ndim=%d" % x.ndim)
-    if width is not None and x.shape[1] != width:
-        raise ValueError(message % (width, x.shape[1]))
-
-
 def linop_forward(op, x):
-    """Apply the operator to an R x N matrix."""
-    x = np.asarray(x)
-    _check_width(x, op.n_cols, "operator expects %d input columns, got %d")
+    """Apply the operator to an R x N matrix of its declared width N."""
     if op.kind == "identity":
         return x
     if op.kind == "row_difference":
@@ -265,9 +247,7 @@ def linop_forward(op, x):
 
 
 def linop_adjoint(op, y):
-    """Apply the adjoint; satisfies <L(x), y> == <x, adjoint(y)>."""
-    y = np.asarray(y)
-    _check_width(y, op.out_cols, "adjoint expects %d columns, got %d")
+    """Apply the adjoint to R x out_cols; <L(x), y> == <x, adjoint(y)>."""
     if op.kind == "identity":
         return y
     if op.kind == "row_difference":

@@ -17,7 +17,8 @@ import numpy as np
 
 
 def khatri_rao(x, y):
-    """Column-wise Kronecker product of two matrices.
+    """Column-wise Kronecker product of two matrices.  Called on every mode
+    visit, it checks nothing: its callers pass two factors of one CP model.
 
     Parameters
     ----------
@@ -30,23 +31,16 @@ def khatri_rao(x, y):
         Column j is ``kron(x[:, j], y[:, j])``; the row index of ``y``
         varies fastest along the output rows.
     """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.ndim != 2 or y.ndim != 2:
-        raise ValueError("khatri_rao expects two 2-D arrays")
-    if x.shape[1] != y.shape[1]:
-        raise ValueError(
-            "khatri_rao column mismatch: %d vs %d" % (x.shape[1], y.shape[1])
-        )
     m, k = x.shape
     n = y.shape[0]
     return (x[:, None, :] * y[None, :, :]).reshape(m * n, k)
 
 
-@dataclass
+@dataclass(eq=False)
 class FactorSet:
     """Factor matrices (F_1, F_2, F_3) of a rank-R CP model, each N_d x R.
-    ``FactorSet(x)`` takes another FactorSet's factors or any three arrays."""
+    ``FactorSet(x)`` takes another FactorSet's factors or any three arrays.
+    Sets compare by identity: ``==`` on their arrays is elementwise."""
 
     factors: tuple
 

@@ -64,9 +64,10 @@ def test_generate_observed_fraction_masks_entries(tmp_path):
               "--tensor", str(out / "tensor.tns3"),
               "--mask", str(out / "mask.msk3"),
               "--rank", "2", "--out-dir", str(tmp_path / "fit2")])
-    with pytest.raises(SystemExit, match="observed"):
-        main(["generate", "--dims", "6,5,4", "--observed", "0",
-              "--out-dir", str(tmp_path / "x")])
+    for frac in ("0", "1.5"):
+        with pytest.raises(SystemExit, match=r"^error: --observed must be in \(0, 1\]$"):
+            main(["generate", "--dims", "6,5,4", "--observed", frac,
+                  "--out-dir", str(tmp_path / "x")])
     assert not (tmp_path / "x").exists()
 
 
@@ -148,7 +149,7 @@ def test_factorize_requires_rank_without_truth(tmp_path):
     data = tmp_path / "data"
     main(["generate", "--dims", "6,5,4", "--rank", "2", "--seed", "0",
           "--out-dir", str(data)])
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit, match="^error: --rank is required without ground truth$"):
         main([
             "factorize", "--tensor", str(data / "tensor.tns3"),
             "--out-dir", str(tmp_path / "run"),

@@ -475,6 +475,8 @@ def test_factorize_is_deterministic():
                         r2.factors.factors + tuple(r2.duals[2:])):
             assert a.tobytes() == b.tobytes()
         assert r1.duals[:2] == r2.duals[:2] == [None, None]
+        # results hold arrays, so they compare by identity, without raising
+        assert r1 == r1 and (r1 == r2) is False
         assert np.array([t.objective for t in r1.trace]).tobytes() == \
             np.array([t.objective for t in r2.trace]).tobytes()
 
@@ -623,6 +625,34 @@ def test_shape_and_spec_mismatches_raise():
     for bad in (Y.astype(complex), Y.astype(str)):
         with pytest.raises(ValueError, match="Y must hold real numbers, got dtype %s" % bad.dtype):
             factorize(bad, None, _plain_specs(), cfg2)
+
+
+def test_every_door_refuses_specs_by_mode():
+    # objective, factorize and ao_admm_factorize share one spec check: three
+    # specs, each operator as wide as its mode; the operators check nothing
+    Y, truth = _small_problem(seed=26)
+    cfg = DriverConfig(rank=2, stop_metric="objective_rel_change")
+    l1 = ProxFn("l1", 0.1)
+    doors = (lambda specs: objective(Y, None, truth, specs),
+             lambda specs: factorize(Y, None, specs, cfg),
+             lambda specs: ao_admm_factorize(Y, None, specs, cfg))
+    wide = ModeSpec(regularizer=l1, operator=identity_op(5))
+    refusals = (
+        ((ModeSpec(),) * 2, "exactly three mode specs required"),
+        ((ModeSpec(),) * 4, "exactly three mode specs required"),
+        ((ModeSpec(), ModeSpec(), wide),
+         "mode 3 operator declares 5 columns but the mode has size 4"),
+    )
+    for door in doors:
+        for specs, message in refusals:
+            with pytest.raises(ValueError, match="^%s$" % message):
+                door(specs)
+    # total variation, which only the primal-dual doors take
+    tv = ModeSpec(regularizer=l1, operator=row_difference_op(7))
+    for door in doors[:2]:
+        with pytest.raises(ValueError, match="^mode 1 operator declares 7 columns but the mode "
+                                             "has size 6$"):
+            door((tv, ModeSpec(), ModeSpec()))
 
 
 def test_each_dual_has_the_shape_of_its_operators_output():

@@ -55,6 +55,36 @@ def test_no_module_has_an_unused_import():
     assert not unused, unused
 
 
+# called n_inner times per mode visit (khatri_rao once per visit): the fit's
+# door checks their arguments once, and these trust it
+PER_ITERATION_PRIMITIVES = {
+    "operators.py": ("linop_forward", "linop_adjoint", "project", "prox_conjugate",
+                     "prox_apply"),
+    "tensor.py": ("khatri_rao",),
+}
+
+
+def test_the_per_iteration_primitives_raise_nothing():
+    # a re-check that creeps back in, directly or through a function of the
+    # same module that the primitive calls, is caught here
+    offenders = []
+    for module, names in PER_ITERATION_PRIMITIVES.items():
+        tree = ast.parse((SRC / module).read_text(), filename=module)
+        defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        for name in names:
+            todo, seen = [name], set()
+            while todo:
+                fn = todo.pop()
+                seen.add(fn)
+                for node in ast.walk(defs[fn]):
+                    if isinstance(node, ast.Raise):
+                        offenders.append("%s:%d %s (via %s)" % (module, node.lineno, name, fn))
+                    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                          and node.func.id in defs and node.func.id not in seen):
+                        todo.append(node.func.id)
+    assert not offenders, offenders
+
+
 PUBLIC_API = {
     "DriverConfig", "ModeSpec", "FitResult", "TraceRecord", "factorize",
     "objective", "ao_admm_factorize", "UnsupportedSpecError", "Projection",

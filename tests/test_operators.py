@@ -107,12 +107,8 @@ def test_prox_weight_folds_into_step():
 
 
 def test_prox_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        prox_apply(ProxFn("l1", 1.0), np.ones(3), 0.0)
-    with pytest.raises(ValueError):
-        prox_apply(ProxFn("l1", 1.0), np.ones(3), -1.0)
-    with pytest.raises(ValueError, match="gamma must be positive"):
-        prox_conjugate(ProxFn("l1", 1.0), np.ones(3), 0.0)
+    # the catalog checks at construction; prox_apply and prox_conjugate,
+    # called on every inner iteration, trust their step (see test_layering)
     with pytest.raises(ValueError):
         ProxFn("l1", -0.5)
     # a weight is a real number: a bool or a numeric string is not read as one
@@ -121,8 +117,6 @@ def test_prox_rejects_bad_arguments():
             ProxFn("l1", weight)
     with pytest.raises(ValueError):
         ProxFn("huber", 1.0)
-    with pytest.raises(ValueError):
-        prox_apply(ProxFn("group_l2", 1.0, ((0,),)), np.ones(3), 1.0)
 
 
 def test_moreau_decomposition_reconstructs_input():
@@ -345,18 +339,10 @@ def test_operator_validation_rules():
         LinOp("identity", 4, groups=((0,),))
     with pytest.raises(ValueError, match="row_difference operator takes no groups"):
         LinOp("row_difference", 5, ((0,),))
-    with pytest.raises(ValueError, match="operator input must be 2-D"):
-        linop_forward(identity_op(), np.ones(3))
     with pytest.raises(ValueError):
         LinOp("group_replicate", None, ((0,),))
-    with pytest.raises(ValueError):
-        linop_forward(row_difference_op(4), np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        linop_adjoint(row_difference_op(4), np.ones((2, 4)))
-    with pytest.raises(ValueError, match="adjoint expects 4 columns, got 3"):
-        linop_adjoint(identity_op(4), np.ones((2, 3)))
-    with pytest.raises(ValueError, match="adjoint expects 5 columns, got 4"):
-        linop_adjoint(group_replicate_op(((0, 1, 2), (2, 3)), 4), np.ones((2, 4)))
+    # an operator's width is checked against its mode at the fit's door
+    # (test_driver::test_every_door_refuses_specs_by_mode), not per call
     assert identity_op().out_cols is None
     # a width is an integer: 5.7 is refused, not truncated to 5
     for build in (lambda: row_difference_op(5.7), lambda: identity_op(3.0),

@@ -20,13 +20,6 @@ def test_khatri_rao_second_factor_varies_fastest():
     assert np.array_equal(khatri_rao(x, y), [[10.0], [14.0], [15.0], [21.0]])
 
 
-def test_khatri_rao_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        khatri_rao(np.ones((2, 2)), np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        khatri_rao(np.ones(4), np.ones((2, 2)))
-
-
 def test_matricization_khatri_rao_identity():
     # the mode-d unfolding of the reconstruction == khatri_rao(other factors) @ F_d^T
     rng = np.random.default_rng(2)
@@ -95,3 +88,12 @@ def test_factorset_validation_and_props():
         FactorSet((np.ones((2, 2)), np.ones((2, 2))))
     with pytest.raises(ValueError):
         FactorSet((np.ones(2), np.ones(2), np.ones(2)))
+
+
+def test_factor_sets_compare_by_identity():
+    # the generated field-wise == would ask an array pair for one truth value
+    a = FactorSet(tuple(np.ones((n, 2)) for n in (2, 3, 4)))
+    b = FactorSet(tuple(f.copy() for f in a.factors))
+    assert (a == b) is False
+    assert a == a
+    assert a != b
