@@ -1,19 +1,18 @@
 """The ADMM inner solver, the comparison baseline.
 
-It plugs into the driver's outer loop (:func:`cpdsplit.driver.alternate`),
-which owns the mode visits, the trace and the stop rule, and carries the
-primal-dual solver's state, :class:`cpdsplit.pds.SubproblemState`: F is
-the scaled form's feasible variable and G its scaled dual.  Each visit
-takes the MTTKRP B = W^T Y_d from the outer loop, the same B the
-primal-dual solver gets, and solves the mode's subproblem with a Cholesky
-factorization L L^T = W^T W + rho I computed once and reused by every
-inner iteration; the least-squares iterate lives only within the visit.
-The factor is applied through its inverse, so each visit pays the matrix
-inversion that the primal-dual solver does without.  The feasible variable
-absorbs both the regularizer and the hard constraint, which restricts this
-solver to separable regularizers composed with the identity: structured
-operators and masked data are rejected, that is the gap the primal-dual
-solver exists to fill.
+It plugs into the driver's outer loop (:func:`cpdsplit.driver.alternate`)
+with the primal-dual solver's call and state, :class:`SubproblemState`:
+F is the scaled form's feasible variable and G its scaled dual.  Each
+visit takes the MTTKRP B = W^T Y_d and the bound trace(W^T W) from the
+outer loop, as the primal-dual solver does, and solves the mode's
+subproblem with a Cholesky factorization L L^T = W^T W + rho I computed
+once and reused by every inner iteration; the least-squares iterate lives
+only within the visit.  The factor is applied through its inverse, so each
+visit pays the matrix inversion that the primal-dual solver does without.
+The feasible variable absorbs both the regularizer and the hard constraint,
+which restricts this solver to separable regularizers composed with the
+identity: structured operators and masked data are rejected, that is the
+gap the primal-dual solver exists to fill.
 """
 
 import numpy as np
@@ -62,8 +61,14 @@ def _composite_prox(spec, x, rho):
     return project(spec.projection, prox_apply(spec.regularizer, x, 1.0 / rho))
 
 
-def solve_subproblem_admm(state, spec, W, B, rho, n_inner):
-    """Advance one mode's ADMM state by n_inner iterations.
+def initial_state(F, spec):
+    """A fit's start from the R x N factor F: a zero scaled dual."""
+    return SubproblemState(F=F, G=np.zeros_like(F))
+
+
+def solve_subproblem_admm(state, spec, W, B, grams, bound, n_inner):
+    """Advance one mode's ADMM state by n_inner iterations with the penalty
+    rho = bound / R.
 
     Parameters
     ----------
@@ -77,8 +82,10 @@ def solve_subproblem_admm(state, spec, W, B, rho, n_inner):
     B : ndarray, shape (R, N)
         The MTTKRP W^T Yd of the matricized data Yd, built by the outer
         loop; this solver never reads Yd.
-    rho : float
-        Positive, finite penalty.
+    grams : None
+        Always None: :func:`ao_admm_factorize` refuses a partial mask.
+    bound : float
+        The positive, finite trace(W^T W).
     n_inner : int
         Iterations, at least 1.
 
@@ -88,6 +95,7 @@ def solve_subproblem_admm(state, spec, W, B, rho, n_inner):
         F is the feasible factor estimate.
     """
     rank = W.shape[1]
+    rho = bound / rank
     gram = W.T @ W
     factor = cho_factor(gram + rho * np.eye(rank))
     F, G = state.F, state.G
@@ -109,8 +117,7 @@ def ao_admm_factorize(Y, mask, specs, cfg, truth=None):
     ----------
     Y, mask, specs, cfg, truth : as in the primal-dual driver; the mask must
         be None or all-true, and every mode spec must pass
-        :func:`check_supported`.  The penalty rho is trace(W^T W)/R,
-        recomputed per mode visit.
+        :func:`check_supported`.
 
     Returns
     -------
@@ -122,13 +129,6 @@ def ao_admm_factorize(Y, mask, specs, cfg, truth=None):
         check_supported(spec)
     if mask is not None and not np.asarray(mask).all():
         raise UnsupportedSpecError("masked data is not supported by this baseline")
-
-    def start(F, spec):
-        return SubproblemState(F=F, G=np.zeros_like(F))
-
-    def visit(state, spec, W, B, grams, bound):
-        return solve_subproblem_admm(state, spec, W, B, bound / cfg.rank, cfg.n_inner)
-
-    result = alternate(Y, mask, specs, cfg, truth, start, visit)
+    result = alternate(Y, mask, specs, cfg, truth, initial_state, solve_subproblem_admm)
     result.counters["cholesky_factorizations"] = 3 * result.outer_iterations
     return result

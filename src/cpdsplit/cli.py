@@ -38,7 +38,7 @@ def _experiment_config(args, data=None, **defaults):
     given set at the key its dest names (``section.key`` or a top-level key),
     read by ExperimentConfig.from_dict.  ``data=(Y, mask, truth)`` read from
     files sets the synthetic dims and, without --rank, the rank:
-    driver.rank, else the truth's."""
+    driver.rank, else synthetic.rank, else the truth's."""
     try:
         cfg = {**defaults, **config_object(_load_config(args.config), "the config")}
 
@@ -59,7 +59,8 @@ def _experiment_config(args, data=None, **defaults):
             if truth is None:
                 section("driver").setdefault("stop_metric", "objective_rel_change")
             if vars(args)["synthetic.rank"] is None:
-                rank = section("driver").get("rank", truth.rank if truth is not None else None)
+                rank = section("driver").get("rank", section("synthetic").get(
+                    "rank", truth.rank if truth is not None else None))
                 if rank is None:
                     raise SystemExit("error: --rank is required without ground truth")
                 section("synthetic")["rank"] = rank

@@ -2,8 +2,9 @@
 front end.
 
 :func:`alternate` is the one outer loop; an inner solver plugs into it with
-a start state and a per-visit update (the primal-dual solver here, the ADMM
-baseline in :mod:`cpdsplit.admm`).  Both solvers carry one state per mode,
+its ``initial_state`` and its ``solve`` (:mod:`cpdsplit.pds`, or the ADMM
+baseline in :mod:`cpdsplit.admm`), which turns each visit's bound into its
+own steps or penalty.  Both solvers carry one state per mode,
 :class:`cpdsplit.pds.SubproblemState`, whose F is the factor the fit
 exposes.  Each outer iteration visits modes 1..3 in order.  A visit
 rebuilds the Khatri-Rao product W of the other two factors (ascending mode
@@ -255,21 +256,23 @@ def _tree(X, A, d, kept):
     return np.matmul(A[1][:, None, :], U)[:, 0, :]
 
 
-def alternate(Y, mask, specs, cfg, truth, start, visit):
+def alternate(Y, mask, specs, cfg, truth, start, solve):
     """The outer loop shared by every inner solver.
 
     Parameters
     ----------
     Y, mask, specs, cfg, truth : as in :func:`factorize`.
     start : callable (F0, spec) -> pds.SubproblemState
-        Inner-solver state from the seeded initial R x N_d factor.
-    visit : callable (state, spec, W, B, grams, bound) -> pds.SubproblemState
-        One mode visit: advance the warm-started state by cfg.n_inner
-        iterations against the Khatri-Rao product W of the other factors,
-        the R x N_d MTTKRP B = W^T Y_(d) and the exactly symmetric
-        (N_d, R, R) stack of Grams G_n = W^T diag(m_n) W (None on dense
-        data), both from :func:`_tree`, and the positive Lipschitz
-        bound, trace(W^T W) or max_n trace(G_n).
+        The solver's ``initial_state`` from the seeded R x N_d factor.
+    solve : callable (state, spec, W, B, grams, bound, n_inner) -> pds.SubproblemState
+        The solver's one call per mode visit, all seven arguments
+        positional: advance the warm-started state by n_inner =
+        cfg.n_inner iterations against the Khatri-Rao product W of the
+        other factors, the R x N_d MTTKRP B = W^T Y_(d) and the exactly
+        symmetric (N_d, R, R) stack of Grams G_n = W^T diag(m_n) W (None on
+        dense data), both from :func:`_tree`, and the positive, finite
+        Lipschitz bound, trace(W^T W) or max_n trace(G_n), from which the
+        solver derives its steps or penalty.
         The state's F is the feasible R x N_d factor the fit exposes, G
         its dual.
 
@@ -307,7 +310,7 @@ def alternate(Y, mask, specs, cfg, truth, start, visit):
                 grams[:, iu, ju] = grams[:, ju, iu] = g.T
                 bound = np.einsum("nrr->n", grams).max()
             bound = _positive_bound(bound, d)
-            states[d] = visit(states[d], specs[d], W, B, grams, bound)
+            states[d] = solve(states[d], specs[d], W, B, grams, bound, cfg.n_inner)
         trace.append(_trace_entry(k, started, Y, mask, factors(), specs, truth))
         if _converged(trace, cfg):
             stop_reason = "converged"
@@ -347,16 +350,4 @@ def factorize(Y, mask, specs, cfg, truth=None):
         per-outer-iteration trace, and the stop reason ('converged' or
         'iteration_cap').
     """
-
-    def start(F, spec):
-        if spec.operator is None:
-            return pds.SubproblemState(F=F)
-        # the dual lives in the range of the mode's operator
-        return pds.SubproblemState(F=F, G=np.zeros_like(linop_forward(spec.operator, F)))
-
-    def visit(state, spec, W, B, grams, bound):
-        op_norm = spec.operator.norm_bound if spec.operator is not None else 0.0
-        steps = pds.compute_stepsizes(bound, op_norm)
-        return pds.solve_subproblem(state, spec, W, B, grams, steps, cfg.n_inner)
-
-    return alternate(Y, mask, specs, cfg, truth, start, visit)
+    return alternate(Y, mask, specs, cfg, truth, pds.initial_state, pds.solve_subproblem)

@@ -10,10 +10,10 @@ with the gradient A F - B: A = W'W, or with a mask one Gram
 G_n = W' diag(mask[:, n]) W per column of F, so the masked iteration costs
 O(N R^2), not O(P N R).  The driver's outer loop gives the MTTKRP B = W'Yd
 (the solver never reads Yd), the Grams G_n from its dimension tree, and the
-step sizes' Lipschitz bound, trace(W'W) on dense data and max_n trace(G_n)
-with a mask (the gradient is then block-diagonal over the columns); the
-steps keep the primal-dual product inside the convergence region.  The dual
-branch runs when the mode has an operator, that is, a nonzero regularizer.
+Lipschitz bound, trace(W'W) on dense data and max_n trace(G_n) with a mask
+(the gradient is then block-diagonal over the columns), whose steps keep the
+primal-dual product inside the convergence region.  The dual branch runs
+when the mode has an operator, that is, a nonzero regularizer.
 """
 
 from dataclasses import dataclass
@@ -21,16 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import linop_adjoint, linop_forward, project, prox_conjugate
-
-
-@dataclass(frozen=True)
-class StepSizes:
-    """Primal step gamma1, dual step gamma2, and the bounds they came from."""
-
-    gamma1: float
-    gamma2: float
-    trace_bound: float
-    op_norm: float
 
 
 @dataclass
@@ -42,6 +32,13 @@ class SubproblemState:
 
     F: np.ndarray
     G: np.ndarray = None
+
+
+def initial_state(F, spec):
+    """A fit's start from the R x N factor F: a zero dual shaped as L(F), if any."""
+    if spec.operator is None:
+        return SubproblemState(F=F)
+    return SubproblemState(F=F, G=np.zeros((F.shape[0], spec.operator.out_cols or F.shape[1])))
 
 
 def compute_stepsizes(trace_bound, op_norm):
@@ -65,14 +62,14 @@ def compute_stepsizes(trace_bound, op_norm):
 
     Returns
     -------
-    StepSizes
+    (gamma1, gamma2) : tuple of float
     """
     gamma1 = 0.99 * 2.0 / trace_bound
     if op_norm > 0:
         gamma2 = 1.0 / (gamma1 * op_norm) - trace_bound / (2.0 * op_norm)
     else:
         gamma2 = 0.0
-    return StepSizes(gamma1, gamma2, trace_bound, op_norm)
+    return gamma1, gamma2
 
 
 def _gram_product(W, grams):
@@ -83,13 +80,13 @@ def _gram_product(W, grams):
     return lambda F: np.matmul(grams, F.T[:, :, None])[:, :, 0].T
 
 
-def solve_subproblem(state, spec, W, B, grams, steps, n_inner):
+def solve_subproblem(state, spec, W, B, grams, bound, n_inner):
     """Run exactly n_inner primal-dual iterations, warm-started from state.
 
     With a mask the caller passes the per-column Grams, which also give the
-    step sizes' bound; the driver's tree builds them for about 0.1 / 0.25 /
-    0.65 / 1.1 direct masked gradients W^T(mask*(W F)) per visit at R = 5 /
-    10 / 15 / 20 (100^3, half observed, one BLAS thread).
+    bound; the driver's tree builds them for about 0.1 / 0.25 / 0.65 / 1.1
+    direct masked gradients W^T(mask*(W F)) per visit at R = 5 / 10 / 15 /
+    20 (100^3, half observed, one BLAS thread).
 
     Parameters
     ----------
@@ -106,7 +103,8 @@ def solve_subproblem(state, spec, W, B, grams, steps, n_inner):
     grams : ndarray, shape (N, R, R), or None
         The symmetric per-column Grams W^T diag(mask[:, n]) W; None means
         fully observed.
-    steps : StepSizes
+    bound : float
+        The Lipschitz bound that :func:`compute_stepsizes` takes.
     n_inner : int
         Number of iterations, at least 1.
 
@@ -118,8 +116,7 @@ def solve_subproblem(state, spec, W, B, grams, steps, n_inner):
     F = state.F
     G = state.G
     has_dual = spec.operator is not None
-    gamma1 = steps.gamma1
-    gamma2 = steps.gamma2
+    gamma1, gamma2 = compute_stepsizes(bound, spec.operator.norm_bound if has_dual else 0.0)
     gram = _gram_product(W, grams)
     for _ in range(n_inner):
         grad = gram(F) - B

@@ -34,7 +34,7 @@ from cpdsplit.operators import (
     prox_conjugate,
     row_difference_op,
 )
-from cpdsplit.pds import SubproblemState, compute_stepsizes, solve_subproblem
+from cpdsplit.pds import SubproblemState, compute_stepsizes, initial_state, solve_subproblem
 from cpdsplit.tensor import FactorSet, cp_reconstruct, khatri_rao
 
 import oracles
@@ -146,15 +146,11 @@ def test_criterion_3_subproblem_oracle_equivalence():
                         regularizer=ProxFn("l1", lam),
                         operator=identity_op(8),
                     )
-                    G = np.zeros((3, 8))
-                    op_norm = 1.0
                 else:
                     spec = ModeSpec(projection=Projection(proj_kind))
-                    G = None
-                    op_norm = 0.0
-                steps = compute_stepsizes(float(np.trace(W.T @ W)), op_norm)
-                state = SubproblemState(F=np.zeros((3, 8)), G=G)
-                out = solve_subproblem(state, spec, W, W.T @ Yd, None, steps, 5000)
+                state = initial_state(np.zeros((3, 8)), spec)
+                out = solve_subproblem(state, spec, W, W.T @ Yd, None,
+                                       float(np.trace(W.T @ W)), 5000)
                 ref = oracles.proximal_gradient(
                     W, Yd, l1_weight=lam, nonneg=(proj_kind == "nonnegative")
                 )
@@ -294,10 +290,10 @@ def test_criterion_5_invariant_suites(monkeypatch):
     for _ in range(25):
         t_b = float(rng.uniform(1e-3, 1e5))
         s = float(rng.uniform(1e-3, 1e3))
-        steps = compute_stepsizes(t_b, s)
-        worst = max(worst, abs(steps.gamma1 * t_b / 2.0 - 0.99))
-        worst = max(worst, abs(steps.gamma1 * (t_b / 2.0 + steps.gamma2 * s) - 1.0))
-        zero_ok = zero_ok and compute_stepsizes(t_b, 0.0).gamma2 == 0.0
+        gamma1, gamma2 = compute_stepsizes(t_b, s)
+        worst = max(worst, abs(gamma1 * t_b / 2.0 - 0.99))
+        worst = max(worst, abs(gamma1 * (t_b / 2.0 + gamma2 * s) - 1.0))
+        zero_ok = zero_ok and compute_stepsizes(t_b, 0.0)[1] == 0.0
     checks.append(("step sizes 1e-12", worst <= 1e-12 and zero_ok))
 
     # the fit's masking is an orthogonal projector P, exactly: a fit reads
@@ -375,9 +371,9 @@ def test_criterion_6_gradient_finite_differences():
         else:
             fun = lambda X: 0.5 * float(np.sum((Yd - W @ X) ** 2))
         # the gradient a fit applies, read off one plain unconstrained step
-        steps = compute_stepsizes(float(np.vdot(W, W)), 0.0)
-        F1 = solve_subproblem(SubproblemState(F), ModeSpec(), W, W.T @ Yd, grams, steps, 1).F
-        g = (F - F1) / steps.gamma1
+        bound = float(np.vdot(W, W))
+        F1 = solve_subproblem(SubproblemState(F), ModeSpec(), W, W.T @ Yd, grams, bound, 1).F
+        g = (F - F1) / compute_stepsizes(bound, 0.0)[0]
         direction = rng.standard_normal((3, 5))
         fd = oracles.fd_directional(fun, F, direction)
         exact = float(np.vdot(g, direction))

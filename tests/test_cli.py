@@ -156,6 +156,30 @@ def test_factorize_requires_rank_without_truth(tmp_path):
         ])
 
 
+@pytest.mark.parametrize("with_truth", [False, True], ids=["no-truth", "rank-2-truth"])
+def test_tensor_fit_takes_the_configs_synthetic_rank(tmp_path, with_truth):
+    # the rank is --rank, else driver.rank, else synthetic.rank, else the
+    # truth's: a config's synthetic rank serves a fit without truth and is
+    # held against a truth of another rank
+    data = tmp_path / "data"
+    main(["generate", "--dims", "6,5,4", "--rank", "2", "--seed", "0",
+          "--out-dir", str(data)])
+    cfg = json.loads(_mild_modes_config(tmp_path).read_text())
+    cfg.update({"synthetic": {"rank": 3}, "driver": {"max_outer": 2}})
+    path = tmp_path / "rank3.json"
+    path.write_text(json.dumps(cfg))
+    fit = ["factorize", "--config", str(path), "--tensor", str(data / "tensor.tns3"),
+           "--out-dir", str(tmp_path / "run")]
+    if with_truth:
+        with pytest.raises(SystemExit, match=r"^error: truth rank 2 != configured rank 3$"):
+            main(fit + ["--truth", str(data / "truth.npz")])
+        return
+    assert main(fit) == 0
+    with open(tmp_path / "run" / "summary.json") as fh:
+        assert json.load(fh)["config"]["driver"]["rank"] == 3
+    assert np.load(tmp_path / "run" / "aopds_n5.npz")["f1"].shape == (6, 3)
+
+
 def test_bench_and_report(tmp_path, capsys):
     cfg = {
         "synthetic": {"dims": [8, 7, 6], "rank": 2, "sparsity": 0.4,

@@ -177,8 +177,8 @@ def _spy_visits(monkeypatch):
         bounds.append(trace_bound)
         return real_steps(trace_bound, op_norm)
 
-    def solve_spy(state, spec, W, B, grams, steps, n_inner):
-        out = real_solve(state, spec, W, B, grams, steps, n_inner)
+    def solve_spy(state, spec, W, B, grams, bound, n_inner):
+        out = real_solve(state, spec, W, B, grams, bound, n_inner)
         visits.append((W, grams, out))
         return out
 
@@ -499,6 +499,14 @@ def test_non_finite_data_is_refused():
         for mask in (None, np.ones(Y.shape, dtype=bool), partial):
             with pytest.raises(ValueError, match="Y contains non-finite values"):
                 factorize(Y, mask, _plain_specs(), cfg)
+
+
+def test_a_non_finite_objective_stops_the_fit_at_its_iteration(monkeypatch):
+    Y, _ = _small_problem(seed=6)
+    monkeypatch.setattr(driver_mod, "objective", lambda *args: np.inf)
+    cfg = DriverConfig(rank=2, max_outer=3, stop_metric="objective_rel_change")
+    with pytest.raises(FloatingPointError, match="^objective became non-finite at iteration 1$"):
+        factorize(Y, None, _plain_specs(), cfg)
 
 
 def test_truth_of_other_dims_is_refused():

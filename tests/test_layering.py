@@ -3,12 +3,14 @@ module's underscore (private) names, the top level exports a pinned set,
 and importing the package stays cheap."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import cpdsplit
+from cpdsplit import admm, driver, pds
 
 SRC = Path(cpdsplit.__file__).parent
 
@@ -83,6 +85,24 @@ def test_the_per_iteration_primitives_raise_nothing():
                           and node.func.id in defs and node.func.id not in seen):
                         todo.append(node.func.id)
     assert not offenders, offenders
+
+
+def test_both_inner_solvers_plug_into_the_outer_loop_with_one_call():
+    # alternate takes each solver's initial_state and solve as they are:
+    # the same call for both, and no adapter closure in either fit
+    assert (list(inspect.signature(pds.solve_subproblem).parameters)
+            == list(inspect.signature(admm.solve_subproblem_admm).parameters)
+            == ["state", "spec", "W", "B", "grams", "bound", "n_inner"])
+    for module in (pds, admm):
+        assert list(inspect.signature(module.initial_state).parameters) == ["F", "spec"]
+    closures = []
+    for module, name in ((driver, "factorize"), (admm, "ao_admm_factorize")):
+        tree = ast.parse(inspect.getsource(getattr(module, name)))
+        closures += ["%s.%s line %d" % (module.__name__, name, node.lineno)
+                     for node in ast.walk(tree.body[0])
+                     if node is not tree.body[0]
+                     and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert not closures, closures
 
 
 PUBLIC_API = {

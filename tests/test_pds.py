@@ -14,9 +14,9 @@ from cpdsplit.operators import (
     row_difference_op,
 )
 from cpdsplit.pds import (
-    StepSizes,
     SubproblemState,
     compute_stepsizes,
+    initial_state,
     solve_subproblem,
 )
 from cpdsplit.tensor import khatri_rao
@@ -25,10 +25,10 @@ import oracles
 
 
 def test_stepsizes_reference_values():
-    steps = compute_stepsizes(2.0, 1.0)
-    assert steps.gamma1 == 0.99
-    assert abs(steps.gamma2 - (1.0 / 0.99 - 1.0)) <= 1e-12
-    assert compute_stepsizes(5.0, 0.0).gamma2 == 0.0
+    gamma1, gamma2 = compute_stepsizes(2.0, 1.0)
+    assert gamma1 == 0.99
+    assert abs(gamma2 - (1.0 / 0.99 - 1.0)) <= 1e-12
+    assert compute_stepsizes(5.0, 0.0)[1] == 0.0
 
 
 def test_stepsizes_satisfy_design_identities():
@@ -36,9 +36,9 @@ def test_stepsizes_satisfy_design_identities():
     for _ in range(50):
         t = float(rng.uniform(1e-3, 1e6))
         s = float(rng.uniform(1e-3, 1e3))
-        steps = compute_stepsizes(t, s)
-        assert abs(steps.gamma1 * t / 2.0 - 0.99) <= 1e-12
-        product = steps.gamma1 * (t / 2.0 + steps.gamma2 * s)
+        gamma1, gamma2 = compute_stepsizes(t, s)
+        assert abs(gamma1 * t / 2.0 - 0.99) <= 1e-12
+        product = gamma1 * (t / 2.0 + gamma2 * s)
         assert abs(product - 1.0) <= 1e-12
 
 
@@ -52,17 +52,16 @@ def test_stepsizes_strict_with_true_lipschitz_constant():
         trace = float(np.trace(A))
         beta = oracles.largest_eig(A)
         s = float(rng.uniform(0.5, 4.0))
-        steps = compute_stepsizes(trace, s)
+        gamma1, gamma2 = compute_stepsizes(trace, s)
         assert beta < trace
-        assert steps.gamma1 * (beta / 2.0 + steps.gamma2 * s) < 1.0
+        assert gamma1 * (beta / 2.0 + gamma2 * s) < 1.0
 
 
 def _applied_gradient(F, W, Yd, grams=None):
     """The least-squares gradient solve_subproblem applies, read off one
     plain unconstrained step F1 = F - gamma1 * g."""
-    steps = _steps_for(W)
-    F1 = solve_subproblem(SubproblemState(F), ModeSpec(), W, W.T @ Yd, grams, steps, 1).F
-    return (F - F1) / steps.gamma1
+    F1 = solve_subproblem(SubproblemState(F), ModeSpec(), W, W.T @ Yd, grams, _trace(W), 1).F
+    return (F - F1) / compute_stepsizes(_trace(W), 0.0)[0]
 
 
 def test_gradient_vanishes_at_normal_equations_solution():
@@ -109,8 +108,8 @@ def test_gradient_matches_finite_differences():
         assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
-def _steps_for(W, op_norm=0.0):
-    return compute_stepsizes(float(np.trace(W.T @ W)), op_norm)
+def _trace(W):
+    return float(np.trace(W.T @ W))
 
 
 def test_unconstrained_solver_reaches_least_squares_solution():
@@ -119,7 +118,7 @@ def test_unconstrained_solver_reaches_least_squares_solution():
     Yd = rng.standard_normal((12, 4))
     spec = ModeSpec()
     state = SubproblemState(F=np.zeros((3, 4)))
-    out = solve_subproblem(state, spec, W, W.T @ Yd, None, _steps_for(W), 2000)
+    out = solve_subproblem(state, spec, W, W.T @ Yd, None, _trace(W), 2000)
     want = np.linalg.solve(W.T @ W, W.T @ Yd)
     assert np.allclose(out.F, want, atol=1e-6)
 
@@ -134,9 +133,8 @@ def test_regularized_solver_matches_proximal_gradient_oracle():
         regularizer=ProxFn("l1", lam),
         operator=identity_op(4),
     )
-    steps = compute_stepsizes(float(np.trace(W.T @ W)), 1.0)
     state = SubproblemState(F=np.zeros((3, 4)), G=np.zeros((3, 4)))
-    out = solve_subproblem(state, spec, W, W.T @ Yd, None, steps, 20000)
+    out = solve_subproblem(state, spec, W, W.T @ Yd, None, _trace(W), 20000)
     ref = oracles.proximal_gradient(W, Yd, l1_weight=lam, nonneg=True)
     got = oracles.composite_objective(W, Yd, out.F, l1_weight=lam)
     want = oracles.composite_objective(W, Yd, ref, l1_weight=lam)
@@ -149,7 +147,7 @@ def test_inner_iteration_count_is_enforced():
     W = rng.standard_normal((6, 2))
     Yd = rng.standard_normal((6, 3))
     state = SubproblemState(F=np.ones((2, 3)))
-    out = solve_subproblem(state, ModeSpec(), W, W.T @ Yd, None, _steps_for(W), 1)
+    out = solve_subproblem(state, ModeSpec(), W, W.T @ Yd, None, _trace(W), 1)
     assert not np.array_equal(out.F, state.F)
 
 
@@ -163,10 +161,9 @@ def test_solver_fixed_point_is_stationary():
         regularizer=ProxFn("l1", lam),
         operator=identity_op(3),
     )
-    steps = compute_stepsizes(float(np.trace(W.T @ W)), 1.0)
     state = SubproblemState(F=np.zeros((2, 3)), G=np.zeros((2, 3)))
-    settled = solve_subproblem(state, spec, W, W.T @ Yd, None, steps, 100000)
-    moved = solve_subproblem(settled, spec, W, W.T @ Yd, None, steps, 1)
+    settled = solve_subproblem(state, spec, W, W.T @ Yd, None, _trace(W), 100000)
+    moved = solve_subproblem(settled, spec, W, W.T @ Yd, None, _trace(W), 1)
     assert float(np.abs(moved.F - settled.F).max()) <= 1e-8
     got = oracles.composite_objective(W, Yd, settled.F, l1_weight=lam)
     ref = oracles.proximal_gradient(W, Yd, l1_weight=lam, nonneg=True)
@@ -179,11 +176,10 @@ def test_plain_gradient_descent_decreases_objective():
     W = rng.standard_normal((8, 3))
     Yd = rng.standard_normal((8, 2))
     spec = ModeSpec()
-    steps = _steps_for(W)
     state = SubproblemState(F=rng.standard_normal((3, 2)))
     prev = oracles.composite_objective(W, Yd, state.F)
     for _ in range(30):
-        state = solve_subproblem(state, spec, W, W.T @ Yd, None, steps, 1)
+        state = solve_subproblem(state, spec, W, W.T @ Yd, None, _trace(W), 1)
         cur = oracles.composite_objective(W, Yd, state.F)
         grad = _applied_gradient(state.F, W, Yd)
         if float(np.abs(grad).max()) <= 1e-9:
@@ -201,12 +197,11 @@ def test_warm_start_determinism():
         regularizer=ProxFn("l1", 0.2),
         operator=identity_op(3),
     )
-    steps = compute_stepsizes(float(np.trace(W.T @ W)), 1.0)
     start = SubproblemState(F=rng.random((2, 3)), G=np.zeros((2, 3)))
     a = solve_subproblem(SubproblemState(start.F.copy(), start.G.copy()),
-                         spec, W, W.T @ Yd, None, steps, 7)
+                         spec, W, W.T @ Yd, None, _trace(W), 7)
     b = solve_subproblem(SubproblemState(start.F.copy(), start.G.copy()),
-                         spec, W, W.T @ Yd, None, steps, 7)
+                         spec, W, W.T @ Yd, None, _trace(W), 7)
     assert np.array_equal(a.F, b.F)
     assert np.array_equal(a.G, b.G)
 
@@ -215,7 +210,9 @@ def test_divergent_steps_raise_floating_point_error():
     rng = np.random.default_rng(11)
     W = rng.standard_normal((6, 2))
     Yd = rng.standard_normal((6, 2))
-    insane = StepSizes(gamma1=1e30, gamma2=0.0, trace_bound=1.0, op_norm=0.0)
+    # a bound far below trace(W'W) gives a primal step of about 1e30
+    insane = 1.98e-30
+    assert compute_stepsizes(insane, 0.0) == (pytest.approx(1e30, rel=1e-12), 0.0)
     state = SubproblemState(F=np.ones((2, 2)))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError):
@@ -228,9 +225,8 @@ def test_hard_constraint_holds_after_every_call():
     Yd = rng.standard_normal((9, 4))
     spec = ModeSpec(projection=Projection("box", 0.0, 0.5))
     state = SubproblemState(F=rng.standard_normal((3, 4)))
-    steps = _steps_for(W)
     for _ in range(5):
-        state = solve_subproblem(state, spec, W, W.T @ Yd, None, steps, 3)
+        state = solve_subproblem(state, spec, W, W.T @ Yd, None, _trace(W), 3)
         assert (state.F >= 0.0).all() and (state.F <= 0.5).all()
 
 
@@ -244,9 +240,9 @@ def test_dual_branch_handles_structured_operator():
         regularizer=ProxFn("l1", 0.5),
         operator=op,
     )
-    steps = compute_stepsizes(float(np.trace(W.T @ W)), 4.0)
-    state = SubproblemState(F=rng.random((2, 6)), G=np.zeros((2, 5)))
-    out = solve_subproblem(state, spec, W, W.T @ Yd, None, steps, 50)
+    state = initial_state(rng.random((2, 6)), spec)
+    assert state.G.shape == (2, 5) and not state.G.any()
+    out = solve_subproblem(state, spec, W, W.T @ Yd, None, _trace(W), 50)
     assert out.F.shape == (2, 6)
     assert out.G.shape == (2, 5)
     assert (out.F >= 0).all()
@@ -285,17 +281,18 @@ def _masked_spec(kind, n):
 def _reference_inner_loop(state, spec, W, Yd, mask, steps, n_inner):
     """solve_subproblem's iteration with the dense oracle gradient."""
     F, G = state.F, state.G
+    gamma1, gamma2 = steps
     has_dual = spec.operator is not None
     for _ in range(n_inner):
         grad = oracles.masked_gradient_dense(F, W, Yd, mask)
         if has_dual:
             grad = grad + linop_adjoint(spec.operator, G)
-        F_new = project(spec.projection, F - steps.gamma1 * grad)
+        F_new = project(spec.projection, F - gamma1 * grad)
         if has_dual:
             G = prox_conjugate(
                 spec.regularizer,
-                G + steps.gamma2 * linop_forward(spec.operator, 2.0 * F_new - F),
-                steps.gamma2,
+                G + gamma2 * linop_forward(spec.operator, 2.0 * F_new - F),
+                gamma2,
             )
         F = F_new
     return F, G
@@ -312,7 +309,8 @@ def test_masked_solver_matches_dense_gradient_reference(rank, kind):
         n = Yd.shape[1]
         spec = _masked_spec(kind, n)
         op_norm = spec.operator.norm_bound if spec.operator is not None else 0.0
-        steps = compute_stepsizes(float(np.vdot(W, W)), op_norm)
+        bound = float(np.vdot(W, W))
+        steps = compute_stepsizes(bound, op_norm)
         G0 = None
         if spec.operator is not None:
             G0 = rng.standard_normal((rank, spec.operator.out_cols))
@@ -326,7 +324,7 @@ def test_masked_solver_matches_dense_gradient_reference(rank, kind):
         # an unobserved column has a zero Gram, so its gradient is exactly 0
         assert (grad[:, empty] == 0.0).all()
 
-        out = solve_subproblem(SubproblemState(F0, G0), spec, W, W.T @ Yd, grams, steps, 6)
+        out = solve_subproblem(SubproblemState(F0, G0), spec, W, W.T @ Yd, grams, bound, 6)
         F_ref, G_ref = _reference_inner_loop(
             SubproblemState(F0, G0), spec, W, Yd, Md, steps, 6
         )
@@ -336,10 +334,10 @@ def test_masked_solver_matches_dense_gradient_reference(rank, kind):
             assert _close(out.G, G_ref)
 
         full = np.ones_like(Md)
-        unmasked = solve_subproblem(SubproblemState(F0, G0), spec, W, W.T @ Yd, None, steps, 6)
+        unmasked = solve_subproblem(SubproblemState(F0, G0), spec, W, W.T @ Yd, None, bound, 6)
         explicit = solve_subproblem(
             SubproblemState(F0, G0), spec, W, W.T @ Yd, oracles.column_grams_dense(W, full),
-            steps, 6,
+            bound, 6,
         )
         assert _close(explicit.F, unmasked.F)
         if G0 is not None:
@@ -364,8 +362,8 @@ def test_masked_step_bound_is_valid(rank):
         assert beta <= bound * (1 + 1e-12)
         assert bound <= float(np.vdot(W, W))
         s = float(rng.uniform(0.5, 4.0))
-        steps = compute_stepsizes(bound, s)
-        product = steps.gamma1 * (beta / 2.0 + steps.gamma2 * s)
+        gamma1, gamma2 = compute_stepsizes(bound, s)
+        product = gamma1 * (beta / 2.0 + gamma2 * s)
         if rank >= 2:
             assert product < 1.0
         else:

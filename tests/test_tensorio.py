@@ -1,4 +1,6 @@
+import os
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -69,6 +71,18 @@ def test_tensor_read_rejects_corrupted_files(tmp_path):
     (tmp_path / "zero.tns3").write_bytes(raw[:13] + struct.pack("<Q", 0) + raw[21:])
     with pytest.raises(ValueError, match="non-positive dimension in header"):
         read_tensor(tmp_path / "zero.tns3")
+
+def test_a_file_that_shrinks_after_its_size_check_is_truncated(tmp_path, monkeypatch):
+    # the size check passes on the full size fstat reports; the short read
+    # of the payload is then refused
+    path = tmp_path / "t.tns3"
+    write_tensor(path, np.ones((2, 3, 2)))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8])
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=len(raw)))
+    with pytest.raises(ValueError, match="truncated while reading$"):
+        read_tensor(path)
+
 
 def test_tensor_read_rejects_nonfinite_payload(tmp_path):
     path = tmp_path / "t.tns3"
