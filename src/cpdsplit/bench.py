@@ -183,14 +183,14 @@ def _section(name, build, kwargs, **derived):
     return _named(name + ".", build, **{**derived, **kwargs})
 
 
-# the top-level keys of an experiment config, in ExperimentConfig.to_dict
-CONFIG_KEYS = ("synthetic", "modes", "driver", "algorithms", "inner_iters", "out_dir", "mse_threshold")
+# the driver keys that from_dict derives, and refuses, with where each is set
+DERIVED = {"rank": "synthetic.rank", "n_inner": "inner_iters"}
 
 
 @dataclass
 class ExperimentConfig:
     synthetic: SyntheticSpec
-    mode_dicts: list
+    modes: list
     driver: DriverConfig
     algorithms: tuple = ALGORITHMS
     inner_iters: tuple = (5,)
@@ -213,10 +213,10 @@ class ExperimentConfig:
             raise ValueError("out_dir must be a path, got %r" % (self.out_dir,))
         if self.mse_threshold is not None:
             self.mse_threshold = as_amount("mse_threshold", self.mse_threshold)
-        if not isinstance(self.mode_dicts, (list, tuple)) or len(self.mode_dicts) != 3:
-            raise ValueError("modes must be a list of three modes, got %r" % (self.mode_dicts,))
+        if not isinstance(self.modes, (list, tuple)) or len(self.modes) != 3:
+            raise ValueError("modes must be a list of three modes, got %r" % (self.modes,))
         # refuse a bad mode, by its index, before any data is made or fitted
-        for i, (m, n) in enumerate(zip(self.mode_dicts, self.synthetic.dims)):
+        for i, (m, n) in enumerate(zip(self.modes, self.synthetic.dims)):
             _named("modes[%d]: " % i, mode_spec_from_dict, m, n)
         # every arm scores its trace against the generating factors, so a
         # fit rank that differs from the synthetic rank can never run
@@ -225,32 +225,28 @@ class ExperimentConfig:
                              % (self.driver.rank, self.synthetic.rank))
 
     def to_dict(self):
-        return {
-            "synthetic": asdict(self.synthetic) | {"dims": list(self.synthetic.dims)},
-            "modes": [dict(m) for m in self.mode_dicts],
-            # run_experiment sets n_inner per arm, and from_dict refuses it
-            "driver": {k: v for k, v in asdict(self.driver).items() if k != "n_inner"},
-            "algorithms": list(self.algorithms),
-            "inner_iters": list(self.inner_iters),
-            "out_dir": str(self.out_dir),
-            "mse_threshold": self.mse_threshold,
-        }
+        """The config as JSON values under its field names, less DERIVED's."""
+        out = json.loads(json.dumps(asdict(self) | {"out_dir": str(self.out_dir)}))
+        for key in DERIVED:
+            del out["driver"][key]
+        return out
 
     @classmethod
     def from_dict(cls, cfg):
-        """The config of a dict keyed as :data:`CONFIG_KEYS`; the driver's
-        rank and seed default to the synthetic rank and :func:`init_seed`.
-        A driver ``n_inner`` is refused: ``inner_iters`` sets each arm's."""
+        """The config of a dict keyed as :data:`CONFIG_KEYS`; the driver's rank
+        is the synthetic rank, its seed by default :func:`init_seed`'s."""
         _refuse_unknown(cfg, CONFIG_KEYS, "the config")
         syn = _section("synthetic", SyntheticSpec, cfg.get("synthetic", {}))
-        driver = _section("driver", DriverConfig, cfg.get("driver", {}),
-                          rank=syn.rank, seed=init_seed(syn.seed))
-        if "n_inner" in cfg.get("driver", {}):
-            raise ValueError("driver.n_inner is not read; set the inner counts in inner_iters")
-        # the other keys given, so that each default is stated once, in its field
-        given = {k: v for k, v in cfg.items() if k not in ("synthetic", "modes", "driver")}
-        return cls(synthetic=syn, mode_dicts=cfg.get("modes", benchmark_mode_dicts()),
-                   driver=driver, **given)
+        given = config_object(cfg.get("driver", {}), "driver")
+        for key, where in DERIVED.items():
+            if key in given:
+                raise ValueError("driver.%s is not read; set %s" % (key, where))
+        driver = _section("driver", DriverConfig, given, rank=syn.rank, seed=init_seed(syn.seed))
+        return cls(**{"modes": benchmark_mode_dicts(), **cfg, "synthetic": syn, "driver": driver})
+
+
+# the top-level keys of an experiment config
+CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 # -- trace serialization ---------------------------------------------------
@@ -345,7 +341,7 @@ def run_experiment(cfg, data=None):
         Y, truth, mask = generate_synthetic(cfg.synthetic)
     else:
         Y, mask, truth = data
-    specs = [mode_spec_from_dict(m, n) for m, n in zip(cfg.mode_dicts, Y.shape)]
+    specs = [mode_spec_from_dict(m, n) for m, n in zip(cfg.modes, Y.shape)]
     arms = []
     for algo in cfg.algorithms:
         for n_inner in cfg.inner_iters:

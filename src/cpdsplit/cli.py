@@ -37,8 +37,8 @@ def _experiment_config(args, data=None, **defaults):
     """Every command's config: the --config dict over ``defaults``, each flag
     given set at the key its dest names (``section.key`` or a top-level key),
     read by ExperimentConfig.from_dict.  ``data=(Y, mask, truth)`` read from
-    files sets the synthetic dims and, without --rank, the rank:
-    driver.rank, else synthetic.rank, else the truth's."""
+    files sets the synthetic dims and, when the config and flags leave it
+    unset, the synthetic rank to the truth's."""
     try:
         cfg = {**defaults, **config_object(_load_config(args.config), "the config")}
 
@@ -49,21 +49,18 @@ def _experiment_config(args, data=None, **defaults):
             name, _, key = dest.rpartition(".")
             if value is not None and (name or key in CONFIG_KEYS):
                 (section(name) if name else cfg)[key] = value
-                # from_dict derives the driver's rank and seed from the
-                # synthetic ones, so a flag that sets either drops the file's
-                if name == "synthetic" and key in ("rank", "seed"):
-                    section("driver").pop(key, None)
+                # from_dict derives driver.seed from synthetic.seed: --seed drops the file's
+                if dest == "synthetic.seed":
+                    section("driver").pop("seed", None)
         if data is not None:
             Y, _, truth = data
             section("synthetic")["dims"] = Y.shape
-            if truth is None:
+            if truth is not None:
+                section("synthetic").setdefault("rank", truth.rank)
+            else:
                 section("driver").setdefault("stop_metric", "objective_rel_change")
-            if vars(args)["synthetic.rank"] is None:
-                rank = section("driver").get("rank", section("synthetic").get(
-                    "rank", truth.rank if truth is not None else None))
-                if rank is None:
+                if "rank" not in section("synthetic"):
                     raise SystemExit("error: --rank is required without ground truth")
-                section("synthetic")["rank"] = rank
         return ExperimentConfig.from_dict(cfg)
     except (TypeError, ValueError) as exc:
         raise SystemExit("bad config: %s" % exc)

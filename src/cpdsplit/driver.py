@@ -37,6 +37,13 @@ STOP_METRICS = ("mse_vs_truth", "objective_rel_change")
 _REL_EPS = 1e-12
 
 
+def _check_blocks(reg, width):
+    # a group_l2 block indexes the operator's output, ``width`` columns wide
+    if reg.kind == "group_l2" and width is not None and reg._flat[0].max() >= width:
+        raise ValueError("group_l2 block %r out of range for the operator's %d output columns"
+                         % (next(g for g in reg.groups if max(g) >= width), width))
+
+
 @dataclass(frozen=True)
 class ModeSpec:
     """Constraint set, regularizer, and composing operator for one mode.
@@ -57,6 +64,8 @@ class ModeSpec:
                 "regularizer %r needs an operator (use identity_op())"
                 % (self.regularizer.kind,)
             )
+        else:
+            _check_blocks(self.regularizer, self.operator.out_cols)
 
 
 @dataclass(frozen=True)
@@ -163,6 +172,8 @@ def _check_specs(specs, shape):
         if width not in (None, shape[d]):
             raise ValueError("mode %d operator declares %d columns but the mode has size %d"
                              % (d + 1, width, shape[d]))
+        if width is None and spec.operator is not None:  # identity_op(): ModeSpec saw no width
+            _check_blocks(spec.regularizer, shape[d])
 
 
 def _prepare(Y, mask, specs, cfg, truth):

@@ -21,10 +21,6 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sB3Q")
 
 
-def _pack_header(magic, dims):
-    return _HEADER.pack(magic, _VERSION, *dims)
-
-
 def _unpack_header(buf, magic, path):
     if len(buf) < _HEADER.size:
         raise ValueError("%s: truncated header" % path)
@@ -41,19 +37,24 @@ def _unpack_header(buf, magic, path):
     return dims
 
 
+def _write_payload(path, magic, name, a, dtype):
+    """Write the 3-D array ``a`` as a TNS3/MSK3 file: the header, then its
+    entries as ``dtype`` in C order."""
+    if a.ndim != 3:
+        raise ValueError("%s must be 3-D, got ndim=%d" % (name, a.ndim))
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(magic, _VERSION, *a.shape))
+        fh.write(np.ascontiguousarray(a, dtype=dtype).tobytes())
+
+
 def write_tensor(path, t):
     """Write a float64 third-order tensor to ``path`` in the TNS3 format."""
     t = np.asarray(t)
-    if t.ndim != 3:
-        raise ValueError("tensor must be 3-D, got ndim=%d" % t.ndim)
     if t.dtype != np.float64:
         raise ValueError("tensor must be float64, got %s" % t.dtype)
     if not np.isfinite(t).all():
         raise ValueError("tensor contains non-finite values")
-    data = np.ascontiguousarray(t, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(_pack_header(_TENSOR_MAGIC, t.shape))
-        fh.write(data.tobytes())
+    _write_payload(path, _TENSOR_MAGIC, "tensor", t, "<f8")
 
 
 def _read_payload(path, magic, dtype):
@@ -85,14 +86,9 @@ def read_tensor(path):
 def write_mask(path, mask):
     """Write a boolean mask to ``path`` in the MSK3 format."""
     mask = np.asarray(mask)
-    if mask.ndim != 3:
-        raise ValueError("mask must be 3-D, got ndim=%d" % mask.ndim)
     if mask.dtype != np.bool_:
         raise ValueError("mask must be boolean, got %s" % mask.dtype)
-    data = np.ascontiguousarray(mask).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(_pack_header(_MASK_MAGIC, mask.shape))
-        fh.write(data.tobytes())
+    _write_payload(path, _MASK_MAGIC, "mask", mask, np.uint8)
 
 
 def read_mask(path):

@@ -211,7 +211,7 @@ def test_experiment_config_round_trip_and_validation():
     # an empty config takes every default from its field or its section's
     empty = ExperimentConfig.from_dict({})
     assert empty.synthetic == SyntheticSpec()
-    assert empty.mode_dicts == benchmark_mode_dicts()
+    assert empty.modes == benchmark_mode_dicts()
     assert empty.driver == DriverConfig(rank=SyntheticSpec.rank, seed=init_seed(SyntheticSpec.seed))
     for f in fields(ExperimentConfig):
         if f.default is not MISSING:
@@ -222,21 +222,21 @@ def test_experiment_config_round_trip_and_validation():
     with pytest.raises(ValueError, match="inner_iters"):
         ExperimentConfig(
             synthetic=SyntheticSpec(),
-            mode_dicts=benchmark_mode_dicts(),
+            modes=benchmark_mode_dicts(),
             driver=DriverConfig(rank=5),
             inner_iters=(),
         )
     with pytest.raises(ValueError, match="three"):
         ExperimentConfig(
             synthetic=SyntheticSpec(),
-            mode_dicts=benchmark_mode_dicts()[:2],
+            modes=benchmark_mode_dicts()[:2],
             driver=DriverConfig(rank=5),
         )
     # a fit rank differing from the synthetic rank cannot be scored
     with pytest.raises(ValueError, match="rank"):
         ExperimentConfig(
             synthetic=SyntheticSpec(rank=2),
-            mode_dicts=benchmark_mode_dicts(),
+            modes=benchmark_mode_dicts(),
             driver=DriverConfig(rank=5),
         )
 
@@ -246,6 +246,8 @@ def test_experiment_config_round_trip_and_validation():
 def test_config_errors_name_their_section(section, key, value, least):
     # synthetic.seed and driver.seed are both "seed": the message says which
     want = "%s.%s must be an integer >= %d, got %r" % (section, key, least, value)
+    if (section, key) == ("driver", "rank"):  # derived, so refused at any value
+        want = "driver.rank is not read; set synthetic.rank"
     with pytest.raises(ValueError, match="^%s$" % re.escape(want)):
         ExperimentConfig.from_dict({section: {key: value}})
 
@@ -271,6 +273,10 @@ def test_config_errors_name_their_section(section, key, value, least):
      "arm listed twice: algorithms ('aopds', 'aoadmm'), inner_iters (5, 3, 5)"),
     ({"modes": [{}, {"regularizer": {"kind": "group_l2", "weight": 1.0, "groups": []}}, {}]},
      "modes[1]: at least one index block required"),
+    # a block past its operator's output would index out of range on the first visit
+    ({"synthetic": {"dims": [6, 5, 4]},
+      "modes": [{"regularizer": {"kind": "group_l2", "groups": [[0, 9]]}}, {}, {}]},
+     "modes[0]: group_l2 block (0, 9) out of range for the operator's 6 output columns"),
 ])
 def test_a_malformed_config_is_refused_by_name(cfg, want):
     # a ValueError that names the key, not a TypeError from reading it
@@ -319,7 +325,7 @@ def _tiny_config(out_dir, **overrides):
                           stop_metric="objective_rel_change", seed=1)
     cfg = ExperimentConfig(
         synthetic=syn,
-        mode_dicts=_mild_mode_dicts(),
+        modes=_mild_mode_dicts(),
         driver=driver,
         inner_iters=(2, 5),
         out_dir=str(out_dir),

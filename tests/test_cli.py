@@ -116,8 +116,9 @@ def test_factorize_from_files(tmp_path, capsys):
         summary = json.load(fh)
     # file data replace the synthetic section; the rest is echoed in full
     assert summary["config"]["synthetic"] is None
+    # the rank, derived from the truth, is not a driver key: the echo leaves it out
     assert summary["config"]["driver"] == {
-        "rank": 2, "max_outer": 5, "stop_tol": 1e-30,
+        "max_outer": 5, "stop_tol": 1e-30,
         "stop_metric": "objective_rel_change", "seed": 2,
     }
     assert summary["config"]["inner_iters"] == [3]
@@ -158,9 +159,9 @@ def test_factorize_requires_rank_without_truth(tmp_path):
 
 @pytest.mark.parametrize("with_truth", [False, True], ids=["no-truth", "rank-2-truth"])
 def test_tensor_fit_takes_the_configs_synthetic_rank(tmp_path, with_truth):
-    # the rank is --rank, else driver.rank, else synthetic.rank, else the
-    # truth's: a config's synthetic rank serves a fit without truth and is
-    # held against a truth of another rank
+    # the rank is --rank, else synthetic.rank, else the truth's: a config's
+    # synthetic rank serves a fit without truth and is held against a truth
+    # of another rank
     data = tmp_path / "data"
     main(["generate", "--dims", "6,5,4", "--rank", "2", "--seed", "0",
           "--out-dir", str(data)])
@@ -175,16 +176,34 @@ def test_tensor_fit_takes_the_configs_synthetic_rank(tmp_path, with_truth):
             main(fit + ["--truth", str(data / "truth.npz")])
         return
     assert main(fit) == 0
-    with open(tmp_path / "run" / "summary.json") as fh:
-        assert json.load(fh)["config"]["driver"]["rank"] == 3
-    assert np.load(tmp_path / "run" / "aopds_n5.npz")["f1"].shape == (6, 3)
+    factors = np.load(tmp_path / "run" / "aopds_n5.npz")
+    assert [factors[k].shape for k in ("f1", "f2", "f3")] == [(6, 3), (5, 3), (4, 3)]
+
+
+@pytest.mark.parametrize("source", ["tensor", "dims"])
+def test_a_config_that_sets_the_driver_rank_is_refused_on_both_data_paths(tmp_path, source):
+    # the fit's rank is synthetic.rank alone, so a driver rank that disagrees
+    # with it is refused with one message, whichever data the fit reads
+    data = tmp_path / "data"
+    main(["generate", "--dims", "6,5,4", "--rank", "2", "--seed", "0",
+          "--out-dir", str(data)])
+    cfg = json.loads(_mild_modes_config(tmp_path).read_text())
+    cfg.update({"synthetic": {"rank": 3}, "driver": {"rank": 2, "max_outer": 2}})
+    path = tmp_path / "ranks.json"
+    path.write_text(json.dumps(cfg))
+    given = {"tensor": ["--tensor", str(data / "tensor.tns3")], "dims": ["--dims", "6,5,4"]}
+    out = tmp_path / "run"
+    refused = r"^bad config: driver\.rank is not read; set synthetic\.rank$"
+    with pytest.raises(SystemExit, match=refused):
+        main(["factorize", "--config", str(path), "--out-dir", str(out)] + given[source])
+    assert not out.exists()
 
 
 def test_bench_and_report(tmp_path, capsys):
     cfg = {
         "synthetic": {"dims": [8, 7, 6], "rank": 2, "sparsity": 0.4,
                       "noise_sigma": 0.05, "seed": 0},
-        "driver": {"rank": 2, "max_outer": 4,
+        "driver": {"max_outer": 4,
                    "stop_tol": 1e-30, "stop_metric": "objective_rel_change",
                    "seed": 1},
         "modes": [
@@ -301,7 +320,7 @@ def test_bad_algorithm_is_rejected(tmp_path):
 
 
 def test_bench_rejects_inconsistent_config(tmp_path):
-    # fit rank disagrees with the synthetic rank: refuse before running
+    # the fit rank is the synthetic rank: a driver rank is refused before running
     cfg = {
         "synthetic": {"dims": [8, 7, 6], "rank": 2},
         "driver": {"rank": 5},
@@ -309,10 +328,12 @@ def test_bench_rejects_inconsistent_config(tmp_path):
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
-    with pytest.raises(SystemExit, match="bad config"):
+    refused = r"^bad config: driver\.rank is not read; set synthetic\.rank$"
+    with pytest.raises(SystemExit, match=refused):
         main(["bench", "--config", str(path)])
+    assert not (tmp_path / "bench").exists()
     # flag overrides are validated with the file's settings
-    cfg["driver"]["rank"] = 2
+    del cfg["driver"]["rank"]
     good = tmp_path / "good.json"
     good.write_text(json.dumps(cfg))
     with pytest.raises(SystemExit, match="bad config"):
@@ -368,13 +389,15 @@ def test_config_with_unknown_top_level_key_is_refused(tmp_path, key):
     {"modes": [1, 2, 3]},
     {"modes": [{}, {"projection": 3}, {}]},
     {"synthetic": {"dims": 5}},
+    {"synthetic": {"dims": [6, 5, 4]},
+     "modes": [{"regularizer": {"kind": "group_l2", "groups": [[0, 9]]}}, {}, {}]},
 ], ids=["synthetic.dimz", "driver.max_outr", "null-synthetic", "null-driver",
         "array-root", "driver.n_inner", "modes.regulariser", "float-synthetic.rank",
         "float-synthetic.seed", "float-synthetic.sparse_mode", "float-driver.seed",
         "float-driver.max_outer", "null-driver.seed", "string-mse_threshold",
         "bool-mse_threshold", "negative-mse_threshold", "nan-synthetic.noise_sigma",
         "float-group-index", "infinite-driver.stop_tol", "bool-weight", "int-modes",
-        "int-mode", "int-projection", "int-synthetic.dims"])
+        "int-mode", "int-projection", "int-synthetic.dims", "group-block-past-its-mode"])
 def test_every_command_refuses_a_bad_config_before_running(tmp_path, command, cfg):
     # every command reads the one schema through ExperimentConfig.from_dict
     path = tmp_path / "bad.json"
@@ -460,7 +483,7 @@ def test_readme_config_example_builds(tmp_path):
     # and 3 leave out the identity operator, so the modes compare as built
     built, default = (ExperimentConfig.from_dict(c) for c in (example, {"inner_iters": [3, 5, 7]}))
     assert built.to_dict() | {"modes": None} == default.to_dict() | {"modes": None}
-    specs = [[mode_spec_from_dict(m, n) for m, n in zip(c.mode_dicts, c.synthetic.dims)]
+    specs = [[mode_spec_from_dict(m, n) for m, n in zip(c.modes, c.synthetic.dims)]
              for c in (built, default)]
     assert specs[0] == specs[1]
     path = tmp_path / "readme.json"

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -661,6 +662,30 @@ def test_every_door_refuses_specs_by_mode():
         with pytest.raises(ValueError, match="^mode 1 operator declares 7 columns but the mode "
                                              "has size 6$"):
             door((tv, ModeSpec(), ModeSpec()))
+
+
+@pytest.mark.parametrize("op, block, width", [
+    (identity_op(6), (0, 9), 6),
+    (row_difference_op(6), (0, 5), 5),
+    (identity_op(), (0, 9), 6),
+], ids=["identity", "row_difference", "identity-of-any-width"])
+def test_a_group_block_past_the_operators_output_is_refused(op, block, width):
+    # ModeSpec refuses it when the operator declares its width, the fit's door
+    # when an identity takes its mode's; a visit would index past the output
+    Y, truth = _small_problem(seed=27)
+    cfg = DriverConfig(rank=2, max_outer=1, stop_metric="objective_rel_change")
+    doors = (lambda specs: factorize(Y, None, specs, cfg),
+             lambda specs: objective(Y, None, truth, specs))
+
+    def specs(blocks):
+        return (ModeSpec(Projection("nonnegative"), ProxFn("group_l2", 0.1, blocks), op),
+                ModeSpec(), ModeSpec())
+
+    want = "group_l2 block %r out of range for the operator's %d output columns" % (block, width)
+    for door in doors:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(want)):
+            door(specs((block,)))
+        door(specs(((0, width - 1),)))  # the last column is in range
 
 
 def test_each_dual_has_the_shape_of_its_operators_output():
