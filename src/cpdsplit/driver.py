@@ -37,18 +37,12 @@ STOP_METRICS = ("mse_vs_truth", "objective_rel_change")
 _REL_EPS = 1e-12
 
 
-def _check_blocks(reg, width):
-    # a group_l2 block indexes the operator's output, ``width`` columns wide
-    if reg.kind == "group_l2" and width is not None and reg._flat[0].max() >= width:
-        raise ValueError("group_l2 block %r out of range for the operator's %d output columns"
-                         % (next(g for g in reg.groups if max(g) >= width), width))
-
-
 @dataclass(frozen=True)
 class ModeSpec:
     """Constraint set, regularizer, and composing operator for one mode.
 
-    The operator is present exactly when the regularizer is nontrivial.
+    The operator is present exactly when the regularizer is nontrivial,
+    and a group_l2 block indexes the operator's ``out_cols`` output columns.
     """
 
     projection: Projection = Projection("none")
@@ -61,11 +55,15 @@ class ModeSpec:
                 raise ValueError("operator given but the regularizer is zero")
         elif self.operator is None:
             raise ValueError(
-                "regularizer %r needs an operator (use identity_op())"
+                "regularizer %r needs an operator (use identity_op(n))"
                 % (self.regularizer.kind,)
             )
-        else:
-            _check_blocks(self.regularizer, self.operator.out_cols)
+        elif self.regularizer.kind == "group_l2":
+            width = self.operator.out_cols
+            for block in self.regularizer.groups:
+                if max(block) >= width:
+                    raise ValueError("group_l2 block %r out of range for the operator's %d "
+                                     "output columns" % (block, width))
 
 
 @dataclass(frozen=True)
@@ -163,17 +161,13 @@ def _converged(trace, cfg):
 
 
 def _check_specs(specs, shape):
-    # three specs, each operator as wide as its mode (an identity may leave
-    # its width undeclared; it takes any): the operators check nothing
+    # three specs, each operator as wide as its mode: the operators check nothing
     if len(specs) != 3:
         raise ValueError("exactly three mode specs required")
     for d, spec in enumerate(specs):
-        width = spec.operator.n_cols if spec.operator is not None else None
-        if width not in (None, shape[d]):
+        if spec.operator is not None and spec.operator.n_cols != shape[d]:
             raise ValueError("mode %d operator declares %d columns but the mode has size %d"
-                             % (d + 1, width, shape[d]))
-        if width is None and spec.operator is not None:  # identity_op(): ModeSpec saw no width
-            _check_blocks(spec.regularizer, shape[d])
+                             % (d + 1, spec.operator.n_cols, shape[d]))
 
 
 def _prepare(Y, mask, specs, cfg, truth):
@@ -285,7 +279,8 @@ def alternate(Y, mask, specs, cfg, truth, start, solve):
         Lipschitz bound, trace(W^T W) or max_n trace(G_n), from which the
         solver derives its steps or penalty.
         The state's F is the feasible R x N_d factor the fit exposes, G
-        its dual.
+        its dual; the loop raises FloatingPointError, naming the mode and
+        the outer iteration, when a visit leaves either non-finite.
 
     Returns
     -------
@@ -322,6 +317,9 @@ def alternate(Y, mask, specs, cfg, truth, start, solve):
                 bound = np.einsum("nrr->n", grams).max()
             bound = _positive_bound(bound, d)
             states[d] = solve(states[d], specs[d], W, B, grams, bound, cfg.n_inner)
+            if not all(np.isfinite(a).all() for a in (states[d].F, states[d].G) if a is not None):
+                raise FloatingPointError("mode %d iterate became non-finite at iteration %d"
+                                         % (d + 1, k))
         trace.append(_trace_entry(k, started, Y, mask, factors(), specs, truth))
         if _converged(trace, cfg):
             stop_reason = "converged"

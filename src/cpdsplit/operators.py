@@ -123,35 +123,33 @@ class LinOp:
     'identity' passes X through; 'row_difference' maps X to its horizontal
     first differences (R x (N-1)); 'group_replicate' concatenates possibly
     overlapping column blocks so an overlapping-group penalty becomes
-    separable downstream.  ``norm_bound`` caches an upper bound on ||L*L||,
+    separable downstream.  Every kind states its input width ``n_cols``, an
+    integer >= 1 (a missing one is refused), which the fit checks against
+    its mode's size.  ``norm_bound`` caches an upper bound on ||L*L||,
     exact for identity and group_replicate, and the classical bound 4 for
-    row_difference, and ``out_cols`` the output width (None for an identity
-    of undeclared width).
+    row_difference, and ``out_cols`` the output width.
     """
 
     kind: str
     n_cols: int = None
     groups: tuple = None
     norm_bound: float = field(init=False, default=0.0)
-    out_cols: int = field(init=False, default=None)
+    out_cols: int = field(init=False, default=0)
     _flat: tuple = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in LINOP_KINDS:
             raise ValueError("unknown operator kind %r" % (self.kind,))
-        if self.n_cols is not None:
-            object.__setattr__(self, "n_cols", as_count("n_cols", self.n_cols, 1))
+        object.__setattr__(self, "n_cols", as_count("n_cols", self.n_cols, 1))
         if self.kind != "group_replicate" and self.groups is not None:
             raise ValueError("%s operator takes no groups" % self.kind)
         if self.kind == "identity":
             bound, cols = 1.0, self.n_cols
         elif self.kind == "row_difference":
-            if self.n_cols is None or self.n_cols < 2:
+            if self.n_cols < 2:
                 raise ValueError("row_difference needs n_cols >= 2")
             bound, cols = 4.0, self.n_cols - 1
         else:
-            if self.n_cols is None:
-                raise ValueError("group_replicate needs n_cols")
             groups = _normalize_groups(self.groups, self.n_cols, allow_overlap=True)
             object.__setattr__(self, "groups", groups)
             object.__setattr__(self, "_flat", _flatten(groups))
@@ -161,7 +159,8 @@ class LinOp:
         object.__setattr__(self, "out_cols", cols)
 
 
-def identity_op(n_cols=None):
+def identity_op(n_cols):
+    """The identity on R x ``n_cols`` matrices, ``n_cols`` its mode's size."""
     return LinOp("identity", n_cols)
 
 

@@ -38,7 +38,7 @@ def initial_state(F, spec):
     """A fit's start from the R x N factor F: a zero dual shaped as L(F), if any."""
     if spec.operator is None:
         return SubproblemState(F=F)
-    return SubproblemState(F=F, G=np.zeros((F.shape[0], spec.operator.out_cols or F.shape[1])))
+    return SubproblemState(F=F, G=np.zeros((F.shape[0], spec.operator.out_cols)))
 
 
 def compute_stepsizes(trace_bound, op_norm):
@@ -130,8 +130,4 @@ def solve_subproblem(state, spec, W, B, grams, bound, n_inner):
                 gamma2,
             )
         F = F_new
-    if not np.isfinite(F).all() or (G is not None and not np.isfinite(G).all()):
-        raise FloatingPointError(
-            "non-finite inner iterate; step sizes inconsistent with the data"
-        )
     return SubproblemState(F=F, G=G)

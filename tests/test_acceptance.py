@@ -203,7 +203,7 @@ def test_criterion_4_structured_regularizer_capability():
     nonneg = Projection("nonnegative")
     anchor = ModeSpec(projection=nonneg,
                       regularizer=ProxFn("squared_frobenius", 1.0),
-                      operator=identity_op())
+                      operator=identity_op(30))
     plain_specs = (ModeSpec(projection=nonneg), anchor, anchor)
     tv_mode = ModeSpec(projection=nonneg,
                        regularizer=ProxFn("l1", 2.0),

@@ -32,7 +32,7 @@ def _problem(seed=0, dims=(6, 5, 4), rank=2, noise=0.05):
 def _l1_specs(weight=0.1):
     c = Projection("nonnegative")
     reg = ModeSpec(projection=c, regularizer=ProxFn("l1", weight),
-                   operator=identity_op())
+                   operator=identity_op(6))
     return (reg, ModeSpec(projection=c), ModeSpec(projection=c))
 
 
@@ -47,7 +47,7 @@ def test_unsupported_specs_are_rejected():
     with pytest.raises(UnsupportedSpecError):
         check_supported(rep)
     grp = ModeSpec(
-        regularizer=ProxFn("group_l2", 1.0, ((0, 1),)), operator=identity_op()
+        regularizer=ProxFn("group_l2", 1.0, ((0, 1),)), operator=identity_op(6)
     )
     with pytest.raises(UnsupportedSpecError):
         check_supported(grp)
@@ -176,7 +176,8 @@ def test_a_visit_factors_once_and_solves_once_per_inner_iteration(monkeypatch):
 
 def test_a_non_finite_least_squares_iterate_is_refused(monkeypatch):
     # one NaN in a least-squares iterate X reaches F and the dual G; the
-    # visit refuses it before the objective or the stop rule reads it
+    # outer loop refuses the visit before the objective or the stop rule
+    # reads it
     real = admm_mod.cho_solve
 
     def poisoned(l_inv, b):
@@ -187,7 +188,8 @@ def test_a_non_finite_least_squares_iterate_is_refused(monkeypatch):
     monkeypatch.setattr(admm_mod, "cho_solve", poisoned)
     Y, _ = _problem(seed=9)
     cfg = DriverConfig(rank=2, max_outer=2, stop_metric="objective_rel_change")
-    with pytest.raises(FloatingPointError, match="non-finite ADMM iterate"):
+    with pytest.raises(FloatingPointError,
+                       match="^mode 1 iterate became non-finite at iteration 1$"):
         ao_admm_factorize(Y, None, _l1_specs(), cfg)
 
 

@@ -16,7 +16,7 @@ from cpdsplit.bench import (
 from cpdsplit.cli import build_parser, int_list, main
 from cpdsplit.driver import DriverConfig
 from cpdsplit.metrics import factor_match_score
-from cpdsplit.tensor import FactorSet
+from cpdsplit.tensor import FactorSet, cp_reconstruct
 from cpdsplit.tensorio import read_mask, read_tensor
 
 
@@ -492,6 +492,20 @@ def test_readme_config_example_builds(tmp_path):
     assert main(["generate", "--config", str(path), "--out-dir", str(data)]) == 0
     truth = np.load(data / "truth.npz")
     assert truth["f1"].shape == (100, 5)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # the Library use block runs as written, on a small tensor.npy in the
+    # working directory, so the example cannot drift from the API
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    rng = np.random.default_rng(40)
+    truth = FactorSet(tuple(rng.random((n, 3)) for n in (8, 7, 6)))
+    np.save(tmp_path / "tensor.npy", 10.0 * cp_reconstruct(truth))
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert [scope[f].shape for f in ("f1", "f2", "f3")] == [(8, 3), (7, 3), (6, 3)]
 
 
 def test_factorize_without_seed_initializes_at_data_seed_plus_one(tmp_path):

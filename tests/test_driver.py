@@ -10,6 +10,7 @@ import cpdsplit.pds as pds
 from cpdsplit.admm import ao_admm_factorize
 from cpdsplit.driver import DriverConfig, ModeSpec, factorize, init_factors, objective
 from cpdsplit.operators import (
+    LinOp,
     Projection,
     ProxFn,
     group_replicate_op,
@@ -41,11 +42,11 @@ def _small_problem(seed=0, dims=(6, 5, 4), rank=2, noise=0.0):
 
 
 def test_mode_spec_requires_operator_for_regularizer():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("needs an operator (use identity_op(n))")):
         ModeSpec(regularizer=ProxFn("l1", 1.0))
     with pytest.raises(ValueError):
-        ModeSpec(operator=identity_op())
-    spec = ModeSpec(regularizer=ProxFn("l1", 1.0), operator=identity_op())
+        ModeSpec(operator=identity_op(4))
+    spec = ModeSpec(regularizer=ProxFn("l1", 1.0), operator=identity_op(4))
     assert spec.operator.kind == "identity"
 
 
@@ -80,7 +81,7 @@ def test_objective_examples():
     want = 0.5 * float(np.vdot(Y, Y))
     assert objective(Y, None, zeros, _plain_specs()) == pytest.approx(want)
 
-    reg = ModeSpec(regularizer=ProxFn("l1", 5.0), operator=identity_op())
+    reg = ModeSpec(regularizer=ProxFn("l1", 5.0), operator=identity_op(6))
     specs = (reg, ModeSpec(), ModeSpec())
     base = objective(Y, None, truth, _plain_specs())
     got = objective(Y, None, truth, specs)
@@ -145,7 +146,7 @@ def test_objective_takes_factors_as_three_arrays():
     # regularized mode, which reads the factors one by one
     Y, truth = _small_problem(seed=24, noise=0.1)
     c = Projection("nonnegative")
-    specs = (ModeSpec(c, ProxFn("l1", 0.5), identity_op()), ModeSpec(c),
+    specs = (ModeSpec(c, ProxFn("l1", 0.5), identity_op(6)), ModeSpec(c),
              ModeSpec(c, ProxFn("squared_frobenius", 2.0), row_difference_op(4)))
     want = objective(Y, None, truth, specs)
     for form in (tuple, list):
@@ -310,7 +311,7 @@ def test_masked_fit_does_not_depend_on_the_mask_layout():
     Y = Y.astype(np.float32).astype(np.float64)  # the float64 cast of a float32 Y
     mask = rng.random(Y.shape) < 0.5
     c = Projection("nonnegative")
-    specs = (ModeSpec(c, ProxFn("l1", 0.1), identity_op()), ModeSpec(c), ModeSpec(c))
+    specs = (ModeSpec(c, ProxFn("l1", 0.1), identity_op(7)), ModeSpec(c), ModeSpec(c))
     cfg = DriverConfig(rank=2, n_inner=2, max_outer=3, stop_tol=1e-30,
                        stop_metric="objective_rel_change", seed=32)
 
@@ -431,11 +432,11 @@ def test_over_regularization_degenerates_with_clear_error(fit):
     # the stock regularization with the mode-1 l1 weight raised to 1e6
     Y, _ = _small_problem(seed=0, dims=(12, 11, 10))
     c = Projection("nonnegative")
-    crushed = ModeSpec(c, ProxFn("l1", 1e6), identity_op())
-    frob = ModeSpec(c, ProxFn("squared_frobenius", 2.0), identity_op())
+    crushed = ModeSpec(c, ProxFn("l1", 1e6), identity_op(12))
+    frob = [ModeSpec(c, ProxFn("squared_frobenius", 2.0), identity_op(n)) for n in (11, 10)]
     cfg = DriverConfig(rank=2, stop_metric="objective_rel_change", seed=1)
     with pytest.raises(ValueError, match="degenerated"):
-        fit(Y, None, (crushed, frob, frob), cfg)
+        fit(Y, None, (crushed, *frob), cfg)
 
 
 @pytest.mark.parametrize("fit", [factorize, ao_admm_factorize], ids=["pds", "admm"])
@@ -467,7 +468,7 @@ def test_factorize_is_deterministic():
     cfg = DriverConfig(rank=2, n_inner=3, max_outer=10, stop_tol=1e-30,
                        stop_metric="objective_rel_change", seed=9)
     specs = _nonneg_specs()[:2] + (ModeSpec(Projection("nonnegative"), ProxFn("l1", 0.1),
-                                            identity_op()),)
+                                            identity_op(4)),)
     for m in (None, mask):
         data = Y if m is None else np.where(m, Y, 0.0)
         r1 = factorize(data, m, specs, cfg)
@@ -664,14 +665,19 @@ def test_every_door_refuses_specs_by_mode():
             door((tv, ModeSpec(), ModeSpec()))
 
 
-@pytest.mark.parametrize("op, block, width", [
-    (identity_op(6), (0, 9), 6),
-    (row_difference_op(6), (0, 5), 5),
-    (identity_op(), (0, 9), 6),
+@pytest.mark.parametrize("kind, n_cols, block, width", [
+    ("identity", 6, (0, 9), 6),
+    ("row_difference", 6, (0, 5), 5),
+    ("identity", None, (0, 9), None),
 ], ids=["identity", "row_difference", "identity-of-any-width"])
-def test_a_group_block_past_the_operators_output_is_refused(op, block, width):
-    # ModeSpec refuses it when the operator declares its width, the fit's door
-    # when an identity takes its mode's; a visit would index past the output
+def test_a_group_block_past_the_operators_output_is_refused(kind, n_cols, block, width):
+    # ModeSpec refuses it, as every operator declares its width; a visit
+    # would index past the output.  An identity of no width is refused itself
+    if n_cols is None:
+        with pytest.raises(ValueError, match="^n_cols must be an integer >= 1, got None$"):
+            LinOp(kind)
+        return
+    op = LinOp(kind, n_cols)
     Y, truth = _small_problem(seed=27)
     cfg = DriverConfig(rank=2, max_outer=1, stop_metric="objective_rel_change")
     doors = (lambda specs: factorize(Y, None, specs, cfg),
@@ -689,10 +695,10 @@ def test_a_group_block_past_the_operators_output_is_refused(op, block, width):
 
 
 def test_each_dual_has_the_shape_of_its_operators_output():
-    # R x N for an identity, also one of undeclared width; R x (N - 1) for
-    # row differences; R x (sum of group sizes) for overlapping groups
+    # R x N for an identity; R x (N - 1) for row differences; R x (sum of
+    # group sizes) for overlapping groups
     Y, _ = _small_problem(seed=13)
-    ops = (identity_op(), row_difference_op(5), group_replicate_op([[0, 1, 2], [1, 2, 3]], 4))
+    ops = (identity_op(6), row_difference_op(5), group_replicate_op([[0, 1, 2], [1, 2, 3]], 4))
     specs = tuple(ModeSpec(regularizer=ProxFn("l1", 0.05), operator=op) for op in ops)
     cfg = DriverConfig(rank=2, n_inner=2, max_outer=2, stop_tol=1e-30,
                        stop_metric="objective_rel_change", seed=14)

@@ -1,6 +1,6 @@
 """Module boundaries inside the package: no module imports another
-module's underscore (private) names, the top level exports a pinned set,
-and importing the package stays cheap."""
+module's underscore (private) names or reads its private attributes, the
+top level exports a pinned set, and importing the package stays cheap."""
 
 import ast
 import inspect
@@ -28,6 +28,35 @@ def test_no_module_imports_private_names():
             for alias in node.names:
                 if internal and alias.name.startswith("_"):
                     offenders.append("%s:%d imports %s" % (path.name, node.lineno, alias.name))
+    assert not offenders, offenders
+
+
+def _names_bound(tree):
+    """The names a module binds: functions, classes, variables, class
+    fields and the attributes it assigns."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            bound.add(node.attr)
+    return bound
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    # ``x._name`` only where ``_name`` is defined: a module that needs what
+    # another keeps private asks for a public field instead
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        own = _names_bound(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and node.attr.startswith("_") and not node.attr.endswith("__")
+                    and node.attr not in own):
+                offenders.append("%s:%d reads .%s" % (path.name, node.lineno, node.attr))
     assert not offenders, offenders
 
 

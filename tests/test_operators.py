@@ -343,17 +343,21 @@ def test_operator_validation_rules():
         LinOp("group_replicate", None, ((0,),))
     # an operator's width is checked against its mode at the fit's door
     # (test_driver::test_every_door_refuses_specs_by_mode), not per call
-    assert identity_op().out_cols is None
-    # a width is an integer: 5.7 is refused, not truncated to 5
+    assert identity_op(4).out_cols == 4
+    # every kind states its width, an integer: 5.7 is refused, not
+    # truncated to 5, and a missing one is refused too
     for build in (lambda: row_difference_op(5.7), lambda: identity_op(3.0),
-                  lambda: identity_op(True), lambda: group_replicate_op(((0,),), 4.5)):
+                  lambda: identity_op(True), lambda: group_replicate_op(((0,),), 4.5),
+                  lambda: LinOp("identity")):
         with pytest.raises(ValueError, match="n_cols must be an integer >= 1"):
             build()
-    # an identity with no declared width accepts any
+    with pytest.raises(TypeError):
+        identity_op()
+    # the identity passes its input through as it is
     for n in (1, 3, 7):
         y = np.ones((2, n))
-        assert linop_forward(identity_op(), y) is y
-        assert linop_adjoint(identity_op(), y) is y
+        assert linop_forward(identity_op(n), y) is y
+        assert linop_adjoint(identity_op(n), y) is y
 
 
 def test_catalog_objects_are_immutable():

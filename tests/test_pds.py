@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cpdsplit.driver import ModeSpec
+import cpdsplit.pds as pds
+from cpdsplit.driver import DriverConfig, ModeSpec, factorize
 from cpdsplit.operators import (
     Projection,
     ProxFn,
@@ -206,17 +207,40 @@ def test_warm_start_determinism():
     assert np.array_equal(a.G, b.G)
 
 
-def test_divergent_steps_raise_floating_point_error():
-    rng = np.random.default_rng(11)
-    W = rng.standard_normal((6, 2))
-    Yd = rng.standard_normal((6, 2))
-    # a bound far below trace(W'W) gives a primal step of about 1e30
+def test_divergent_steps_raise_floating_point_error(monkeypatch):
+    # a bound far below trace(W'W) gives a primal step of about 1e30; the
+    # solver only iterates, and the outer loop refuses what it returns
     insane = 1.98e-30
     assert compute_stepsizes(insane, 0.0) == (pytest.approx(1e30, rel=1e-12), 0.0)
-    state = SubproblemState(F=np.ones((2, 2)))
+    real = pds.compute_stepsizes
+    monkeypatch.setattr(pds, "compute_stepsizes", lambda bound, op_norm: real(insane, op_norm))
+    Y = np.random.default_rng(11).standard_normal((6, 5, 4))
+    cfg = DriverConfig(rank=2, n_inner=400, max_outer=3, stop_metric="objective_rel_change")
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError):
-            solve_subproblem(state, ModeSpec(), W, W.T @ Yd, None, insane, 400)
+        with pytest.raises(FloatingPointError,
+                           match="^mode 1 iterate became non-finite at iteration 1$"):
+            factorize(Y, None, (ModeSpec(), ModeSpec(), ModeSpec()), cfg)
+
+
+def test_a_non_finite_primal_dual_iterate_is_refused(monkeypatch):
+    # one NaN in a projected iterate reaches F and, through L(2 F+ - F), the
+    # dual; the loop refuses the visit before the next mode or the objective
+    # reads it
+    real = pds.project
+
+    def poisoned(c, x):
+        out = real(c, x)
+        out[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(pds, "project", poisoned)
+    Y = np.random.default_rng(12).random((6, 5, 4))
+    c = Projection("nonnegative")
+    specs = (ModeSpec(c, ProxFn("l1", 0.1), identity_op(6)), ModeSpec(c), ModeSpec(c))
+    cfg = DriverConfig(rank=2, max_outer=2, stop_metric="objective_rel_change")
+    with pytest.raises(FloatingPointError,
+                       match="^mode 1 iterate became non-finite at iteration 1$"):
+        factorize(Y, None, specs, cfg)
 
 
 def test_hard_constraint_holds_after_every_call():

@@ -55,11 +55,11 @@ def _specs(workload, dims):
     # structured operators: an overlapping group lasso on mode 2, total
     # variation on mode 3 (the ADMM baseline refuses both)
     c = Projection("nonnegative")
-    l1 = ModeSpec(c, ProxFn("l1", 0.1), identity_op())
+    l1 = [ModeSpec(c, ProxFn("l1", 0.1), identity_op(n)) for n in dims]
     if workload == "dense_admm":
-        return (l1, l1, l1)
+        return tuple(l1)
     groups = ((0, 1, 2, 3), (2, 3, 4, 5), (4, 5, 6, 7))
-    return (l1, ModeSpec(c, *overlapping_group_lasso(groups, 0.1, dims[1])),
+    return (l1[0], ModeSpec(c, *overlapping_group_lasso(groups, 0.1, dims[1])),
             ModeSpec(c, ProxFn("l1", 0.1), row_difference_op(dims[2])))
 
 
