@@ -17,7 +17,7 @@ gap the primal-dual solver exists to fill.
 
 import numpy as np
 
-from .driver import alternate
+from .driver import alternate, as_mask
 from .operators import project, prox_apply
 from .pds import SubproblemState
 from .tensor import khatri_rao  # noqa: F401  (perfbench/worker.py traces admm.khatri_rao)
@@ -113,7 +113,8 @@ def ao_admm_factorize(Y, mask, specs, cfg, truth=None):
     Parameters
     ----------
     Y, mask, specs, cfg, truth : as in the primal-dual driver; the mask must
-        be None or all-true, and every mode spec must pass
+        be None or all-true (:func:`cpdsplit.driver.as_mask` refuses a
+        malformed one), and every mode spec must pass
         :func:`check_supported`.
 
     Returns
@@ -124,7 +125,7 @@ def ao_admm_factorize(Y, mask, specs, cfg, truth=None):
     """
     for spec in specs:
         check_supported(spec)
-    if mask is not None and not np.asarray(mask).all():
+    if mask is not None and not as_mask(mask, np.shape(Y)).all():
         raise UnsupportedSpecError("masked data is not supported by this baseline")
     result = alternate(Y, mask, specs, cfg, truth, initial_state, solve_subproblem_admm)
     result.counters["cholesky_factorizations"] = 3 * result.outer_iterations

@@ -113,22 +113,18 @@ def objective(Y, mask, fset, specs):
     terms of the hard constraints excluded.  It reads only the observed
     entries of Y, which must be finite everywhere: NaN times 0 is NaN.
     Like :func:`factorize` it refuses, by mode, a spec list that is not
-    three long or an operator whose width is not its mode's size."""
+    three long or an operator whose width is not its mode's size, and a
+    mask that :func:`as_mask` refuses."""
     fset = FactorSet(fset)
     recon = cp_reconstruct(fset)
     if recon.shape != np.shape(Y):
-        raise ValueError(
-            "factor dims %r do not match data shape %r"
-            % (recon.shape, np.shape(Y))
-        )
+        raise ValueError("factor dims %r do not match data shape %r" % (recon.shape, np.shape(Y)))
     _check_specs(specs, recon.shape)
     # the residual reuses recon's buffer; for finite Y and recon, multiplying
     # by the mask equals zeroing and is ~10x faster than a masked write
     r = np.subtract(Y, recon, out=recon)
     if mask is not None:
-        if np.shape(mask) != recon.shape or np.asarray(mask).dtype != np.bool_:
-            raise ValueError("mask must be a boolean array of the data's shape")
-        np.multiply(r, mask, out=r)
+        np.multiply(r, as_mask(mask, recon.shape), out=r)
     value = 0.5 * float(np.vdot(r, r))
     for d, spec in enumerate(specs):
         if spec.regularizer.kind == "zero":
@@ -160,6 +156,14 @@ def _converged(trace, cfg):
     return abs(last.objective - prev.objective) / max(prev.objective, _REL_EPS) < cfg.stop_tol
 
 
+def as_mask(mask, shape):
+    """``mask`` as an array, refused unless boolean and of the data's shape."""
+    mask = np.asarray(mask)
+    if mask.shape != shape or mask.dtype != np.bool_:
+        raise ValueError("mask must be a boolean array of the data's shape")
+    return mask
+
+
 def _check_specs(specs, shape):
     # three specs, each operator as wide as its mode: the operators check nothing
     if len(specs) != 3:
@@ -183,9 +187,7 @@ def _prepare(Y, mask, specs, cfg, truth):
     Y = np.ascontiguousarray(Y, dtype=np.float64)
     _check_specs(specs, Y.shape)
     if mask is not None:
-        mask = np.asarray(mask)
-        if mask.shape != Y.shape or mask.dtype != np.bool_:
-            raise ValueError("mask must be a boolean array of the data's shape")
+        mask = as_mask(mask, Y.shape)
         if mask.all():
             mask = None
         else:  # a row no entry observes would keep its initial value
@@ -201,13 +203,9 @@ def _prepare(Y, mask, specs, cfg, truth):
     if truth is not None:
         truth = FactorSet(truth)
         if truth.rank != cfg.rank:
-            raise ValueError(
-                "truth rank %d != configured rank %d" % (truth.rank, cfg.rank)
-            )
+            raise ValueError("truth rank %d != configured rank %d" % (truth.rank, cfg.rank))
         if truth.dims != Y.shape:
-            raise ValueError(
-                "truth dims %r != data shape %r" % (truth.dims, Y.shape)
-            )
+            raise ValueError("truth dims %r != data shape %r" % (truth.dims, Y.shape))
         if not all(np.isfinite(f).all() for f in truth.factors):
             raise ValueError("truth contains non-finite values")
     if cfg.stop_metric == "mse_vs_truth" and truth is None:

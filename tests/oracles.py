@@ -166,6 +166,75 @@ def column_grams_dense(W, mask):
     return np.stack([W.T @ (mask[:, n, None] * W) for n in range(mask.shape[1])])
 
 
+def lipschitz_bound(W, mask=None):
+    """The bound a fit derives for one mode visit: trace(W^T W), or with a
+    P x N mask the largest trace of the per-column Grams."""
+    if mask is None:
+        return float(np.trace(W.T @ W))
+    return max(float(np.trace(g)) for g in column_grams_dense(W, mask))
+
+
+def solver_inputs(W, Yd, mask=None, bound=None):
+    """The arguments between ``spec`` and ``n_inner`` of an inner solver's
+    call for one mode visit, built densely from the Khatri-Rao product W,
+    the matricized data Yd and an optional P x N mask the way a fit builds
+    them: W, the MTTKRP W^T Yd with the unobserved entries of Yd zeroed,
+    the per-column Gram stack (None without a mask) and
+    :func:`lipschitz_bound`, or ``bound`` when a test sets its own.
+
+    This is the one statement outside the package of what a visit hands a
+    solver: a test calls ``solve(state, spec, *solver_inputs(...), n_inner)``
+    and never builds or unpacks these arguments itself."""
+    if mask is not None:
+        Yd = np.where(mask, Yd, 0.0)
+    grams = None if mask is None else column_grams_dense(W, mask)
+    return W, W.T @ Yd, grams, lipschitz_bound(W, mask) if bound is None else bound
+
+
+def check_visits(visits, start, Y, mask=None):
+    """Assert that every mode visit of a fit got :func:`solver_inputs` of
+    the factors as they stood at that visit.
+
+    ``visits`` holds, in visit order, each visit's solver arguments after
+    ``spec`` (``n_inner`` last) and the R x N_d factor F its solver
+    returned; ``start`` holds the fit's three initial (N_d, R) factors.
+    The oracle W is :func:`khatri_rao_dense` of the other two current
+    factors, so a visit that read a stale factor fails.  Each array
+    argument must match to 1e-12 relative to its largest entry, as must
+    the bound; a Gram stack must also be exactly symmetric, with the bound
+    exactly its largest trace.  Returns each visit's (oracle W, the bound
+    the fit passed).
+    """
+    current = list(start)
+    checked = []
+    for visit, (after_spec, F) in enumerate(visits):
+        args = after_spec[:-1]
+        d = visit % 3
+        where = "visit %d (mode %d)" % (visit + 1, d + 1)
+        i, j = (a for a in range(3) if a != d)
+        W = khatri_rao_dense(current[i], current[j])
+        Md = None if mask is None else matricize_dense(mask, d + 1).astype(bool)
+        want = solver_inputs(W, matricize_dense(Y, d + 1), Md)
+        assert len(args) == len(want), "%s: %d arguments, want %d" % (where, len(args), len(want))
+        for k, (got, ref) in enumerate(zip(args, want)):
+            if ref is None:
+                assert got is None, "%s: argument %d should be None" % (where, k + 1)
+                continue
+            assert np.shape(got) == np.shape(ref), "%s: argument %d has shape %r, want %r" % (
+                where, k + 1, np.shape(got), np.shape(ref))
+            err = float(np.abs(np.subtract(got, ref)).max())
+            assert err <= 1e-12 * float(np.abs(ref).max()), (
+                "%s: argument %d is %.3g off its oracle" % (where, k + 1, err))
+            if np.ndim(ref) == 3:
+                assert np.array_equal(got, got.transpose(0, 2, 1)), (
+                    "%s: argument %d is not exactly symmetric" % (where, k + 1))
+                assert args[-1] == float(np.einsum("nrr->n", got).max()), (
+                    "%s: the bound is not the stack's largest trace" % where)
+        checked.append((W, args[-1]))
+        current[d] = F.T
+    return checked
+
+
 def fd_directional(fun, X, direction, h=1e-6):
     """Central finite-difference directional derivative of a scalar field."""
     return (fun(X + h * direction) - fun(X - h * direction)) / (2.0 * h)

@@ -21,7 +21,7 @@ from cpdsplit.bench import (
     generate_synthetic,
     mode_spec_from_dict,
 )
-from cpdsplit.driver import DriverConfig, ModeSpec, factorize, objective
+from cpdsplit.driver import DriverConfig, ModeSpec, factorize, init_factors, objective
 from cpdsplit.metrics import mse
 from cpdsplit.operators import (
     Projection,
@@ -149,8 +149,7 @@ def test_criterion_3_subproblem_oracle_equivalence():
                 else:
                     spec = ModeSpec(projection=Projection(proj_kind))
                 state = initial_state(np.zeros((3, 8)), spec)
-                out = solve_subproblem(state, spec, W, W.T @ Yd, None,
-                                       float(np.trace(W.T @ W)), 5000)
+                out = solve_subproblem(state, spec, *oracles.solver_inputs(W, Yd), 5000)
                 ref = oracles.proximal_gradient(
                     W, Yd, l1_weight=lam, nonneg=(proj_kind == "nonnegative")
                 )
@@ -313,20 +312,24 @@ def test_criterion_5_invariant_suites(monkeypatch):
     cfg = DriverConfig(rank=2, n_inner=2, max_outer=3, stop_tol=1e-30,
                        stop_metric="objective_rel_change", seed=7)
     raw = factorize(yt, mask, plain, cfg)
-    stacks = []
+    visits = []
     real_solve = pds_mod.solve_subproblem
 
-    def solve_spy(state, spec, W, B, grams, *rest):
-        stacks.append(grams)
-        return real_solve(state, spec, W, B, grams, *rest)
+    def solve_spy(state, spec, *args):
+        out = real_solve(state, spec, *args)
+        visits.append((args, out.F))
+        return out
 
     monkeypatch.setattr(pds_mod, "solve_subproblem", solve_spy)
     zeroed = factorize(np.where(mask, yt, 0.0), mask, plain, cfg)
     monkeypatch.undo()
     exact &= all(np.array_equal(a, b)
                  for a, b in zip(raw.factors.factors, zeroed.factors.factors))
-    exact &= len(stacks) == 9
-    exact &= all(np.array_equal(G, G.transpose(0, 2, 1)) for G in stacks)
+    exact &= len(visits) == 9
+    try:  # each visit's Gram stack is its oracle's and exactly symmetric
+        oracles.check_visits(visits, init_factors(dims, 2, cfg.seed).factors, yt, mask)
+    except AssertionError:
+        exact = False
     checks.append(("mask exact", exact))
 
     # bit-exact determinism of a full fit
@@ -362,18 +365,17 @@ def test_criterion_6_gradient_finite_differences():
         Yd = rng.standard_normal((9, 5))
         F = rng.standard_normal((3, 5))
         masked = idx % 2 == 1
-        grams = None
+        mask = None
         if masked:
             mask = rng.random((9, 5)) < 0.6
             Yd = np.where(mask, Yd, 0.0)
             fun = lambda X: 0.5 * float(np.sum((Yd - np.where(mask, W @ X, 0.0)) ** 2))
-            grams = oracles.column_grams_dense(W, mask)
         else:
             fun = lambda X: 0.5 * float(np.sum((Yd - W @ X) ** 2))
         # the gradient a fit applies, read off one plain unconstrained step
-        bound = float(np.vdot(W, W))
-        F1 = solve_subproblem(SubproblemState(F), ModeSpec(), W, W.T @ Yd, grams, bound, 1).F
-        g = (F - F1) / compute_stepsizes(bound, 0.0)[0]
+        inputs = oracles.solver_inputs(W, Yd, mask)
+        F1 = solve_subproblem(SubproblemState(F), ModeSpec(), *inputs, 1).F
+        g = (F - F1) / compute_stepsizes(oracles.lipschitz_bound(W, mask), 0.0)[0]
         direction = rng.standard_normal((3, 5))
         fd = oracles.fd_directional(fun, F, direction)
         exact = float(np.vdot(g, direction))

@@ -8,7 +8,7 @@ from cpdsplit.admm import (
     check_supported,
     solve_subproblem_admm,
 )
-from cpdsplit.driver import DriverConfig, ModeSpec, factorize, objective
+from cpdsplit.driver import DriverConfig, ModeSpec, factorize, init_factors, objective
 from cpdsplit.operators import (
     Projection,
     ProxFn,
@@ -81,10 +81,10 @@ def test_admm_reaches_least_squares_solution():
     W = rng.standard_normal((12, 3))
     Yd = rng.standard_normal((12, 4))
     spec = ModeSpec()
-    bound = float(np.trace(W.T @ W))
+    inputs = oracles.solver_inputs(W, Yd)
     state = admm_mod.initial_state(np.zeros((3, 4)), spec)
     for _ in range(200):
-        state = solve_subproblem_admm(state, spec, W, W.T @ Yd, None, bound, 5)
+        state = solve_subproblem_admm(state, spec, *inputs, 5)
     want = np.linalg.solve(W.T @ W, W.T @ Yd)
     assert np.allclose(state.F, want, atol=1e-6)
 
@@ -96,10 +96,10 @@ def test_admm_agrees_with_prox_gradient_and_pds():
     lam = 0.4
     spec = ModeSpec(projection=Projection("nonnegative"),
                     regularizer=ProxFn("l1", lam), operator=identity_op(4))
-    bound = float(np.trace(W.T @ W))
+    inputs = oracles.solver_inputs(W, Yd)
     state = SubproblemState(F=np.zeros((3, 4)), G=np.zeros((3, 4)))
     for _ in range(400):
-        state = solve_subproblem_admm(state, spec, W, W.T @ Yd, None, bound, 10)
+        state = solve_subproblem_admm(state, spec, *inputs, 10)
     ref = oracles.proximal_gradient(W, Yd, l1_weight=lam, nonneg=True)
     got = oracles.composite_objective(W, Yd, state.F, l1_weight=lam)
     want = oracles.composite_objective(W, Yd, ref, l1_weight=lam)
@@ -107,7 +107,7 @@ def test_admm_agrees_with_prox_gradient_and_pds():
 
     pds_state = solve_subproblem(
         SubproblemState(F=np.zeros((3, 4)), G=np.zeros((3, 4))),
-        spec, W, W.T @ Yd, None, bound, 20000,
+        spec, *inputs, 20000,
     )
     pds_obj = oracles.composite_objective(W, Yd, pds_state.F, l1_weight=lam)
     assert abs(pds_obj - got) <= 1e-5 * max(1.0, abs(got))
@@ -170,7 +170,7 @@ def test_a_visit_factors_once_and_solves_once_per_inner_iteration(monkeypatch):
     rng = np.random.default_rng(0)
     W, Yd = rng.random((12, 3)), rng.random((12, 4))
     state = SubproblemState(F=np.zeros((3, 4)), G=np.zeros((3, 4)))
-    solve_subproblem_admm(state, _l1_specs()[0], W, W.T @ Yd, None, 3.0, 7)
+    solve_subproblem_admm(state, _l1_specs()[0], *oracles.solver_inputs(W, Yd, bound=3.0), 7)
     assert calls == {"cho_factor": 1, "cho_solve": 7}
 
 
@@ -224,26 +224,28 @@ def test_penalty_is_the_visit_trace_over_rank(monkeypatch):
     Y, truth = _problem(seed=9)
     cfg = DriverConfig(rank=2, n_inner=3, max_outer=3, stop_tol=1e-30,
                        stop_metric="objective_rel_change", seed=10)
-    # the visit's W and bound from the solver's arguments, its rho from
-    # the matrix it factors, a = W^T W + rho I
-    visits, seen = [], []
+    # each visit's arguments against the oracle, and its rho from the
+    # matrix it factors, a = W^T W + rho I
+    visits, factored = [], []
     real_solve, real_factor = admm_mod.solve_subproblem_admm, admm_mod.cho_factor
 
-    def solve_spy(state, spec, W, B, grams, bound, n_inner):
-        visits.append((W, bound))
-        return real_solve(state, spec, W, B, grams, bound, n_inner)
+    def solve_spy(state, spec, *args):
+        out = real_solve(state, spec, *args)
+        visits.append((args, out.F))
+        return out
 
     def factor_spy(a):
-        W, bound = visits[-1]
-        shift = a - W.T @ W
-        rho = float(shift[0, 0])
-        seen.append(bound == pytest.approx(float(np.trace(W.T @ W)), rel=1e-12)
-                    and rho == pytest.approx(bound / 2, rel=1e-12)
-                    and float(np.abs(shift - rho * np.eye(2)).max()) <= 1e-12 * rho)
+        factored.append(a)
         return real_factor(a)
 
     monkeypatch.setattr(admm_mod, "solve_subproblem_admm", solve_spy)
     monkeypatch.setattr(admm_mod, "cho_factor", factor_spy)
     res = ao_admm_factorize(Y, None, _l1_specs(), cfg)
-    assert seen == [True] * (3 * res.outer_iterations)
+    checked = oracles.check_visits(visits, init_factors(Y.shape, 2, cfg.seed).factors, Y)
+    assert len(factored) == len(checked) == 3 * res.outer_iterations
+    for a, (W, bound) in zip(factored, checked):
+        shift = a - W.T @ W
+        rho = float(shift[0, 0])
+        assert rho == pytest.approx(bound / 2, rel=1e-12)
+        assert float(np.abs(shift - rho * np.eye(2)).max()) <= 1e-12 * rho
 

@@ -18,7 +18,7 @@ from cpdsplit.operators import (
     linop_forward,
     row_difference_op,
 )
-from cpdsplit.tensor import FactorSet, cp_reconstruct, khatri_rao
+from cpdsplit.tensor import FactorSet, cp_reconstruct
 
 import oracles
 
@@ -168,71 +168,70 @@ def test_objective_rejects_malformed_mask():
         objective(Y, np.ones(Y.shape[:2] + (1,), dtype=bool), truth, _plain_specs())
 
 
-def _spy_visits(monkeypatch):
-    """Record (trace bound, solve_subproblem's arguments, its result) for
-    every visit of a fit."""
+@pytest.mark.parametrize("fit", [factorize, ao_admm_factorize], ids=["pds", "admm"])
+def test_a_malformed_mask_is_refused_by_both_fits(fit):
+    # objective's rule, before ADMM's refusal of a valid partial mask
+    Y, _ = _small_problem(seed=21)
+    cfg = DriverConfig(rank=2, stop_metric="objective_rel_change")
+    ints = np.ones(Y.shape, dtype=np.int64)
+    short = np.ones(Y.shape[:2] + (1,), dtype=bool)
+    ints[0, 0, 0] = short[0, 0, 0] = 0
+    for mask in (ints, short):
+        with pytest.raises(ValueError, match="^mask must be a boolean array of the data's shape$"):
+            fit(Y, mask, _plain_specs(), cfg)
+
+
+def _spy_visits(monkeypatch, module=pds, name="solve_subproblem"):
+    """Record, for every visit of a fit, the bound its step rule took (the
+    primal-dual solver only) and (the solver's arguments after spec, the
+    factor it returned), the input of oracles.check_visits."""
     bounds, visits = [], []
     real_steps = pds.compute_stepsizes
-    real_solve = pds.solve_subproblem
+    real_solve = getattr(module, name)
 
     def steps_spy(trace_bound, op_norm):
         bounds.append(trace_bound)
         return real_steps(trace_bound, op_norm)
 
-    def solve_spy(state, spec, W, B, grams, bound, n_inner):
-        out = real_solve(state, spec, W, B, grams, bound, n_inner)
-        visits.append((W, grams, out))
+    def solve_spy(state, spec, *args):
+        out = real_solve(state, spec, *args)
+        visits.append((args, out.F))
         return out
 
     monkeypatch.setattr(pds, "compute_stepsizes", steps_spy)
-    monkeypatch.setattr(pds, "solve_subproblem", solve_spy)
+    monkeypatch.setattr(module, name, solve_spy)
     return bounds, visits
 
 
 @pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
 def test_masked_visit_builds_one_gram_stack_for_bound_and_solver(masked, monkeypatch):
-    if not masked:
-        Y, _ = _small_problem(seed=24, dims=(9, 8, 7), rank=3, noise=0.05)
-        cfg = DriverConfig(rank=3, n_inner=2, max_outer=4, stop_tol=1e-30,
-                           stop_metric="objective_rel_change", seed=25)
-        bounds, visits = _spy_visits(monkeypatch)
-        res = factorize(Y, None, _nonneg_specs(), cfg)
-        assert len(bounds) == len(visits) == 3 * res.outer_iterations
-        assert all(grams is None for _, grams, _ in visits)
-        assert bounds == [
-            pytest.approx(float(np.trace(W.T @ W)), rel=1e-12) for W, _, _ in visits
-        ]
-        return
-    # every masked visit's Gram stack against the column-by-column oracle on
-    # the Khatri-Rao product of the factors as they stand at that visit, so
-    # mode 2 must see the F_1 that mode 1 just updated
-    for rank in (1, 3, 5):
-        rng = np.random.default_rng(24 + rank)
-        Y, _ = _small_problem(seed=24 + rank, dims=(9, 8, 7), rank=rank, noise=0.05)
-        mask = rng.random(Y.shape) < 0.5
+    # every visit's arguments against the oracles on the Khatri-Rao product
+    # of the factors as they stand at that visit, so mode 2 must see the F_1
+    # that mode 1 just updated; the step rule takes the bound it is given
+    for rank, seed in [(1, 25), (3, 27), (5, 29)] if masked else [(3, 24)]:
+        rng = np.random.default_rng(seed)
+        Y, _ = _small_problem(seed=seed, dims=(9, 8, 7), rank=rank, noise=0.05)
+        mask = rng.random(Y.shape) < 0.5 if masked else None
+        if masked:
+            Y = np.where(mask, Y, 0.0)
         cfg = DriverConfig(rank=rank, n_inner=2, max_outer=4, stop_tol=1e-30,
                            stop_metric="objective_rel_change", seed=25)
         monkeypatch.undo()
         bounds, visits = _spy_visits(monkeypatch)
-        res = factorize(np.where(mask, Y, 0.0), mask, _nonneg_specs(), cfg)
-        assert len(bounds) == len(visits) == 3 * res.outer_iterations
-        current = list(init_factors(Y.shape, rank, cfg.seed).factors)
-        Md = [oracles.matricize_dense(mask, d) for d in (1, 2, 3)]
-        for visit, (bound, (W, grams, out)) in enumerate(zip(bounds, visits)):
-            d = visit % 3
-            i, j = (a for a in range(3) if a != d)
-            want = oracles.column_grams_dense(khatri_rao(current[i], current[j]), Md[d])
-            assert grams.shape == want.shape
-            assert float(np.abs(grams - want).max()) <= 1e-12 * float(np.abs(want).max())
-            assert np.array_equal(grams, grams.transpose(0, 2, 1))
-            assert bound == float(np.einsum("nrr->n", grams).max())
-            assert bound < float(np.vdot(W, W))
-            current[d] = out.F.T
+        res = factorize(Y, mask, _nonneg_specs(), cfg)
+        start = init_factors(Y.shape, rank, cfg.seed).factors
+        checked = oracles.check_visits(visits, start, Y, mask)
+        assert len(bounds) == len(checked) == 3 * res.outer_iterations
+        assert bounds == [bound for _, bound in checked]
+        if not masked:
+            return
+        # half observed, each visit's bound is below the dense one
+        assert all(bound < float(np.vdot(W, W)) for W, bound in checked)
         # the fit refuses a mask with an empty slice, so the tree's Gram
         # columns of such slices are checked directly: each is zero
         mask[2], mask[:, 5], mask[:, :, 0] = False, False, False
         iu, ju = np.triu_indices(rank)
-        pairs = [f.T[iu] * f.T[ju] for f in current]
+        pairs = [f.T[iu] * f.T[ju] for f in res.factors.factors]
         kept = []
         for d, empty in enumerate((2, 5, 0)):
             g = driver_mod._tree(mask.astype(float), pairs, d, kept)
@@ -251,9 +250,9 @@ def test_masked_visit_builds_one_gram_stack_for_bound_and_solver(masked, monkeyp
 )
 def test_every_visit_gets_the_mttkrp_of_its_khatri_rao_product(module, name, fit, masked,
                                                                monkeypatch):
-    # the outer loop's dimension tree against the dense matricization; mode 2
+    # the outer loop's dimension tree against the dense matricization and the
+    # Khatri-Rao product of the factors as they stand at each visit; mode 2
     # must see the F_1 that mode 1 just updated (ADMM refuses masked data)
-    real = getattr(module, name)
     for rank in (1, 3):
         rng = np.random.default_rng(27)
         Y, truth = _small_problem(seed=27, dims=(7, 6, 5), rank=rank, noise=0.05)
@@ -262,20 +261,11 @@ def test_every_visit_gets_the_mttkrp_of_its_khatri_rao_product(module, name, fit
             Y = np.where(mask, Y, 0.0)
         cfg = DriverConfig(rank=rank, n_inner=2, max_outer=3, stop_tol=1e-30,
                            stop_metric="objective_rel_change", seed=28)
-        seen = []
-
-        def spy(state, spec, W, B, *rest):
-            seen.append((W, B))
-            return real(state, spec, W, B, *rest)
-
-        monkeypatch.setattr(module, name, spy)
+        monkeypatch.undo()
+        _, visits = _spy_visits(monkeypatch, module, name)
         res = fit(Y, mask, _nonneg_specs(), cfg)
-        assert len(seen) == 3 * res.outer_iterations == 9
-        Yd = [oracles.matricize_dense(Y, d) for d in (1, 2, 3)]
-        for visit, (W, B) in enumerate(seen):
-            want = W.T @ Yd[visit % 3]
-            assert B.shape == want.shape == (rank, Y.shape[visit % 3])
-            assert float(np.abs(B - want).max()) <= 1e-12 * float(np.abs(want).max())
+        assert len(visits) == 3 * res.outer_iterations == 9
+        oracles.check_visits(visits, init_factors(Y.shape, rank, cfg.seed).factors, Y, mask)
 
 
 @pytest.mark.parametrize(
@@ -504,11 +494,15 @@ def test_non_finite_data_is_refused():
 
 
 def test_a_non_finite_objective_stops_the_fit_at_its_iteration(monkeypatch):
+    # through a regularizer's value, which the trace objective reads however
+    # it forms the fit term
     Y, _ = _small_problem(seed=6)
-    monkeypatch.setattr(driver_mod, "objective", lambda *args: np.inf)
+    monkeypatch.setattr(driver_mod, "prox_value", lambda *args: np.inf)
+    specs = (ModeSpec(regularizer=ProxFn("l1", 0.1), operator=identity_op(6)), ModeSpec(),
+             ModeSpec())
     cfg = DriverConfig(rank=2, max_outer=3, stop_metric="objective_rel_change")
     with pytest.raises(FloatingPointError, match="^objective became non-finite at iteration 1$"):
-        factorize(Y, None, _plain_specs(), cfg)
+        factorize(Y, None, specs, cfg)
 
 
 def test_truth_of_other_dims_is_refused():
@@ -522,7 +516,7 @@ def test_truth_of_other_dims_is_refused():
 def test_a_non_finite_truth_is_refused_before_the_first_iteration(fit, monkeypatch):
     Y, truth = _small_problem(seed=6)
     truth.factors[2][1, 0] = np.nan
-    monkeypatch.setattr(driver_mod, "khatri_rao", None)  # no visit may start
+    monkeypatch.setattr(driver_mod, "_tree", None)  # no visit may start
     with pytest.raises(ValueError, match="truth contains non-finite values"):
         fit(Y, None, _plain_specs(), DriverConfig(rank=2), truth)
 

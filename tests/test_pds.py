@@ -58,11 +58,12 @@ def test_stepsizes_strict_with_true_lipschitz_constant():
         assert gamma1 * (beta / 2.0 + gamma2 * s) < 1.0
 
 
-def _applied_gradient(F, W, Yd, grams=None):
+def _applied_gradient(F, W, Yd, mask=None):
     """The least-squares gradient solve_subproblem applies, read off one
     plain unconstrained step F1 = F - gamma1 * g."""
-    F1 = solve_subproblem(SubproblemState(F), ModeSpec(), W, W.T @ Yd, grams, _trace(W), 1).F
-    return (F - F1) / compute_stepsizes(_trace(W), 0.0)[0]
+    inputs = oracles.solver_inputs(W, Yd, mask)
+    F1 = solve_subproblem(SubproblemState(F), ModeSpec(), *inputs, 1).F
+    return (F - F1) / compute_stepsizes(oracles.lipschitz_bound(W, mask), 0.0)[0]
 
 
 def test_gradient_vanishes_at_normal_equations_solution():
@@ -82,7 +83,7 @@ def test_gradient_full_mask_equals_no_mask():
     full = np.ones((8, 4), dtype=bool)
     assert np.allclose(
         _applied_gradient(F, W, Yd),
-        _applied_gradient(F, W, Yd, oracles.column_grams_dense(W, full)),
+        _applied_gradient(F, W, Yd, full),
         atol=1e-12,
     )
 
@@ -100,17 +101,11 @@ def test_gradient_matches_finite_differences():
             fun = lambda X: 0.5 * float(
                 np.sum((np.where(mask, Yd, 0.0) - np.where(mask, W @ X, 0.0)) ** 2)
             )
-        Yd_use = np.where(mask, Yd, 0.0) if mask is not None else Yd
-        grams = None if mask is None else oracles.column_grams_dense(W, mask)
-        g = _applied_gradient(F, W, Yd_use, grams)
+        g = _applied_gradient(F, W, Yd, mask)
         direction = rng.standard_normal((3, 4))
         fd = oracles.fd_directional(fun, F, direction)
         exact = float(np.vdot(g, direction))
         assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
-
-
-def _trace(W):
-    return float(np.trace(W.T @ W))
 
 
 def test_unconstrained_solver_reaches_least_squares_solution():
@@ -119,7 +114,7 @@ def test_unconstrained_solver_reaches_least_squares_solution():
     Yd = rng.standard_normal((12, 4))
     spec = ModeSpec()
     state = SubproblemState(F=np.zeros((3, 4)))
-    out = solve_subproblem(state, spec, W, W.T @ Yd, None, _trace(W), 2000)
+    out = solve_subproblem(state, spec, *oracles.solver_inputs(W, Yd), 2000)
     want = np.linalg.solve(W.T @ W, W.T @ Yd)
     assert np.allclose(out.F, want, atol=1e-6)
 
@@ -135,7 +130,7 @@ def test_regularized_solver_matches_proximal_gradient_oracle():
         operator=identity_op(4),
     )
     state = SubproblemState(F=np.zeros((3, 4)), G=np.zeros((3, 4)))
-    out = solve_subproblem(state, spec, W, W.T @ Yd, None, _trace(W), 20000)
+    out = solve_subproblem(state, spec, *oracles.solver_inputs(W, Yd), 20000)
     ref = oracles.proximal_gradient(W, Yd, l1_weight=lam, nonneg=True)
     got = oracles.composite_objective(W, Yd, out.F, l1_weight=lam)
     want = oracles.composite_objective(W, Yd, ref, l1_weight=lam)
@@ -148,7 +143,7 @@ def test_inner_iteration_count_is_enforced():
     W = rng.standard_normal((6, 2))
     Yd = rng.standard_normal((6, 3))
     state = SubproblemState(F=np.ones((2, 3)))
-    out = solve_subproblem(state, ModeSpec(), W, W.T @ Yd, None, _trace(W), 1)
+    out = solve_subproblem(state, ModeSpec(), *oracles.solver_inputs(W, Yd), 1)
     assert not np.array_equal(out.F, state.F)
 
 
@@ -163,8 +158,9 @@ def test_solver_fixed_point_is_stationary():
         operator=identity_op(3),
     )
     state = SubproblemState(F=np.zeros((2, 3)), G=np.zeros((2, 3)))
-    settled = solve_subproblem(state, spec, W, W.T @ Yd, None, _trace(W), 100000)
-    moved = solve_subproblem(settled, spec, W, W.T @ Yd, None, _trace(W), 1)
+    inputs = oracles.solver_inputs(W, Yd)
+    settled = solve_subproblem(state, spec, *inputs, 100000)
+    moved = solve_subproblem(settled, spec, *inputs, 1)
     assert float(np.abs(moved.F - settled.F).max()) <= 1e-8
     got = oracles.composite_objective(W, Yd, settled.F, l1_weight=lam)
     ref = oracles.proximal_gradient(W, Yd, l1_weight=lam, nonneg=True)
@@ -179,8 +175,9 @@ def test_plain_gradient_descent_decreases_objective():
     spec = ModeSpec()
     state = SubproblemState(F=rng.standard_normal((3, 2)))
     prev = oracles.composite_objective(W, Yd, state.F)
+    inputs = oracles.solver_inputs(W, Yd)
     for _ in range(30):
-        state = solve_subproblem(state, spec, W, W.T @ Yd, None, _trace(W), 1)
+        state = solve_subproblem(state, spec, *inputs, 1)
         cur = oracles.composite_objective(W, Yd, state.F)
         grad = _applied_gradient(state.F, W, Yd)
         if float(np.abs(grad).max()) <= 1e-9:
@@ -199,10 +196,9 @@ def test_warm_start_determinism():
         operator=identity_op(3),
     )
     start = SubproblemState(F=rng.random((2, 3)), G=np.zeros((2, 3)))
-    a = solve_subproblem(SubproblemState(start.F.copy(), start.G.copy()),
-                         spec, W, W.T @ Yd, None, _trace(W), 7)
-    b = solve_subproblem(SubproblemState(start.F.copy(), start.G.copy()),
-                         spec, W, W.T @ Yd, None, _trace(W), 7)
+    inputs = oracles.solver_inputs(W, Yd)
+    a = solve_subproblem(SubproblemState(start.F.copy(), start.G.copy()), spec, *inputs, 7)
+    b = solve_subproblem(SubproblemState(start.F.copy(), start.G.copy()), spec, *inputs, 7)
     assert np.array_equal(a.F, b.F)
     assert np.array_equal(a.G, b.G)
 
@@ -212,6 +208,12 @@ def test_divergent_steps_raise_floating_point_error(monkeypatch):
     # solver only iterates, and the outer loop refuses what it returns
     insane = 1.98e-30
     assert compute_stepsizes(insane, 0.0) == (pytest.approx(1e30, rel=1e-12), 0.0)
+    rng = np.random.default_rng(14)
+    W, Yd = rng.standard_normal((20, 2)), rng.standard_normal((20, 6))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = solve_subproblem(SubproblemState(np.zeros((2, 6))), ModeSpec(),
+                               *oracles.solver_inputs(W, Yd, bound=insane), 400)
+    assert not np.isfinite(out.F).all()
     real = pds.compute_stepsizes
     monkeypatch.setattr(pds, "compute_stepsizes", lambda bound, op_norm: real(insane, op_norm))
     Y = np.random.default_rng(11).standard_normal((6, 5, 4))
@@ -249,8 +251,9 @@ def test_hard_constraint_holds_after_every_call():
     Yd = rng.standard_normal((9, 4))
     spec = ModeSpec(projection=Projection("box", 0.0, 0.5))
     state = SubproblemState(F=rng.standard_normal((3, 4)))
+    inputs = oracles.solver_inputs(W, Yd)
     for _ in range(5):
-        state = solve_subproblem(state, spec, W, W.T @ Yd, None, _trace(W), 3)
+        state = solve_subproblem(state, spec, *inputs, 3)
         assert (state.F >= 0.0).all() and (state.F <= 0.5).all()
 
 
@@ -266,7 +269,7 @@ def test_dual_branch_handles_structured_operator():
     )
     state = initial_state(rng.random((2, 6)), spec)
     assert state.G.shape == (2, 5) and not state.G.any()
-    out = solve_subproblem(state, spec, W, W.T @ Yd, None, _trace(W), 50)
+    out = solve_subproblem(state, spec, *oracles.solver_inputs(W, Yd), 50)
     assert out.F.shape == (2, 6)
     assert out.G.shape == (2, 5)
     assert (out.F >= 0).all()
@@ -333,22 +336,21 @@ def test_masked_solver_matches_dense_gradient_reference(rank, kind):
         n = Yd.shape[1]
         spec = _masked_spec(kind, n)
         op_norm = spec.operator.norm_bound if spec.operator is not None else 0.0
-        bound = float(np.vdot(W, W))
-        steps = compute_stepsizes(bound, op_norm)
+        steps = compute_stepsizes(oracles.lipschitz_bound(W, Md), op_norm)
         G0 = None
         if spec.operator is not None:
             G0 = rng.standard_normal((rank, spec.operator.out_cols))
         F0 = rng.random((rank, n))
 
-        grams = oracles.column_grams_dense(W, Md)
-        grad = _applied_gradient(F0, W, Yd, grams)
+        grad = _applied_gradient(F0, W, Yd, Md)
         assert _close(grad, oracles.masked_gradient_dense(F0, W, Yd, Md))
         empty = ~Md.any(axis=0)
         assert empty.any() == (d != 2)
         # an unobserved column has a zero Gram, so its gradient is exactly 0
         assert (grad[:, empty] == 0.0).all()
 
-        out = solve_subproblem(SubproblemState(F0, G0), spec, W, W.T @ Yd, grams, bound, 6)
+        inputs = oracles.solver_inputs(W, Yd, Md)
+        out = solve_subproblem(SubproblemState(F0, G0), spec, *inputs, 6)
         F_ref, G_ref = _reference_inner_loop(
             SubproblemState(F0, G0), spec, W, Yd, Md, steps, 6
         )
@@ -358,11 +360,10 @@ def test_masked_solver_matches_dense_gradient_reference(rank, kind):
             assert _close(out.G, G_ref)
 
         full = np.ones_like(Md)
-        unmasked = solve_subproblem(SubproblemState(F0, G0), spec, W, W.T @ Yd, None, bound, 6)
-        explicit = solve_subproblem(
-            SubproblemState(F0, G0), spec, W, W.T @ Yd, oracles.column_grams_dense(W, full),
-            bound, 6,
-        )
+        unmasked = solve_subproblem(SubproblemState(F0, G0), spec,
+                                    *oracles.solver_inputs(W, Yd), 6)
+        explicit = solve_subproblem(SubproblemState(F0, G0), spec,
+                                    *oracles.solver_inputs(W, Yd, full), 6)
         assert _close(explicit.F, unmasked.F)
         if G0 is not None:
             assert _close(explicit.G, unmasked.G)
