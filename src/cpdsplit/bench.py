@@ -193,7 +193,7 @@ class ExperimentConfig:
     modes: list
     driver: DriverConfig
     algorithms: tuple = ALGORITHMS
-    inner_iters: tuple = (5,)
+    inner_iters: tuple = (DriverConfig.n_inner,)
     out_dir: str = "results"
     mse_threshold: float = None
 
@@ -327,20 +327,23 @@ def environment():
 def run_experiment(cfg, data=None):
     """Run every algorithm x inner-iteration arm on one shared dataset.
 
-    The dataset is ``cfg.synthetic``'s, or ``data=(Y, mask, truth)`` (mask
-    and truth may be None), in which case the summary's
-    ``config.synthetic`` is null.  Writes ``<out_dir>/<algo>_n<k>.csv`` and
-    the final factors ``<out_dir>/<algo>_n<k>.npz`` (``f1``, ``f2``,
-    ``f3``) per arm, and ``<out_dir>/summary.json``, and returns the summary
-    dict.  Wall time wraps the factorize call only; data generation and
-    serialization are excluded.
+    The dataset is ``cfg.synthetic``'s, or ``data=(Y, mask, truth)`` with Y of
+    shape ``cfg.synthetic.dims``, for which the modes were validated (mask and
+    truth may be None), in which case the summary's ``config.synthetic`` is
+    null.  Writes ``<out_dir>/<algo>_n<k>.csv`` and the final factors
+    ``<out_dir>/<algo>_n<k>.npz`` (``f1``, ``f2``, ``f3``) per arm, and
+    ``<out_dir>/summary.json``, and returns the summary dict.  Wall time wraps
+    the factorize call only; data generation and serialization are excluded.
     """
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if data is None:
         Y, truth, mask = generate_synthetic(cfg.synthetic)
     else:
         Y, mask, truth = data
+        if np.shape(Y) != cfg.synthetic.dims:
+            raise ValueError("Y has shape %r, but the modes are for synthetic.dims %r"
+                             % (np.shape(Y), cfg.synthetic.dims))
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     specs = [mode_spec_from_dict(m, n) for m, n in zip(cfg.modes, Y.shape)]
     arms = []
     for algo in cfg.algorithms:

@@ -1,13 +1,41 @@
-"""Slow, independent reference implementations that pin expected values.
+"""Slow, independent reference implementations that pin expected values,
+and the one way the tests set up and watch a fit.
 
 Everything here favors explicit loops, dense matrices, grid searches, and
 finite differences over the package's vectorized code paths, so agreement
-is evidence rather than tautology.
+is evidence rather than tautology.  A test builds its seeded problem with
+:func:`cp_problem`, runs a fixed number of outer iterations with
+:func:`fixed_length`, records a fit's visits with :func:`record_visits`
+and checks them with :func:`check_visits`.
 """
 
 import itertools
+from collections import namedtuple
 
 import numpy as np
+
+from cpdsplit.driver import DriverConfig
+from cpdsplit.pds import SubproblemState
+from cpdsplit.tensor import FactorSet, cp_reconstruct
+
+
+def cp_problem(seed, dims, rank, noise=0.0):
+    """A seeded test problem (Y, truth): uniform(0, 1) truth factors drawn
+    in mode order, and their CP tensor Y plus, when ``noise`` is nonzero,
+    ``noise`` times standard normal entries drawn after them."""
+    rng = np.random.default_rng(seed)
+    truth = FactorSet(tuple(rng.random((n, rank)) for n in dims))
+    Y = cp_reconstruct(truth)
+    if noise:
+        Y = Y + noise * rng.standard_normal(dims)
+    return Y, truth
+
+
+def fixed_length(rank, n_inner, max_outer, seed):
+    """A DriverConfig whose stop rule never fires on a test problem, so the
+    fit runs exactly ``max_outer`` outer iterations."""
+    return DriverConfig(rank=rank, n_inner=n_inner, max_outer=max_outer, stop_tol=1e-30,
+                        stop_metric="objective_rel_change", seed=seed)
 
 
 def cp_dense(factors):
@@ -191,26 +219,65 @@ def solver_inputs(W, Yd, mask=None, bound=None):
     return W, W.T @ Yd, grams, lipschitz_bound(W, mask) if bound is None else bound
 
 
-def check_visits(visits, start, Y, mask=None):
-    """Assert that every mode visit of a fit got :func:`solver_inputs` of
-    the factors as they stood at that visit.
+# one recorded inner-solver call: the input state's F and G, the arguments
+# after spec (n_inner last) and the returned F and G
+Visit = namedtuple("Visit", "F G args out_F out_G")
 
-    ``visits`` holds, in visit order, each visit's solver arguments after
-    ``spec`` (``n_inner`` last) and the R x N_d factor F its solver
-    returned; ``start`` holds the fit's three initial (N_d, R) factors.
-    The oracle W is :func:`khatri_rao_dense` of the other two current
-    factors, so a visit that read a stale factor fails.  Each array
-    argument must match to 1e-12 relative to its largest entry, as must
-    the bound; a Gram stack must also be exactly symmetric, with the bound
-    exactly its largest trace.  Returns each visit's (oracle W, the bound
-    the fit passed).
+
+def _kept(a):
+    return a.copy() if isinstance(a, np.ndarray) else a
+
+
+def record_visits(monkeypatch, module, name):
+    """Wrap the inner solver ``module.name`` for the rest of the test and
+    return the list it fills with one :data:`Visit` per call, in visit
+    order.  Every array is copied as the call starts or returns, so a later
+    write into a state the fit keeps does not change the record.  A call
+    must pass its arguments positionally and return a SubproblemState."""
+    visits = []
+    solve = getattr(module, name)
+
+    def recorded(state, spec, *args):
+        before = (_kept(state.F), _kept(state.G), tuple(_kept(a) for a in args))
+        out = solve(state, spec, *args)
+        assert type(out) is SubproblemState, "a visit returned a %s" % type(out).__name__
+        visits.append(Visit(*before, _kept(out.F), _kept(out.G)))
+        return out
+
+    monkeypatch.setattr(module, name, recorded)
+    return visits
+
+
+def check_visits(visits, start, Y, mask=None):
+    """Assert that every mode visit of a fit was warm-started and got
+    :func:`solver_inputs` of the factors as they stood at that visit.
+
+    ``visits`` is what :func:`record_visits` recorded; ``start`` holds the
+    fit's three initial (N_d, R) factors.  A mode's first visit must start
+    from its factor transposed with a zero or absent dual, and each later
+    one from exactly the F and G its mode's previous visit returned.  The
+    oracle W is :func:`khatri_rao_dense` of the other two current factors,
+    so a visit that read a stale factor fails.  Each array argument must
+    match to 1e-12 relative to its largest entry, as must the bound; a Gram
+    stack must also be exactly symmetric, with the bound exactly its
+    largest trace.  Returns each visit's (oracle W, the bound the fit
+    passed).
     """
     current = list(start)
+    previous = [None] * 3
     checked = []
-    for visit, (after_spec, F) in enumerate(visits):
-        args = after_spec[:-1]
+    for visit, v in enumerate(visits):
+        args = v.args[:-1]
         d = visit % 3
         where = "visit %d (mode %d)" % (visit + 1, d + 1)
+        if previous[d] is None:
+            assert np.array_equal(v.F, start[d].T), "%s: F is not the start factor" % where
+            assert v.G is None or not v.G.any(), "%s: the dual does not start at zero" % where
+        else:
+            assert np.array_equal(v.F, previous[d].out_F), (
+                "%s: F is not what the mode's last visit returned" % where)
+            assert np.array_equal(v.G, previous[d].out_G), (
+                "%s: G is not what the mode's last visit returned" % where)
         i, j = (a for a in range(3) if a != d)
         W = khatri_rao_dense(current[i], current[j])
         Md = None if mask is None else matricize_dense(mask, d + 1).astype(bool)
@@ -231,7 +298,8 @@ def check_visits(visits, start, Y, mask=None):
                 assert args[-1] == float(np.einsum("nrr->n", got).max()), (
                     "%s: the bound is not the stack's largest trace" % where)
         checked.append((W, args[-1]))
-        current[d] = F.T
+        previous[d] = v
+        current[d] = v.out_F.T
     return checked
 
 

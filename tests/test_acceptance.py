@@ -10,7 +10,6 @@ import hashlib
 import time
 
 import numpy as np
-import pytest
 
 import cpdsplit.pds as pds_mod
 from cpdsplit.admm import UnsupportedSpecError, ao_admm_factorize
@@ -309,18 +308,9 @@ def test_criterion_5_invariant_suites(monkeypatch):
     exact = objective(pxt, mask, fs, plain) == 0.0
     exact &= 2.0 * objective(np.zeros(dims), mask, fs, plain) == float(np.vdot(xt, pxt))
     yt = xt + 0.1 * rng.standard_normal(dims)
-    cfg = DriverConfig(rank=2, n_inner=2, max_outer=3, stop_tol=1e-30,
-                       stop_metric="objective_rel_change", seed=7)
+    cfg = oracles.fixed_length(rank=2, n_inner=2, max_outer=3, seed=7)
     raw = factorize(yt, mask, plain, cfg)
-    visits = []
-    real_solve = pds_mod.solve_subproblem
-
-    def solve_spy(state, spec, *args):
-        out = real_solve(state, spec, *args)
-        visits.append((args, out.F))
-        return out
-
-    monkeypatch.setattr(pds_mod, "solve_subproblem", solve_spy)
+    visits = oracles.record_visits(monkeypatch, pds_mod, "solve_subproblem")
     zeroed = factorize(np.where(mask, yt, 0.0), mask, plain, cfg)
     monkeypatch.undo()
     exact &= all(np.array_equal(a, b)
@@ -337,8 +327,7 @@ def test_criterion_5_invariant_suites(monkeypatch):
         syn = SyntheticSpec(dims=(12, 10, 8), rank=2, sparsity=0.5,
                             noise_sigma=0.05, seed=5)
         Y, truth, mask = generate_synthetic(syn)
-        cfg = DriverConfig(rank=2, n_inner=3, max_outer=5, stop_tol=1e-30,
-                           stop_metric="objective_rel_change", seed=6)
+        cfg = oracles.fixed_length(rank=2, n_inner=3, max_outer=5, seed=6)
         modes = benchmark_mode_dicts()  # at weights that suit a tiny problem
         for m, weight in zip(modes, (0.3, 0.1, 0.1)):
             m["regularizer"]["weight"] = weight
@@ -390,9 +379,7 @@ def test_criterion_6_gradient_finite_differences():
 
 
 def test_criterion_7_exact_recovery():
-    rng = np.random.default_rng(0)
-    truth = FactorSet(tuple(rng.random((20, 3)) for _ in range(3)))
-    Y = cp_reconstruct(truth)
+    Y, truth = oracles.cp_problem(0, (20, 20, 20), 3)
     specs = tuple(ModeSpec(projection=Projection("nonnegative")) for _ in range(3))
     cfg = DriverConfig(rank=3, n_inner=5, max_outer=200, stop_tol=1e-12,
                        stop_metric="objective_rel_change", seed=100)

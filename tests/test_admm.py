@@ -17,16 +17,8 @@ from cpdsplit.operators import (
     row_difference_op,
 )
 from cpdsplit.pds import SubproblemState, solve_subproblem
-from cpdsplit.tensor import FactorSet, cp_reconstruct
 
 import oracles
-
-
-def _problem(seed=0, dims=(6, 5, 4), rank=2, noise=0.05):
-    rng = np.random.default_rng(seed)
-    truth = FactorSet(tuple(rng.random((n, rank)) for n in dims))
-    Y = cp_reconstruct(truth) + noise * rng.standard_normal(dims)
-    return Y, truth
 
 
 def _l1_specs(weight=0.1):
@@ -55,7 +47,7 @@ def test_unsupported_specs_are_rejected():
 
 
 def test_masked_data_is_rejected():
-    Y, truth = _problem()
+    Y, truth = oracles.cp_problem(0, (6, 5, 4), 2, noise=0.05)
     mask = np.ones(Y.shape, dtype=bool)
     mask[0, 0, 0] = False
     cfg = DriverConfig(rank=2, stop_metric="objective_rel_change")
@@ -113,22 +105,13 @@ def test_admm_agrees_with_prox_gradient_and_pds():
     assert abs(pds_obj - got) <= 1e-5 * max(1.0, abs(got))
 
 
-def test_cholesky_factorization_count():
-    Y, truth = _problem(seed=3)
-    cfg = DriverConfig(rank=2, n_inner=4, max_outer=6, stop_tol=1e-30,
-                       stop_metric="objective_rel_change", seed=4)
+def test_cholesky_factorization_count(monkeypatch):
+    Y, truth = oracles.cp_problem(3, (6, 5, 4), 2, noise=0.05)
+    cfg = oracles.fixed_length(rank=2, n_inner=4, max_outer=6, seed=4)
     calls = []
     real = admm_mod.cho_factor
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    try:
-        admm_mod.cho_factor = counting
-        res = ao_admm_factorize(Y, None, _l1_specs(), cfg)
-    finally:
-        admm_mod.cho_factor = real
+    monkeypatch.setattr(admm_mod, "cho_factor", lambda a: calls.append(1) or real(a))
+    res = ao_admm_factorize(Y, None, _l1_specs(), cfg)
     # one factorization per mode visit, reused across the inner iterations
     assert len(calls) == 3 * res.outer_iterations
     assert res.counters["cholesky_factorizations"] == len(calls)
@@ -186,7 +169,7 @@ def test_a_non_finite_least_squares_iterate_is_refused(monkeypatch):
         return x
 
     monkeypatch.setattr(admm_mod, "cho_solve", poisoned)
-    Y, _ = _problem(seed=9)
+    Y, _ = oracles.cp_problem(9, (6, 5, 4), 2, noise=0.05)
     cfg = DriverConfig(rank=2, max_outer=2, stop_metric="objective_rel_change")
     with pytest.raises(FloatingPointError,
                        match="^mode 1 iterate became non-finite at iteration 1$"):
@@ -194,9 +177,8 @@ def test_a_non_finite_least_squares_iterate_is_refused(monkeypatch):
 
 
 def test_admm_driver_is_deterministic_and_feasible():
-    Y, truth = _problem(seed=5)
-    cfg = DriverConfig(rank=2, n_inner=5, max_outer=12, stop_tol=1e-30,
-                       stop_metric="objective_rel_change", seed=6)
+    Y, truth = oracles.cp_problem(5, (6, 5, 4), 2, noise=0.05)
+    cfg = oracles.fixed_length(rank=2, n_inner=5, max_outer=12, seed=6)
     r1 = ao_admm_factorize(Y, None, _l1_specs(), cfg)
     r2 = ao_admm_factorize(Y, None, _l1_specs(), cfg)
     for f1, f2 in zip(r1.factors.factors, r2.factors.factors):
@@ -209,7 +191,7 @@ def test_admm_driver_is_deterministic_and_feasible():
 def test_admm_and_pds_reach_similar_objectives():
     # same data, same init; the whole problem is nonconvex so the two
     # solvers may settle in nearby local minima, not the same point
-    Y, truth = _problem(seed=7, noise=0.02)
+    Y, truth = oracles.cp_problem(7, (6, 5, 4), 2, noise=0.02)
     specs = _l1_specs(weight=0.05)
     cfg = DriverConfig(rank=2, n_inner=5, max_outer=300, stop_tol=1e-9,
                        stop_metric="objective_rel_change", seed=8)
@@ -221,25 +203,13 @@ def test_admm_and_pds_reach_similar_objectives():
 
 
 def test_penalty_is_the_visit_trace_over_rank(monkeypatch):
-    Y, truth = _problem(seed=9)
-    cfg = DriverConfig(rank=2, n_inner=3, max_outer=3, stop_tol=1e-30,
-                       stop_metric="objective_rel_change", seed=10)
-    # each visit's arguments against the oracle, and its rho from the
-    # matrix it factors, a = W^T W + rho I
-    visits, factored = [], []
-    real_solve, real_factor = admm_mod.solve_subproblem_admm, admm_mod.cho_factor
-
-    def solve_spy(state, spec, *args):
-        out = real_solve(state, spec, *args)
-        visits.append((args, out.F))
-        return out
-
-    def factor_spy(a):
-        factored.append(a)
-        return real_factor(a)
-
-    monkeypatch.setattr(admm_mod, "solve_subproblem_admm", solve_spy)
-    monkeypatch.setattr(admm_mod, "cho_factor", factor_spy)
+    Y, truth = oracles.cp_problem(9, (6, 5, 4), 2, noise=0.05)
+    cfg = oracles.fixed_length(rank=2, n_inner=3, max_outer=3, seed=10)
+    # each visit's warm start and arguments against the oracle, and its rho
+    # from the matrix it factors, a = W^T W + rho I
+    visits = oracles.record_visits(monkeypatch, admm_mod, "solve_subproblem_admm")
+    factored, real_factor = [], admm_mod.cho_factor
+    monkeypatch.setattr(admm_mod, "cho_factor", lambda a: factored.append(a) or real_factor(a))
     res = ao_admm_factorize(Y, None, _l1_specs(), cfg)
     checked = oracles.check_visits(visits, init_factors(Y.shape, 2, cfg.seed).factors, Y)
     assert len(factored) == len(checked) == 3 * res.outer_iterations

@@ -27,6 +27,8 @@ from cpdsplit.operators import LinOp, ProxFn, Projection
 from cpdsplit.metrics import factor_match_score
 from cpdsplit.tensor import FactorSet, cp_reconstruct
 
+import oracles
+
 
 def _digest(arr):
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
@@ -321,8 +323,7 @@ def _mild_mode_dicts():
 def _tiny_config(out_dir, **overrides):
     syn = SyntheticSpec(dims=(10, 9, 8), rank=2, sparsity=0.5,
                         noise_sigma=0.05, seed=0)
-    driver = DriverConfig(rank=2, n_inner=5, max_outer=6, stop_tol=1e-30,
-                          stop_metric="objective_rel_change", seed=1)
+    driver = oracles.fixed_length(rank=2, n_inner=5, max_outer=6, seed=1)
     cfg = ExperimentConfig(
         synthetic=syn,
         modes=_mild_mode_dicts(),
@@ -363,6 +364,18 @@ def test_run_experiment_writes_all_outputs(tmp_path):
         assert arm["counters"]["inner_iterations"] > 0
     assert "python" in summary["environment"]
     assert "numpy" in summary["environment"]
+
+
+def test_run_experiment_refuses_data_of_other_dims_before_writing(tmp_path):
+    # the modes were validated for synthetic.dims: this block fits mode 1's
+    # 100 columns and would index past a tensor's 8
+    group = {"kind": "overlapping_group_l2", "weight": 1.0, "groups": [[0, 50]]}
+    cfg = ExperimentConfig.from_dict({"modes": [{"regularizer": group}, {}, {}],
+                                      "out_dir": str(tmp_path / "out")})
+    want = "Y has shape (8, 7, 6), but the modes are for synthetic.dims (100, 100, 100)"
+    with pytest.raises(ValueError, match="^%s$" % re.escape(want)):
+        run_experiment(cfg, (np.ones((8, 7, 6)), None, None))
+    assert not (tmp_path / "out").exists()
 
 
 def test_threshold_timing_recorded(tmp_path):

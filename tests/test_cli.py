@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,8 +19,10 @@ from cpdsplit.bench import (
 from cpdsplit.cli import build_parser, int_list, main
 from cpdsplit.driver import DriverConfig
 from cpdsplit.metrics import factor_match_score
-from cpdsplit.tensor import FactorSet, cp_reconstruct
+from cpdsplit.tensor import FactorSet
 from cpdsplit.tensorio import read_mask, read_tensor
+
+import oracles
 
 
 def test_generate_writes_readable_files(tmp_path):
@@ -499,9 +504,8 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     # working directory, so the example cannot drift from the API
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
-    rng = np.random.default_rng(40)
-    truth = FactorSet(tuple(rng.random((n, 3)) for n in (8, 7, 6)))
-    np.save(tmp_path / "tensor.npy", 10.0 * cp_reconstruct(truth))
+    Y, _ = oracles.cp_problem(40, (8, 7, 6), 3)
+    np.save(tmp_path / "tensor.npy", 10.0 * Y)
     monkeypatch.chdir(tmp_path)
     scope = {}
     exec(compile(block, "README.md", "exec"), scope)
@@ -600,4 +604,11 @@ def test_degenerate_small_problem_points_at_mode_weights(tmp_path):
 
 
 def test_module_entry_point_exists():
-    import cpdsplit.__main__  # noqa: F401
+    # ``python -m cpdsplit`` runs __main__.py's entry line in a fresh process
+    env = dict(os.environ)
+    src = str(Path(__file__).parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-m", "cpdsplit", "--help"], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: cpdsplit")

@@ -32,15 +32,6 @@ def _nonneg_specs():
     return tuple(ModeSpec(projection=c) for _ in range(3))
 
 
-def _small_problem(seed=0, dims=(6, 5, 4), rank=2, noise=0.0):
-    rng = np.random.default_rng(seed)
-    truth = FactorSet(tuple(rng.random((n, rank)) for n in dims))
-    Y = cp_reconstruct(truth)
-    if noise:
-        Y = Y + noise * rng.standard_normal(dims)
-    return Y, truth
-
-
 def test_mode_spec_requires_operator_for_regularizer():
     with pytest.raises(ValueError, match=re.escape("needs an operator (use identity_op(n))")):
         ModeSpec(regularizer=ProxFn("l1", 1.0))
@@ -74,7 +65,7 @@ def test_driver_config_validation():
 
 
 def test_objective_examples():
-    Y, truth = _small_problem(seed=1)
+    Y, truth = oracles.cp_problem(1, (6, 5, 4), 2)
     assert objective(Y, None, truth, _plain_specs()) == pytest.approx(0.0, abs=1e-20)
 
     zeros = FactorSet(tuple(np.zeros_like(f) for f in truth.factors))
@@ -90,7 +81,7 @@ def test_objective_examples():
 
 def test_objective_matches_dense_oracle_with_mask():
     rng = np.random.default_rng(2)
-    Y, truth = _small_problem(seed=2)
+    Y, truth = oracles.cp_problem(2, (6, 5, 4), 2)
     mask = rng.random(Y.shape) < 0.7
     est = FactorSet(tuple(rng.random(f.shape) for f in truth.factors))
     got = objective(np.where(mask, Y, 0.0), mask, est, _plain_specs())
@@ -105,7 +96,7 @@ def test_objective_matches_dense_oracle_with_mask():
 @pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
 def test_objective_is_exact_and_leaves_inputs_alone(masked):
     rng = np.random.default_rng(20)
-    Y, truth = _small_problem(seed=20, dims=(7, 6, 5), rank=3, noise=0.1)
+    Y, truth = oracles.cp_problem(20, (7, 6, 5), 3, noise=0.1)
     mask = rng.random(Y.shape) < 0.6 if masked else None
     if masked:
         Y = np.where(mask, Y, 0.0)
@@ -130,7 +121,7 @@ def test_objective_is_exact_and_leaves_inputs_alone(masked):
 def test_objective_ignores_the_unobserved_entries_of_a_raw_y():
     # factorize takes a raw Y and zeroes it; the objective reads it either way
     rng = np.random.default_rng(23)
-    Y, truth = _small_problem(seed=23, dims=(7, 6, 5), rank=3, noise=0.1)
+    Y, truth = oracles.cp_problem(23, (7, 6, 5), 3, noise=0.1)
     mask = rng.random(Y.shape) < 0.5
     raw = np.where(mask, Y, 100.0 * rng.standard_normal(Y.shape))
     zeroed = np.where(mask, Y, 0.0)
@@ -144,7 +135,7 @@ def test_objective_ignores_the_unobserved_entries_of_a_raw_y():
 def test_objective_takes_factors_as_three_arrays():
     # as factorize's truth, cp_reconstruct and mse do, also with a
     # regularized mode, which reads the factors one by one
-    Y, truth = _small_problem(seed=24, noise=0.1)
+    Y, truth = oracles.cp_problem(24, (6, 5, 4), 2, noise=0.1)
     c = Projection("nonnegative")
     specs = (ModeSpec(c, ProxFn("l1", 0.5), identity_op(6)), ModeSpec(c),
              ModeSpec(c, ProxFn("squared_frobenius", 2.0), row_difference_op(4)))
@@ -154,14 +145,14 @@ def test_objective_takes_factors_as_three_arrays():
 
 
 def test_objective_refuses_factors_of_other_dims():
-    Y, truth = _small_problem(seed=25)
+    Y, truth = oracles.cp_problem(25, (6, 5, 4), 2)
     with pytest.raises(ValueError, match=r"factor dims \(6, 5, 4\) do not match data shape "
                                          r"\(6, 5, 3\)"):
         objective(Y[:, :, :3], None, truth, _plain_specs())
 
 
 def test_objective_rejects_malformed_mask():
-    Y, truth = _small_problem(seed=21)
+    Y, truth = oracles.cp_problem(21, (6, 5, 4), 2)
     with pytest.raises(ValueError, match="mask"):
         objective(Y, np.ones(Y.shape, dtype=np.uint8), truth, _plain_specs())
     with pytest.raises(ValueError, match="mask"):
@@ -171,7 +162,7 @@ def test_objective_rejects_malformed_mask():
 @pytest.mark.parametrize("fit", [factorize, ao_admm_factorize], ids=["pds", "admm"])
 def test_a_malformed_mask_is_refused_by_both_fits(fit):
     # objective's rule, before ADMM's refusal of a valid partial mask
-    Y, _ = _small_problem(seed=21)
+    Y, _ = oracles.cp_problem(21, (6, 5, 4), 2)
     cfg = DriverConfig(rank=2, stop_metric="objective_rel_change")
     ints = np.ones(Y.shape, dtype=np.int64)
     short = np.ones(Y.shape[:2] + (1,), dtype=bool)
@@ -181,43 +172,23 @@ def test_a_malformed_mask_is_refused_by_both_fits(fit):
             fit(Y, mask, _plain_specs(), cfg)
 
 
-def _spy_visits(monkeypatch, module=pds, name="solve_subproblem"):
-    """Record, for every visit of a fit, the bound its step rule took (the
-    primal-dual solver only) and (the solver's arguments after spec, the
-    factor it returned), the input of oracles.check_visits."""
-    bounds, visits = [], []
-    real_steps = pds.compute_stepsizes
-    real_solve = getattr(module, name)
-
-    def steps_spy(trace_bound, op_norm):
-        bounds.append(trace_bound)
-        return real_steps(trace_bound, op_norm)
-
-    def solve_spy(state, spec, *args):
-        out = real_solve(state, spec, *args)
-        visits.append((args, out.F))
-        return out
-
-    monkeypatch.setattr(pds, "compute_stepsizes", steps_spy)
-    monkeypatch.setattr(module, name, solve_spy)
-    return bounds, visits
-
-
 @pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
 def test_masked_visit_builds_one_gram_stack_for_bound_and_solver(masked, monkeypatch):
     # every visit's arguments against the oracles on the Khatri-Rao product
     # of the factors as they stand at that visit, so mode 2 must see the F_1
     # that mode 1 just updated; the step rule takes the bound it is given
+    visits = oracles.record_visits(monkeypatch, pds, "solve_subproblem")
+    bounds, steps = [], pds.compute_stepsizes
+    monkeypatch.setattr(pds, "compute_stepsizes", lambda b, s: bounds.append(b) or steps(b, s))
     for rank, seed in [(1, 25), (3, 27), (5, 29)] if masked else [(3, 24)]:
         rng = np.random.default_rng(seed)
-        Y, _ = _small_problem(seed=seed, dims=(9, 8, 7), rank=rank, noise=0.05)
+        Y, _ = oracles.cp_problem(seed, (9, 8, 7), rank, noise=0.05)
         mask = rng.random(Y.shape) < 0.5 if masked else None
         if masked:
             Y = np.where(mask, Y, 0.0)
-        cfg = DriverConfig(rank=rank, n_inner=2, max_outer=4, stop_tol=1e-30,
-                           stop_metric="objective_rel_change", seed=25)
-        monkeypatch.undo()
-        bounds, visits = _spy_visits(monkeypatch)
+        cfg = oracles.fixed_length(rank=rank, n_inner=2, max_outer=4, seed=25)
+        visits.clear()
+        bounds.clear()
         res = factorize(Y, mask, _nonneg_specs(), cfg)
         start = init_factors(Y.shape, rank, cfg.seed).factors
         checked = oracles.check_visits(visits, start, Y, mask)
@@ -253,16 +224,15 @@ def test_every_visit_gets_the_mttkrp_of_its_khatri_rao_product(module, name, fit
     # the outer loop's dimension tree against the dense matricization and the
     # Khatri-Rao product of the factors as they stand at each visit; mode 2
     # must see the F_1 that mode 1 just updated (ADMM refuses masked data)
+    visits = oracles.record_visits(monkeypatch, module, name)
     for rank in (1, 3):
         rng = np.random.default_rng(27)
-        Y, truth = _small_problem(seed=27, dims=(7, 6, 5), rank=rank, noise=0.05)
+        Y, truth = oracles.cp_problem(27, (7, 6, 5), rank, noise=0.05)
         mask = rng.random(Y.shape) < 0.6 if masked else None
         if masked:
             Y = np.where(mask, Y, 0.0)
-        cfg = DriverConfig(rank=rank, n_inner=2, max_outer=3, stop_tol=1e-30,
-                           stop_metric="objective_rel_change", seed=28)
-        monkeypatch.undo()
-        _, visits = _spy_visits(monkeypatch, module, name)
+        cfg = oracles.fixed_length(rank=rank, n_inner=2, max_outer=3, seed=28)
+        visits.clear()
         res = fit(Y, mask, _nonneg_specs(), cfg)
         assert len(visits) == 3 * res.outer_iterations == 9
         oracles.check_visits(visits, init_factors(Y.shape, rank, cfg.seed).factors, Y, mask)
@@ -277,11 +247,10 @@ def test_fit_holds_no_matricized_copy_of_the_data(fit, masked, most):
     # a dense fit's one tensor-sized temporary is the objective's
     # reconstruction; a matricized copy of Y would add another Y.nbytes
     rng = np.random.default_rng(29)
-    Y, _ = _small_problem(seed=29, dims=(60, 50, 40), rank=4, noise=0.1)
+    Y, _ = oracles.cp_problem(29, (60, 50, 40), 4, noise=0.1)
     # the raw masked data: the fit zeroes the unobserved entries in a copy
     mask = rng.random(Y.shape) < 0.5 if masked else None
-    cfg = DriverConfig(rank=4, n_inner=2, max_outer=3, stop_tol=1e-30,
-                       stop_metric="objective_rel_change", seed=30)
+    cfg = oracles.fixed_length(rank=4, n_inner=2, max_outer=3, seed=30)
     tracemalloc.start()
     try:
         res = fit(Y, mask, _nonneg_specs(), cfg)
@@ -297,13 +266,12 @@ def test_masked_fit_does_not_depend_on_the_mask_layout():
     # layout or dtype, and its own C-ordered float copy of the mask for the
     # Grams; dense data too
     rng = np.random.default_rng(31)
-    Y, _ = _small_problem(seed=31, dims=(7, 6, 5), rank=2, noise=0.05)
+    Y, _ = oracles.cp_problem(31, (7, 6, 5), 2, noise=0.05)
     Y = Y.astype(np.float32).astype(np.float64)  # the float64 cast of a float32 Y
     mask = rng.random(Y.shape) < 0.5
     c = Projection("nonnegative")
     specs = (ModeSpec(c, ProxFn("l1", 0.1), identity_op(7)), ModeSpec(c), ModeSpec(c))
-    cfg = DriverConfig(rank=2, n_inner=2, max_outer=3, stop_tol=1e-30,
-                       stop_metric="objective_rel_change", seed=32)
+    cfg = oracles.fixed_length(rank=2, n_inner=2, max_outer=3, seed=32)
 
     def strided(a):  # a view that steps over every other mode-2 slice
         wide = np.zeros((a.shape[0], 2 * a.shape[1], a.shape[2]), dtype=a.dtype)
@@ -327,7 +295,7 @@ def test_masked_visit_with_zero_observed_rows_degenerates_with_clear_error(monke
     # F_2 and F_3 nonzero only on a mode-1 fiber the mask hides: the other
     # factors are nonzero, yet every mode-1 Gram is zero
     rng = np.random.default_rng(26)
-    Y, _ = _small_problem(seed=26, dims=(6, 5, 4))
+    Y, _ = oracles.cp_problem(26, (6, 5, 4), 2)
     mask = rng.random(Y.shape) < 0.7
     mask[:, 0, 0] = False
     real = driver_mod.init_factors
@@ -346,7 +314,7 @@ def test_masked_visit_with_zero_observed_rows_degenerates_with_clear_error(monke
 def test_a_mask_slice_with_no_observed_entry_is_refused_by_mode_and_index():
     # the fit could not move that factor row off its initial value
     rng = np.random.default_rng(27)
-    Y, _ = _small_problem(seed=27, dims=(8, 7, 6))
+    Y, _ = oracles.cp_problem(27, (8, 7, 6), 2)
     cfg = DriverConfig(rank=2, stop_metric="objective_rel_change")
     for d, index in enumerate((3, 0, 5)):
         mask = rng.random(Y.shape) < 0.7
@@ -370,7 +338,7 @@ def test_init_factors_seeded_uniform():
 
 
 def test_single_outer_iteration_hits_cap():
-    Y, truth = _small_problem(seed=3)
+    Y, truth = oracles.cp_problem(3, (6, 5, 4), 2)
     cfg = DriverConfig(rank=2, n_inner=2, max_outer=1, stop_tol=1e-12,
                        stop_metric="objective_rel_change", seed=5)
     res = factorize(Y, None, _plain_specs(), cfg)
@@ -389,38 +357,27 @@ def test_single_outer_iteration_hits_cap():
     ids=["pds", "admm"],
 )
 def test_inner_solver_is_warm_started(module, name, fit, monkeypatch):
-    # the outer loop must hand each mode's previous state back to the solver
-    Y, truth = _small_problem(seed=4)
-    cfg = DriverConfig(rank=2, n_inner=1, max_outer=3, stop_tol=1e-30,
-                       stop_metric="objective_rel_change", seed=6)
-    seen = []
-    real = getattr(module, name)
-
-    def spy(state, *args):
-        out = real(state, *args)
-        seen.append((state, out))
-        return out
-
-    monkeypatch.setattr(module, name, spy)
-    res = fit(Y, None, _plain_specs(), cfg)
-    assert len(seen) == 9
-    # both solvers carry the one state type
-    assert all(type(out) is pds.SubproblemState for _, out in seen)
-    # each mode's call in round k receives the object returned in round k-1
-    for mode in range(3):
-        calls = seen[mode::3]
-        for (prev_in, prev_out), (next_in, _) in zip(calls, calls[1:]):
-            assert next_in is prev_out
-        # the fit exposes the last state's F (transposed) and its G
-        last = calls[-1][1]
-        assert np.array_equal(res.factors.factors[mode], last.F.T)
-        assert res.duals[mode] is last.G
+    # each visit starts from the state its mode's previous visit returned,
+    # value for value (oracles.check_visits), with mode 1 regularized so
+    # that it carries a dual; the fit exposes the last states
+    Y, _ = oracles.cp_problem(4, (6, 5, 4), 2)
+    cfg = oracles.fixed_length(rank=2, n_inner=1, max_outer=3, seed=6)
+    specs = (ModeSpec(regularizer=ProxFn("l1", 0.1), operator=identity_op(6)), ModeSpec(),
+             ModeSpec())
+    visits = oracles.record_visits(monkeypatch, module, name)
+    res = fit(Y, None, specs, cfg)
+    assert len(visits) == 9
+    oracles.check_visits(visits, init_factors(Y.shape, 2, cfg.seed).factors, Y)
+    assert visits[3].G.any()
+    for mode, last in enumerate(visits[6:]):
+        assert np.array_equal(res.factors.factors[mode], last.out_F.T)
+        assert np.array_equal(res.duals[mode], last.out_G)
 
 
 @pytest.mark.parametrize("fit", [factorize, ao_admm_factorize], ids=["pds", "admm"])
 def test_over_regularization_degenerates_with_clear_error(fit):
     # the stock regularization with the mode-1 l1 weight raised to 1e6
-    Y, _ = _small_problem(seed=0, dims=(12, 11, 10))
+    Y, _ = oracles.cp_problem(0, (12, 11, 10), 2)
     c = Projection("nonnegative")
     crushed = ModeSpec(c, ProxFn("l1", 1e6), identity_op(12))
     frob = [ModeSpec(c, ProxFn("squared_frobenius", 2.0), identity_op(n)) for n in (11, 10)]
@@ -453,10 +410,9 @@ def test_an_empty_mode_is_refused_by_name(fit):
 
 def test_factorize_is_deterministic():
     # bit for bit per seed, on dense data and on a half-observed mask
-    Y, truth = _small_problem(seed=5, noise=0.05)
+    Y, truth = oracles.cp_problem(5, (6, 5, 4), 2, noise=0.05)
     mask = np.random.default_rng(5).random(Y.shape) < 0.5
-    cfg = DriverConfig(rank=2, n_inner=3, max_outer=10, stop_tol=1e-30,
-                       stop_metric="objective_rel_change", seed=9)
+    cfg = oracles.fixed_length(rank=2, n_inner=3, max_outer=10, seed=9)
     specs = _nonneg_specs()[:2] + (ModeSpec(Projection("nonnegative"), ProxFn("l1", 0.1),
                                             identity_op(4)),)
     for m in (None, mask):
@@ -474,14 +430,14 @@ def test_factorize_is_deterministic():
 
 
 def test_mse_stop_requires_truth():
-    Y, _ = _small_problem(seed=6)
+    Y, _ = oracles.cp_problem(6, (6, 5, 4), 2)
     cfg = DriverConfig(rank=2, stop_metric="mse_vs_truth")
     with pytest.raises(ValueError, match="ground-truth"):
         factorize(Y, None, _plain_specs(), cfg)
 
 
 def test_non_finite_data_is_refused():
-    Y, _ = _small_problem(seed=6)
+    Y, _ = oracles.cp_problem(6, (6, 5, 4), 2)
     cfg = DriverConfig(rank=2, stop_metric="objective_rel_change")
     partial = np.ones(Y.shape, dtype=bool)
     partial[0, 0, 0] = False
@@ -496,7 +452,7 @@ def test_non_finite_data_is_refused():
 def test_a_non_finite_objective_stops_the_fit_at_its_iteration(monkeypatch):
     # through a regularizer's value, which the trace objective reads however
     # it forms the fit term
-    Y, _ = _small_problem(seed=6)
+    Y, _ = oracles.cp_problem(6, (6, 5, 4), 2)
     monkeypatch.setattr(driver_mod, "prox_value", lambda *args: np.inf)
     specs = (ModeSpec(regularizer=ProxFn("l1", 0.1), operator=identity_op(6)), ModeSpec(),
              ModeSpec())
@@ -506,7 +462,7 @@ def test_a_non_finite_objective_stops_the_fit_at_its_iteration(monkeypatch):
 
 
 def test_truth_of_other_dims_is_refused():
-    Y, truth = _small_problem(seed=6)
+    Y, truth = oracles.cp_problem(6, (6, 5, 4), 2)
     cfg = DriverConfig(rank=2)
     with pytest.raises(ValueError, match=r"truth dims \(6, 5, 4\) != data shape \(6, 5, 3\)"):
         factorize(Y[:, :, :3], None, _plain_specs(), cfg, truth)
@@ -514,7 +470,7 @@ def test_truth_of_other_dims_is_refused():
 
 @pytest.mark.parametrize("fit", [factorize, ao_admm_factorize], ids=["pds", "admm"])
 def test_a_non_finite_truth_is_refused_before_the_first_iteration(fit, monkeypatch):
-    Y, truth = _small_problem(seed=6)
+    Y, truth = oracles.cp_problem(6, (6, 5, 4), 2)
     truth.factors[2][1, 0] = np.nan
     monkeypatch.setattr(driver_mod, "_tree", None)  # no visit may start
     with pytest.raises(ValueError, match="truth contains non-finite values"):
@@ -522,8 +478,8 @@ def test_a_non_finite_truth_is_refused_before_the_first_iteration(fit, monkeypat
 
 
 def test_truth_as_three_arrays_fits_as_its_factor_set():
-    Y, truth = _small_problem(seed=13, noise=0.05)
-    cfg = DriverConfig(rank=2, n_inner=3, max_outer=8, stop_tol=1e-30, seed=14)
+    Y, truth = oracles.cp_problem(13, (6, 5, 4), 2, noise=0.05)
+    cfg = oracles.fixed_length(rank=2, n_inner=3, max_outer=8, seed=14)
     a = factorize(Y, None, _nonneg_specs(), cfg, truth=truth)
     b = factorize(Y, None, _nonneg_specs(), cfg, truth=list(truth.factors))
     for fa, fb in zip(a.factors.factors, b.factors.factors):
@@ -536,7 +492,7 @@ def test_truth_as_three_arrays_fits_as_its_factor_set():
 def test_convergence_reported_with_reason():
     # noise keeps the objective floor positive so the relative change
     # actually shrinks (a noiseless exact fit decays geometrically forever)
-    Y, truth = _small_problem(seed=7, noise=0.05)
+    Y, truth = oracles.cp_problem(7, (6, 5, 4), 2, noise=0.05)
     cfg = DriverConfig(rank=2, n_inner=5, max_outer=500, stop_tol=1e-8,
                        stop_metric="objective_rel_change", seed=8)
     res = factorize(Y, None, _nonneg_specs(), cfg)
@@ -545,9 +501,8 @@ def test_convergence_reported_with_reason():
 
 
 def test_trace_invariants_and_objective_decrease():
-    Y, truth = _small_problem(seed=8, noise=0.02)
-    cfg = DriverConfig(rank=2, n_inner=4, max_outer=40, stop_tol=1e-30,
-                       stop_metric="objective_rel_change", seed=11)
+    Y, truth = oracles.cp_problem(8, (6, 5, 4), 2, noise=0.02)
+    cfg = oracles.fixed_length(rank=2, n_inner=4, max_outer=40, seed=11)
     res = factorize(Y, None, _nonneg_specs(), cfg, truth=truth)
     iters = [t.outer_iter for t in res.trace]
     assert iters == list(range(1, len(res.trace) + 1))
@@ -559,18 +514,17 @@ def test_trace_invariants_and_objective_decrease():
 
 
 def test_trace_has_no_mse_without_truth():
-    Y, _ = _small_problem(seed=9)
+    Y, _ = oracles.cp_problem(9, (6, 5, 4), 2)
     cfg = DriverConfig(rank=2, max_outer=2, stop_metric="objective_rel_change")
     res = factorize(Y, None, _plain_specs(), cfg)
     assert all(t.mse_raw is None and t.mse_aligned is None for t in res.trace)
 
 
 def test_hard_constraints_hold_exactly_on_output():
-    Y, truth = _small_problem(seed=10, noise=0.1)
+    Y, truth = oracles.cp_problem(10, (6, 5, 4), 2, noise=0.1)
     box = Projection("box", 0.0, 0.8)
     specs = tuple(ModeSpec(projection=box) for _ in range(3))
-    cfg = DriverConfig(rank=2, n_inner=3, max_outer=15, stop_tol=1e-30,
-                       stop_metric="objective_rel_change", seed=12)
+    cfg = oracles.fixed_length(rank=2, n_inner=3, max_outer=15, seed=12)
     res = factorize(Y, None, specs, cfg)
     for f in res.factors.factors:
         assert (f >= 0.0).all() and (f <= 0.8).all()
@@ -578,9 +532,8 @@ def test_hard_constraints_hold_exactly_on_output():
 
 def test_masked_fit_and_full_mask_equivalence():
     rng = np.random.default_rng(11)
-    Y, truth = _small_problem(seed=11, noise=0.05)
-    cfg = DriverConfig(rank=2, n_inner=3, max_outer=8, stop_tol=1e-30,
-                       stop_metric="objective_rel_change", seed=13)
+    Y, truth = oracles.cp_problem(11, (6, 5, 4), 2, noise=0.05)
+    cfg = oracles.fixed_length(rank=2, n_inner=3, max_outer=8, seed=13)
     mask = rng.random(Y.shape) < 0.7
     res = factorize(np.where(mask, Y, 0.0), mask, _nonneg_specs(), cfg)
     assert res.outer_iterations == 8
@@ -594,7 +547,7 @@ def test_masked_fit_and_full_mask_equivalence():
 
 def test_unobserved_entries_are_ignored():
     rng = np.random.default_rng(15)
-    Y, truth = _small_problem(seed=15, dims=(12, 11, 10), noise=0.05)
+    Y, truth = oracles.cp_problem(15, (12, 11, 10), 2, noise=0.05)
     mask = rng.random(Y.shape) < 0.6
     cfg = DriverConfig(rank=2, n_inner=3, max_outer=10, seed=16)
     b = factorize(np.where(mask, Y, 0.0), mask, _nonneg_specs(), cfg, truth)
@@ -610,7 +563,7 @@ def test_unobserved_entries_are_ignored():
 
 
 def test_shape_and_spec_mismatches_raise():
-    Y, truth = _small_problem(seed=12)
+    Y, truth = oracles.cp_problem(12, (6, 5, 4), 2)
     cfg = DriverConfig(rank=3, stop_metric="objective_rel_change")
     with pytest.raises(ValueError, match="rank"):
         factorize(Y, None, _plain_specs(), cfg, truth=truth)
@@ -634,7 +587,7 @@ def test_shape_and_spec_mismatches_raise():
 def test_every_door_refuses_specs_by_mode():
     # objective, factorize and ao_admm_factorize share one spec check: three
     # specs, each operator as wide as its mode; the operators check nothing
-    Y, truth = _small_problem(seed=26)
+    Y, truth = oracles.cp_problem(26, (6, 5, 4), 2)
     cfg = DriverConfig(rank=2, stop_metric="objective_rel_change")
     l1 = ProxFn("l1", 0.1)
     doors = (lambda specs: objective(Y, None, truth, specs),
@@ -672,7 +625,7 @@ def test_a_group_block_past_the_operators_output_is_refused(kind, n_cols, block,
             LinOp(kind)
         return
     op = LinOp(kind, n_cols)
-    Y, truth = _small_problem(seed=27)
+    Y, truth = oracles.cp_problem(27, (6, 5, 4), 2)
     cfg = DriverConfig(rank=2, max_outer=1, stop_metric="objective_rel_change")
     doors = (lambda specs: factorize(Y, None, specs, cfg),
              lambda specs: objective(Y, None, truth, specs))
@@ -691,11 +644,10 @@ def test_a_group_block_past_the_operators_output_is_refused(kind, n_cols, block,
 def test_each_dual_has_the_shape_of_its_operators_output():
     # R x N for an identity; R x (N - 1) for row differences; R x (sum of
     # group sizes) for overlapping groups
-    Y, _ = _small_problem(seed=13)
+    Y, _ = oracles.cp_problem(13, (6, 5, 4), 2)
     ops = (identity_op(6), row_difference_op(5), group_replicate_op([[0, 1, 2], [1, 2, 3]], 4))
     specs = tuple(ModeSpec(regularizer=ProxFn("l1", 0.05), operator=op) for op in ops)
-    cfg = DriverConfig(rank=2, n_inner=2, max_outer=2, stop_tol=1e-30,
-                       stop_metric="objective_rel_change", seed=14)
+    cfg = oracles.fixed_length(rank=2, n_inner=2, max_outer=2, seed=14)
     res = factorize(Y, None, specs, cfg)
     F0 = init_factors(Y.shape, cfg.rank, cfg.seed).factors
     for d, op in enumerate(ops):

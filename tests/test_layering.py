@@ -61,11 +61,11 @@ def test_no_module_reads_another_modules_private_attributes():
 
 
 def test_no_module_has_an_unused_import():
-    # no linter runs on the package, so an import that a deletion leaves
-    # behind is caught here; a ``# noqa: F401`` import is kept on purpose
-    # (the benchmark's tracer looks up khatri_rao in admm)
+    # no linter runs on the package or the tests, so an import that a
+    # deletion leaves behind is caught here; a ``# noqa: F401`` import is
+    # kept on purpose (the benchmark's tracer looks up khatri_rao in admm)
     unused = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
         text = path.read_text()
         lines = text.splitlines()
         tree = ast.parse(text, filename=str(path))

@@ -7,19 +7,14 @@ from cpdsplit.tensor import FactorSet
 import oracles
 
 
-def _random_truth(seed, dims=(5, 4, 3), rank=3):
-    rng = np.random.default_rng(seed)
-    return FactorSet(tuple(rng.random((n, rank)) for n in dims))
-
-
 def test_perfect_recovery_gives_zero():
-    truth = _random_truth(0)
+    _, truth = oracles.cp_problem(0, (5, 4, 3), 3)
     assert mse(truth, truth) == 0.0
     assert mse(truth, truth, aligned=True) == 0.0
 
 
 def test_column_swap_is_invisible_only_to_aligned_metric():
-    truth = _random_truth(1)
+    _, truth = oracles.cp_problem(1, (5, 4, 3), 3)
     perm = [2, 0, 1]
     swapped = FactorSet(tuple(f[:, perm] for f in truth.factors))
     assert mse(swapped, truth) > 0.01
@@ -28,7 +23,7 @@ def test_column_swap_is_invisible_only_to_aligned_metric():
 
 def test_raw_mse_matches_loop_oracle():
     rng = np.random.default_rng(2)
-    truth = _random_truth(3)
+    _, truth = oracles.cp_problem(3, (5, 4, 3), 3)
     est = FactorSet(tuple(f + 0.1 * rng.standard_normal(f.shape)
                           for f in truth.factors))
     got = mse(est, truth)
@@ -38,7 +33,7 @@ def test_raw_mse_matches_loop_oracle():
 
 def test_aligned_mse_matches_exhaustive_oracle():
     rng = np.random.default_rng(4)
-    truth = _random_truth(5, rank=4)
+    _, truth = oracles.cp_problem(5, (5, 4, 3), 4)
     perm = [3, 1, 0, 2]
     est = FactorSet(tuple(f[:, perm] + 0.05 * rng.standard_normal(f.shape)
                           for f in truth.factors))
@@ -49,7 +44,7 @@ def test_aligned_mse_matches_exhaustive_oracle():
 
 
 def test_mismatched_inputs_raise():
-    truth = _random_truth(6)
+    _, truth = oracles.cp_problem(6, (5, 4, 3), 3)
     bad_rank = FactorSet(tuple(f[:, :2] for f in truth.factors))
     with pytest.raises(ValueError, match="rank"):
         mse(bad_rank, truth)
@@ -155,7 +150,7 @@ def test_alignment_is_exact_where_cosine_matching_is_not():
 @pytest.mark.parametrize("rank", [3, 10])
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_alignment_rejects_non_finite_factors(rank, bad):
-    truth = _random_truth(12, dims=(6, 5, 4), rank=rank)
+    _, truth = oracles.cp_problem(12, (6, 5, 4), rank)
     factors = [f.copy() for f in truth.factors]
     factors[1][2, rank - 1] = bad
     with pytest.raises(ValueError, match="finite"):
@@ -165,7 +160,7 @@ def test_alignment_rejects_non_finite_factors(rank, bad):
 
 
 def test_accepts_plain_factor_sequences():
-    truth = _random_truth(11)
+    _, truth = oracles.cp_problem(11, (5, 4, 3), 3)
     as_list = [f.copy() for f in truth.factors]
     assert mse(as_list, truth) == 0.0
 
@@ -187,7 +182,7 @@ def test_factor_match_score_matches_brute_force(rank):
 
 def test_factor_match_score_is_one_up_to_permutation_and_positive_scale():
     rng = np.random.default_rng(310)
-    truth = _random_truth(311, dims=(7, 6, 5), rank=4)
+    _, truth = oracles.cp_problem(311, (7, 6, 5), 4)
     perm = [3, 1, 0, 2]
     scales = [rng.uniform(0.1, 10.0, 4) for _ in range(3)]
     # flipping the signs of one component in two modes keeps the model
@@ -202,7 +197,7 @@ def test_factor_match_score_is_one_up_to_permutation_and_positive_scale():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_factor_match_score_rejects_non_finite_factors(bad):
-    truth = _random_truth(320)
+    _, truth = oracles.cp_problem(320, (5, 4, 3), 3)
     est = FactorSet(tuple(f.copy() for f in truth.factors))
     est.factors[2][1, 0] = bad
     with np.errstate(invalid="ignore"):

@@ -18,7 +18,7 @@ import cpdsplit.metrics as metrics_mod
 import cpdsplit.operators as operators_mod
 import cpdsplit.pds as pds
 import cpdsplit.tensorio as tensorio
-from cpdsplit.driver import DriverConfig, ModeSpec
+from cpdsplit.driver import ModeSpec, init_factors
 from cpdsplit.operators import (
     Projection,
     ProxFn,
@@ -27,6 +27,8 @@ from cpdsplit.operators import (
     row_difference_op,
 )
 from cpdsplit.tensor import FactorSet, cp_reconstruct
+
+import oracles
 
 # perfbench's modules import each other by their bare names
 sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
@@ -74,8 +76,7 @@ def test_every_fit_path_keeps_the_benchmarks_call_contract(workload, tmp_path, m
     tensorio.write_tensor(tmp_path / "tensor.tns3", np.where(mask, Y, 0.0))
     tensorio.write_mask(tmp_path / "mask.msk3", mask)
     specs = _specs(workload, Y.shape)
-    cfg = DriverConfig(rank=2, n_inner=workloads.N_INNER, max_outer=3, stop_tol=1e-30,
-                       stop_metric="objective_rel_change", seed=23)
+    cfg = oracles.fixed_length(rank=2, n_inner=workloads.N_INNER, max_outer=3, seed=23)
     module, name = ((driver_mod, "factorize") if wl["solver"] == "pds"
                     else (admm_mod, "ao_admm_factorize"))
 
@@ -86,22 +87,18 @@ def test_every_fit_path_keeps_the_benchmarks_call_contract(workload, tmp_path, m
 
     layers = (admm_mod, driver_mod, metrics_mod, operators_mod, pds, tensorio)
     before = [dict(vars(m)) for m in layers]
-    calls, kinds = [], {"linop_forward": [], "linop_adjoint": []}
+    kinds = {"linop_forward": [], "linop_adjoint": []}
     with monkeypatch.context() as mp:
         # spies under the tracer, for what its counts cannot see
-        def spy(attr, record):
-            real = getattr(pds, attr)
+        visits = oracles.record_visits(mp, pds, "solve_subproblem")
+        for op, seen in kinds.items():
+            real = getattr(pds, op)
 
-            def wrapper(*args, **kwargs):
-                record(args, kwargs)
+            def wrapper(*args, real=real, seen=seen, **kwargs):
+                seen.append(args[0].kind)
                 return real(*args, **kwargs)
 
-            mp.setattr(pds, attr, wrapper)
-
-        spy("solve_subproblem", lambda args, kwargs: calls.append(
-            (len(args), sorted(kwargs), args[2].shape, args[3].shape)))
-        for op, seen in kinds.items():
-            spy(op, lambda args, kwargs, seen=seen: seen.append(args[0].kind))
+            mp.setattr(pds, op, wrapper)
         t = _UndoneTracer(mp)
         worker.install_tracer(t)
         data = tensorio.read_tensor(tmp_path / "tensor.tns3")
@@ -116,12 +113,14 @@ def test_every_fit_path_keeps_the_benchmarks_call_contract(workload, tmp_path, m
     _, errors = run.layer_metrics(traced, untraced, wl)
     assert errors == []
     if wl["solver"] != "pds":
-        assert calls == kinds["linop_forward"] == kinds["linop_adjoint"] == []
+        assert visits == kinds["linop_forward"] == kinds["linop_adjoint"] == []
         return
-    # all seven arguments positional, as _gradient_cost unpacks them; it
-    # reads (P, R) from W and N from B
-    assert calls == [(7, [], (56, 2), (2, 9)), (7, [], (63, 2), (2, 8)),
-                     (7, [], (72, 2), (2, 7))] * 3
+    # all seven arguments positional, as _gradient_cost unpacks them (the
+    # recorder takes no keyword); it reads (P, R) from W and N from B
+    assert [(len(v.args), v.args[0].shape, v.args[1].shape) for v in visits] == [
+        (5, (56, 2), (2, 9)), (5, (63, 2), (2, 8)), (5, (72, 2), (2, 7))] * 3
+    oracles.check_visits(visits, init_factors(Y.shape, 2, cfg.seed).factors, data,
+                         None if observed.all() else observed)
     # one operator call each way per inner iteration, of the visited mode's kind
     visits = [kind for kind in ("identity", "group_replicate", "row_difference")
               for _ in range(cfg.n_inner)]
