@@ -1,7 +1,7 @@
 """Synthetic-data benchmark harness.
 
 Generates noisy low-rank tensors with a sparse first factor, runs the two
-solvers over a sweep of inner-iteration counts on bit-identical data, and
+solvers over a sweep of inner-iteration counts on bit-identical data, then
 writes one trace CSV and one factor file per arm plus a summary JSON.
 
 Reproducibility: all randomness comes from numpy's default generator
@@ -15,6 +15,7 @@ and truncated to the entry count.
 import csv
 import json
 import platform
+import re
 import time
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
@@ -31,6 +32,7 @@ from .tensor import FactorSet, cp_reconstruct
 SOLVERS = {"aopds": factorize, "aoadmm": ao_admm_factorize}
 ALGORITHMS = tuple(SOLVERS)
 TRACE_HEADER = tuple(f.name for f in fields(TraceRecord))
+ARM_NAME = re.compile("(%s)_n[0-9]+" % "|".join(ALGORITHMS))  # an arm's file stem
 
 
 @dataclass(frozen=True)
@@ -281,38 +283,43 @@ def read_trace_csv(path):
 
 # -- experiment orchestration ---------------------------------------------
 
+def trace_scores(trace, threshold=None):
+    """A trace's figures: its final objective and, over the rows with an MSE
+    (None without such rows), the best and final raw and aligned MSE and the
+    elapsed time to the best aligned MSE and to the first <= ``threshold``."""
+    scored = [r for r in trace if r.mse_aligned is not None]
+    scores = {"final_objective": trace[-1].objective}
+    if not scored:
+        return scores | dict.fromkeys(("best_mse_aligned", "best_mse_raw", "final_mse_aligned",
+                                       "final_mse_raw", "time_to_best_sec",
+                                       "time_to_threshold_sec"))
+    best = min(scored, key=lambda r: r.mse_aligned)
+    reached = [r.elapsed_sec for r in scored
+               if threshold is not None and r.mse_aligned <= threshold]
+    return scores | {
+        "best_mse_aligned": best.mse_aligned,
+        "best_mse_raw": min(r.mse_raw for r in scored),
+        "final_mse_aligned": scored[-1].mse_aligned,
+        "final_mse_raw": scored[-1].mse_raw,
+        "time_to_best_sec": best.elapsed_sec,
+        "time_to_threshold_sec": reached[0] if reached else None,
+    }
+
+
 def arm_summary(name, result, wall, threshold, truth=None):
     """One arm's row of summary.json; the factor match score of the final
     factors is reported when the ground truth is given."""
-    aligned = [r.mse_aligned for r in result.trace if r.mse_aligned is not None]
-    raw = [r.mse_raw for r in result.trace if r.mse_raw is not None]
-    best_aligned = min(aligned) if aligned else None
-    summary = {
+    return {
         "arm": name,
         "outer_iterations": result.outer_iterations,
         "stop_reason": result.stop_reason,
         "wall_time_sec": wall,
-        "final_objective": result.trace[-1].objective,
-        "best_mse_aligned": best_aligned,
-        "best_mse_raw": min(raw) if raw else None,
-        "final_mse_aligned": aligned[-1] if aligned else None,
+        **trace_scores(result.trace, threshold),
         "final_factor_match_score": (
             factor_match_score(result.factors, truth) if truth is not None else None
         ),
-        "final_mse_raw": raw[-1] if raw else None,
-        "time_to_best_sec": (
-            result.trace[int(np.argmin(aligned))].elapsed_sec if aligned else None
-        ),
         "counters": dict(result.counters),
     }
-    reached = None
-    if threshold is not None and aligned:
-        for rec in result.trace:
-            if rec.mse_aligned is not None and rec.mse_aligned <= threshold:
-                reached = rec.elapsed_sec
-                break
-    summary["time_to_threshold_sec"] = reached
-    return summary
 
 
 def environment():
@@ -332,8 +339,8 @@ def run_experiment(cfg, data=None):
     truth may be None), in which case the summary's ``config.synthetic`` is
     null.  Writes ``<out_dir>/<algo>_n<k>.csv`` and the final factors
     ``<out_dir>/<algo>_n<k>.npz`` (``f1``, ``f2``, ``f3``) per arm, and
-    ``<out_dir>/summary.json``, and returns the summary dict.  Wall time wraps
-    the factorize call only; data generation and serialization are excluded.
+    ``<out_dir>/summary.json``, all once every arm is fitted, and returns the
+    summary dict.  Wall time wraps the factorize call only.
     """
     if data is None:
         Y, truth, mask = generate_synthetic(cfg.synthetic)
@@ -342,28 +349,27 @@ def run_experiment(cfg, data=None):
         if np.shape(Y) != cfg.synthetic.dims:
             raise ValueError("Y has shape %r, but the modes are for synthetic.dims %r"
                              % (np.shape(Y), cfg.synthetic.dims))
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     specs = [mode_spec_from_dict(m, n) for m, n in zip(cfg.modes, Y.shape)]
-    arms = []
+    fits = []
     for algo in cfg.algorithms:
         for n_inner in cfg.inner_iters:
-            name = "%s_n%d" % (algo, n_inner)
-            driver_cfg = replace(cfg.driver, n_inner=n_inner)
             started = time.perf_counter()
-            result = SOLVERS[algo](Y, mask, specs, driver_cfg, truth)
-            wall = time.perf_counter() - started
-            write_trace_csv(out_dir / (name + ".csv"), result.trace)
-            f1, f2, f3 = result.factors.factors
-            np.savez(out_dir / (name + ".npz"), f1=f1, f2=f2, f3=f3)
-            arms.append(arm_summary(name, result, wall, cfg.mse_threshold, truth))
+            result = SOLVERS[algo](Y, mask, specs, replace(cfg.driver, n_inner=n_inner), truth)
+            fits.append(("%s_n%d" % (algo, n_inner), result, time.perf_counter() - started))
+    # every arm is fitted before the first file is written, so a refused arm leaves none
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, result, _ in fits:
+        write_trace_csv(out_dir / (name + ".csv"), result.trace)
+        f1, f2, f3 = result.factors.factors
+        np.savez(out_dir / (name + ".npz"), f1=f1, f2=f2, f3=f3)
     config = cfg.to_dict()
     if data is not None:
         config["synthetic"] = None
     summary = {
         "config": config,
         "environment": environment(),
-        "arms": arms,
+        "arms": [arm_summary(*fit, cfg.mse_threshold, truth) for fit in fits],
     }
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -372,11 +378,11 @@ def run_experiment(cfg, data=None):
 
 def report_table(out_dir, arms=None):
     """Fold the trace CSVs of the named ``arms`` under ``out_dir``, or of
-    every ``*_n*.csv`` there when ``arms`` is None, into an aligned text
-    table."""
+    every ``<algo>_n<k>.csv`` there when ``arms`` is None, into an aligned
+    text table."""
     out_dir = Path(out_dir)
     if arms is None:
-        paths = sorted(out_dir.glob("*_n*.csv"))
+        paths = sorted(p for p in out_dir.glob("*_n*.csv") if ARM_NAME.fullmatch(p.stem))
     else:
         paths = [out_dir / (name + ".csv") for name in arms]
     if not paths:
@@ -384,17 +390,10 @@ def report_table(out_dir, arms=None):
     rows = [("arm", "outers", "elapsed_sec", "final_obj", "best_mse_al", "final_mse_al")]
     for path in paths:
         trace = read_trace_csv(path)
-        aligned = [r.mse_aligned for r in trace if r.mse_aligned is not None]
-        rows.append(
-            (
-                path.stem,
-                str(trace[-1].outer_iter),
-                "%.3f" % trace[-1].elapsed_sec,
-                "%.6g" % trace[-1].objective,
-                "%.6g" % min(aligned) if aligned else "-",
-                "%.6g" % aligned[-1] if aligned else "-",
-            )
-        )
+        scores = trace_scores(trace)
+        rows.append((path.stem, str(trace[-1].outer_iter), "%.3f" % trace[-1].elapsed_sec,
+                     *("-" if scores[key] is None else "%.6g" % scores[key]
+                       for key in ("final_objective", "best_mse_aligned", "final_mse_aligned"))))
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = [
         "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()

@@ -336,6 +336,31 @@ def _tiny_config(out_dir, **overrides):
     return cfg
 
 
+def _hand_fold(trace, threshold=None):
+    # the summary's trace figures, folded row by row from a trace with MSE rows
+    best = reached = None
+    for rec in trace:
+        if best is None or rec.mse_aligned < best.mse_aligned:
+            best = rec
+        if reached is None and threshold is not None and rec.mse_aligned <= threshold:
+            reached = rec.elapsed_sec
+    return {
+        "final_objective": trace[-1].objective,
+        "best_mse_aligned": best.mse_aligned,
+        "best_mse_raw": min(rec.mse_raw for rec in trace),
+        "final_mse_aligned": trace[-1].mse_aligned,
+        "final_mse_raw": trace[-1].mse_raw,
+        "time_to_best_sec": best.elapsed_sec,
+        "time_to_threshold_sec": reached,
+    }
+
+
+def _folded(out_dir, arm, threshold=None):
+    # arm's summary figures next to the hand fold of its trace CSV
+    want = _hand_fold(read_trace_csv(out_dir / (arm["arm"] + ".csv")), threshold)
+    return {key: arm[key] for key in want}, want
+
+
 def test_run_experiment_writes_all_outputs(tmp_path):
     cfg = _tiny_config(tmp_path / "out")
     summary = run_experiment(cfg)
@@ -357,13 +382,27 @@ def test_run_experiment_writes_all_outputs(tmp_path):
     assert {a["arm"] for a in on_disk["arms"]} == {
         "aopds_n2", "aopds_n5", "aoadmm_n2", "aoadmm_n5"
     }
+    assert on_disk["arms"] == summary["arms"]
     for arm in summary["arms"]:
-        assert arm["best_mse_aligned"] is not None
+        got, want = _folded(tmp_path / "out", arm)
+        assert got == want, arm["arm"]
         assert -1.0 <= arm["final_factor_match_score"] <= 1.0
         assert arm["wall_time_sec"] > 0
         assert arm["counters"]["inner_iterations"] > 0
     assert "python" in summary["environment"]
     assert "numpy" in summary["environment"]
+    # the same data without truth: every MSE figure and the match score are
+    # None, and the table prints "-" for the MSE columns
+    Y, _, _ = generate_synthetic(cfg.synthetic)
+    bare = _tiny_config(tmp_path / "bare", mse_threshold=1.0)  # reached when truth is given
+    for arm in run_experiment(bare, (Y, None, None))["arms"]:
+        trace = read_trace_csv(tmp_path / "bare" / (arm["arm"] + ".csv"))
+        assert arm["final_objective"] == trace[-1].objective
+        unscored = ("best_mse_aligned", "best_mse_raw", "final_mse_aligned", "final_mse_raw",
+                    "time_to_best_sec", "time_to_threshold_sec", "final_factor_match_score")
+        assert [arm[key] for key in unscored] == [None] * len(unscored), arm["arm"]
+    rows = [line.split() for line in report_table(tmp_path / "bare").splitlines()[1:]]
+    assert [row[-2:] for row in rows] == [["-", "-"]] * 4
 
 
 def test_run_experiment_refuses_data_of_other_dims_before_writing(tmp_path):
@@ -383,15 +422,25 @@ def test_threshold_timing_recorded(tmp_path):
     summary = run_experiment(cfg)
     for arm in summary["arms"]:
         assert arm["time_to_threshold_sec"] is not None
+        got, want = _folded(tmp_path / "out", arm, 1.0)
+        assert got == want, arm["arm"]
+    # 0.03 is first reached after the first row; no row reaches 0.0
+    for threshold in (0.03, 0.0):
+        out = tmp_path / ("at_%g" % threshold)
+        for arm in run_experiment(_tiny_config(out, mse_threshold=threshold))["arms"]:
+            got, want = _folded(out, arm, threshold)
+            assert got == want, arm["arm"]
+            assert (want["time_to_threshold_sec"] is None) == (threshold == 0.0)
 
 
 def test_report_table_lists_every_arm(tmp_path):
     cfg = _tiny_config(tmp_path / "out")
     run_experiment(cfg)
+    # a CSV that is no arm's trace is not read
+    (tmp_path / "out" / "my_notes.csv").write_text("seed,value\n0,1.5\n")
     table = report_table(tmp_path / "out")
-    for name in ("aopds_n2", "aopds_n5", "aoadmm_n2", "aoadmm_n5"):
-        assert name in table
-    assert table.splitlines()[0].startswith("arm")
+    assert [line.split()[0] for line in table.splitlines()] == [
+        "arm", "aoadmm_n2", "aoadmm_n5", "aopds_n2", "aopds_n5"]
     with pytest.raises(ValueError, match="no trace"):
         report_table(tmp_path / "empty")
 

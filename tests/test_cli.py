@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
@@ -179,6 +180,7 @@ def test_tensor_fit_takes_the_configs_synthetic_rank(tmp_path, with_truth):
     if with_truth:
         with pytest.raises(SystemExit, match=r"^error: truth rank 2 != configured rank 3$"):
             main(fit + ["--truth", str(data / "truth.npz")])
+        assert not (tmp_path / "run").exists()
         return
     assert main(fit) == 0
     factors = np.load(tmp_path / "run" / "aopds_n5.npz")
@@ -413,6 +415,37 @@ def test_every_command_refuses_a_bad_config_before_running(tmp_path, command, cf
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["tv-mode-with-admm", "partial-mask-with-admm",
+                                  "mse-stop-without-truth"])
+def test_a_refused_run_creates_nothing(tmp_path, case):
+    # every arm is fitted before the first file is written, so an arm that
+    # refuses the config or the data leaves no partial sweep behind
+    data = tmp_path / "data"
+    main(["generate", "--dims", "8,7,6", "--rank", "2", "--observed", "0.7",
+          "--out-dir", str(data)])
+    cfg = json.loads(_mild_modes_config(tmp_path).read_text())
+    cfg.update({"synthetic": {"dims": [8, 7, 6], "rank": 2}, "driver": {"max_outer": 2},
+                "inner_iters": [2]})
+    files = ["factorize", "--tensor", str(data / "tensor.tns3")]
+    if case == "tv-mode-with-admm":
+        cfg["modes"][0]["operator"] = {"kind": "row_difference"}
+        argv, want = ["bench"], ("operator kind 'row_difference' has no closed-form "
+                                 "composite prox here; use the primal-dual solver")
+    elif case == "partial-mask-with-admm":
+        cfg["algorithms"] = ["aopds", "aoadmm"]
+        argv = files + ["--mask", str(data / "mask.msk3"), "--truth", str(data / "truth.npz")]
+        want = "masked data is not supported by this baseline"
+    else:
+        argv = files + ["--stop-metric", "mse_vs_truth"]
+        want = "stop_metric 'mse_vs_truth' requires ground-truth factors"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match="^%s$" % re.escape("error: " + want)):
+        main(argv + ["--config", str(path), "--out-dir", str(out)])
+    assert not out.exists()
+
+
 def test_a_refused_mode_value_names_its_mode(tmp_path):
     # as synthetic.* and driver.* values do, a mode's value says where it is
     path = tmp_path / "bad.json"
@@ -497,6 +530,17 @@ def test_readme_config_example_builds(tmp_path):
     assert main(["generate", "--config", str(path), "--out-dir", str(data)]) == 0
     truth = np.load(data / "truth.npz")
     assert truth["f1"].shape == (100, 5)
+
+
+def test_readme_commands_parse():
+    # each cpdsplit line of the Command line block is one the parser takes
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, flags=re.S).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("cpdsplit ")]
+    assert [argv[1] for argv in commands] == ["generate", "factorize", "bench", "report"]
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):
@@ -601,6 +645,7 @@ def test_degenerate_small_problem_points_at_mode_weights(tmp_path):
               "--mask", str(data / "mask.msk3"), "--truth", str(data / "truth.npz"),
               "--seed", "0", "--out-dir", str(tmp_path / "out")])
     assert "--config" in str(exc.value)
+    assert not (tmp_path / "out").exists()
 
 
 def test_module_entry_point_exists():
