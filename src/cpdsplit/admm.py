@@ -29,18 +29,19 @@ class UnsupportedSpecError(ValueError):
     """Mode spec outside this baseline's closed-form support."""
 
 
-def check_supported(spec):
-    """Reject mode specs without a closed-form composite prox."""
-    if spec.operator is not None and spec.operator.kind != "identity":
-        raise UnsupportedSpecError(
-            "operator kind %r has no closed-form composite prox here; "
-            "use the primal-dual solver" % (spec.operator.kind,)
-        )
-    if spec.regularizer.kind not in _SUPPORTED_PROX:
-        raise UnsupportedSpecError(
-            "regularizer kind %r is not supported by this baseline"
-            % (spec.regularizer.kind,)
-        )
+def check_supported(specs, mask, shape):
+    """What this baseline admits, stated once for a check before any fit:
+    specs with a closed-form composite prox, refused in mode order, then a
+    mask that is None or all-true (a malformed one gets as_mask's error)."""
+    for spec in specs:
+        if spec.operator is not None and spec.operator.kind != "identity":
+            raise UnsupportedSpecError("operator kind %r has no closed-form composite prox "
+                                       "here; use the primal-dual solver" % (spec.operator.kind,))
+        if spec.regularizer.kind not in _SUPPORTED_PROX:
+            raise UnsupportedSpecError("regularizer kind %r is not supported by this baseline"
+                                       % (spec.regularizer.kind,))
+    if mask is not None and not as_mask(mask, shape).all():
+        raise UnsupportedSpecError("masked data is not supported by this baseline")
 
 
 def cho_factor(a):
@@ -75,15 +76,15 @@ def solve_subproblem_admm(state, spec, W, B, grams, bound, n_inner):
     state : SubproblemState
         Feasible variable F and scaled dual G, both R x N.
     spec : ModeSpec
-        Passes :func:`check_supported`, which :func:`ao_admm_factorize`
-        calls on every spec before its loop.
+        Admitted by :func:`check_supported`, which :func:`ao_admm_factorize`
+        calls before its loop.
     W : ndarray, shape (P, R)
         Khatri-Rao product of the fixed factors (fully observed data).
     B : ndarray, shape (R, N)
         The MTTKRP W^T Yd of the matricized data Yd, built by the outer
         loop; this solver never reads Yd.
     grams : None
-        Always None: :func:`ao_admm_factorize` refuses a partial mask.
+        Always None: :func:`check_supported` refuses a partial mask.
     bound : float
         The positive, finite trace(W^T W).
     n_inner : int
@@ -112,10 +113,10 @@ def ao_admm_factorize(Y, mask, specs, cfg, truth=None):
 
     Parameters
     ----------
-    Y, mask, specs, cfg, truth : as in the primal-dual driver; the mask must
-        be None or all-true (:func:`cpdsplit.driver.as_mask` refuses a
-        malformed one), and every mode spec must pass
-        :func:`check_supported`.
+    Y, mask, specs, cfg, truth : as in the primal-dual driver, and admitted
+        by ``check_supported(specs, mask, np.shape(Y))``, the fit's first
+        check: the mask None or all-true, every mode spec with a
+        closed-form composite prox.
 
     Returns
     -------
@@ -123,10 +124,7 @@ def ao_admm_factorize(Y, mask, specs, cfg, truth=None):
         counters carries the Cholesky factorization count, one per mode
         visit.
     """
-    for spec in specs:
-        check_supported(spec)
-    if mask is not None and not as_mask(mask, np.shape(Y)).all():
-        raise UnsupportedSpecError("masked data is not supported by this baseline")
+    check_supported(specs, mask, np.shape(Y))
     result = alternate(Y, mask, specs, cfg, truth, initial_state, solve_subproblem_admm)
     result.counters["cholesky_factorizations"] = 3 * result.outer_iterations
     return result

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .admm import ao_admm_factorize
+from .admm import ao_admm_factorize, check_supported
 from .driver import DriverConfig, ModeSpec, TraceRecord, factorize
 from .metrics import factor_match_score
 from .operators import LinOp, ProxFn, Projection, as_amount, as_count, overlapping_group_lasso
@@ -340,7 +340,9 @@ def run_experiment(cfg, data=None):
     null.  Writes ``<out_dir>/<algo>_n<k>.csv`` and the final factors
     ``<out_dir>/<algo>_n<k>.npz`` (``f1``, ``f2``, ``f3``) per arm, and
     ``<out_dir>/summary.json``, all once every arm is fitted, and returns the
-    summary dict.  Wall time wraps the factorize call only.
+    summary dict.  What needs no fit is refused before the first: ADMM's
+    :func:`check_supported` when listed, and an out_dir that is or lies
+    under a file.  Wall time wraps the factorize call only.
     """
     if data is None:
         Y, truth, mask = generate_synthetic(cfg.synthetic)
@@ -350,6 +352,11 @@ def run_experiment(cfg, data=None):
             raise ValueError("Y has shape %r, but the modes are for synthetic.dims %r"
                              % (np.shape(Y), cfg.synthetic.dims))
     specs = [mode_spec_from_dict(m, n) for m, n in zip(cfg.modes, Y.shape)]
+    if "aoadmm" in cfg.algorithms:
+        check_supported(specs, mask, Y.shape)
+    out_dir = Path(cfg.out_dir)
+    if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
+        raise ValueError("out_dir %s is a file or lies under one" % out_dir)
     fits = []
     for algo in cfg.algorithms:
         for n_inner in cfg.inner_iters:
@@ -357,7 +364,6 @@ def run_experiment(cfg, data=None):
             result = SOLVERS[algo](Y, mask, specs, replace(cfg.driver, n_inner=n_inner), truth)
             fits.append(("%s_n%d" % (algo, n_inner), result, time.perf_counter() - started))
     # every arm is fitted before the first file is written, so a refused arm leaves none
-    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, result, _ in fits:
         write_trace_csv(out_dir / (name + ".csv"), result.trace)

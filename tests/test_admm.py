@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -29,21 +31,41 @@ def _l1_specs(weight=0.1):
 
 
 def test_unsupported_specs_are_rejected():
-    tv = ModeSpec(regularizer=ProxFn("l1", 1.0), operator=row_difference_op(4))
-    with pytest.raises(UnsupportedSpecError):
-        check_supported(tv)
-    rep = ModeSpec(
-        regularizer=ProxFn("group_l2", 1.0, ((0, 1),)),
-        operator=group_replicate_op(((0, 1), (1, 2)), 3),
+    # check_supported is the baseline's one door: a refused spec in any mode
+    # of the three, then a partial mask; a malformed mask gets as_mask's error
+    shape = (6, 5, 4)
+    l1 = _l1_specs()
+    refused = (
+        (lambda n: ModeSpec(regularizer=ProxFn("l1", 1.0), operator=row_difference_op(n)),
+         "operator kind 'row_difference' has no closed-form composite prox here; "
+         "use the primal-dual solver"),
+        (lambda n: ModeSpec(regularizer=ProxFn("group_l2", 1.0, ((0, 1),)),
+                            operator=group_replicate_op(((0, 1), (1, 2)), n)),
+         "operator kind 'group_replicate' has no closed-form composite prox here; "
+         "use the primal-dual solver"),
+        (lambda n: ModeSpec(regularizer=ProxFn("group_l2", 1.0, ((0, 1),)),
+                            operator=identity_op(n)),
+         "regularizer kind 'group_l2' is not supported by this baseline"),
     )
-    with pytest.raises(UnsupportedSpecError):
-        check_supported(rep)
-    grp = ModeSpec(
-        regularizer=ProxFn("group_l2", 1.0, ((0, 1),)), operator=identity_op(6)
-    )
-    with pytest.raises(UnsupportedSpecError):
-        check_supported(grp)
-    check_supported(_l1_specs()[0])
+    partial = np.ones(shape, dtype=bool)
+    partial[0, 0, 0] = False
+    for build, message in refused:
+        for d in range(3):
+            specs = [*l1]
+            specs[d] = build(shape[d])
+            for mask in (None, partial):  # a refused spec is named before the mask
+                with pytest.raises(UnsupportedSpecError, match="^%s$" % re.escape(message)):
+                    check_supported(specs, mask, shape)
+    with pytest.raises(UnsupportedSpecError,
+                       match="^masked data is not supported by this baseline$"):
+        check_supported(l1, partial, shape)
+    for malformed in (partial.astype(np.int64), partial[:, :, :1]):
+        with pytest.raises(ValueError,
+                           match="^mask must be a boolean array of the data's shape$") as exc:
+            check_supported(l1, malformed, shape)
+        assert not isinstance(exc.value, UnsupportedSpecError)
+    for mask in (None, np.ones(shape, dtype=bool)):
+        check_supported(l1, mask, shape)
 
 
 def test_masked_data_is_rejected():

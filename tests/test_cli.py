@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cpdsplit import admm, pds
 from cpdsplit.bench import (
     CONFIG_KEYS,
     ExperimentConfig,
@@ -415,11 +416,17 @@ def test_every_command_refuses_a_bad_config_before_running(tmp_path, command, cf
     assert not out.exists()
 
 
+def _files(root):
+    """Every path under ``root``, with a file's bytes (None for a directory)."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
 @pytest.mark.parametrize("case", ["tv-mode-with-admm", "partial-mask-with-admm",
-                                  "mse-stop-without-truth"])
-def test_a_refused_run_creates_nothing(tmp_path, case):
-    # every arm is fitted before the first file is written, so an arm that
-    # refuses the config or the data leaves no partial sweep behind
+                                  "mse-stop-without-truth", "out-dir-under-a-file"])
+def test_a_refused_run_creates_nothing(tmp_path, monkeypatch, case):
+    # what needs no fit is refused before the first fit, and every arm is
+    # fitted before the first file is written, so a refused run fits nothing
+    # and leaves no partial sweep behind
     data = tmp_path / "data"
     main(["generate", "--dims", "8,7,6", "--rank", "2", "--observed", "0.7",
           "--out-dir", str(data)])
@@ -427,6 +434,7 @@ def test_a_refused_run_creates_nothing(tmp_path, case):
     cfg.update({"synthetic": {"dims": [8, 7, 6], "rank": 2}, "driver": {"max_outer": 2},
                 "inner_iters": [2]})
     files = ["factorize", "--tensor", str(data / "tensor.tns3")]
+    out = tmp_path / "out"
     if case == "tv-mode-with-admm":
         cfg["modes"][0]["operator"] = {"kind": "row_difference"}
         argv, want = ["bench"], ("operator kind 'row_difference' has no closed-form "
@@ -435,15 +443,23 @@ def test_a_refused_run_creates_nothing(tmp_path, case):
         cfg["algorithms"] = ["aopds", "aoadmm"]
         argv = files + ["--mask", str(data / "mask.msk3"), "--truth", str(data / "truth.npz")]
         want = "masked data is not supported by this baseline"
+    elif case == "out-dir-under-a-file":
+        (tmp_path / "kept").write_text("not a directory\n")
+        out = tmp_path / "kept" / "out"
+        argv, want = ["bench"], "out_dir %s is a file or lies under one" % out
     else:
         argv = files + ["--stop-metric", "mse_vs_truth"]
         want = "stop_metric 'mse_vs_truth' requires ground-truth factors"
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
+    before = _files(tmp_path)
+    visits = [oracles.record_visits(monkeypatch, pds, "solve_subproblem"),
+              oracles.record_visits(monkeypatch, admm, "solve_subproblem_admm")]
     with pytest.raises(SystemExit, match="^%s$" % re.escape("error: " + want)):
         main(argv + ["--config", str(path), "--out-dir", str(out)])
+    assert visits == [[], []]
     assert not out.exists()
+    assert _files(tmp_path) == before
 
 
 def test_a_refused_mode_value_names_its_mode(tmp_path):
