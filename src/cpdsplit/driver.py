@@ -10,7 +10,7 @@ exposes.  Each outer iteration visits modes 1..3 in order.  A visit
 rebuilds the Khatri-Rao product W of the other two factors (ascending mode
 order) and the Lipschitz bound of its least-squares gradient: trace(W^T W)
 on dense data; with a mask the per-column Grams G_n = W^T diag(m_n) W and
-max_n trace(G_n), about half of trace(W^T W) at half observed.  One
+their largest absolute row sum max_n ||G_n||_inf >= max_n ||G_n||_2.  One
 dimension tree (Phan, Tichavsky & Cichocki, IEEE TSP 2013), :func:`_tree`,
 gives the MTTKRP B_d = W^T Y_(d) with no matricized copy of Y, and the
 Grams, whose upper triangles are the mask's MTTKRP against the pair factors
@@ -274,7 +274,7 @@ def alternate(Y, mask, specs, cfg, truth, start, solve):
         other factors, the R x N_d MTTKRP B = W^T Y_(d) and the exactly
         symmetric (N_d, R, R) stack of Grams G_n = W^T diag(m_n) W (None on
         dense data), both from :func:`_tree`, and the positive, finite
-        Lipschitz bound, trace(W^T W) or max_n trace(G_n), from which the
+        Lipschitz bound, trace(W^T W) or max_n ||G_n||_inf, from which the
         solver derives its steps or penalty.
         The state's F is the feasible R x N_d factor the fit exposes, G
         its dual; the loop raises FloatingPointError, naming the mode and
@@ -312,7 +312,8 @@ def alternate(Y, mask, specs, cfg, truth, start, solve):
                 g = _tree(M, [f[iu] * f[ju] for f in F], d, kept_m)
                 grams = np.empty((g.shape[1], cfg.rank, cfg.rank))
                 grams[:, iu, ju] = grams[:, ju, iu] = g.T
-                bound = np.einsum("nrr->n", grams).max()
+                # ||A||_inf >= ||A||_2; dense keeps the trace, where the row sum stops 36% later
+                bound = np.abs(grams).sum(axis=2).max()
             bound = _positive_bound(bound, d)
             states[d] = solve(states[d], specs[d], W, B, grams, bound, cfg.n_inner)
             if not all(np.isfinite(a).all() for a in (states[d].F, states[d].G) if a is not None):

@@ -10,10 +10,10 @@ with the gradient A F - B: A = W'W, or with a mask one Gram
 G_n = W' diag(mask[:, n]) W per column of F, so the masked iteration costs
 O(N R^2), not O(P N R).  The driver's outer loop gives the MTTKRP B = W'Yd
 (the solver never reads Yd), the Grams G_n from its dimension tree, and the
-Lipschitz bound, trace(W'W) on dense data and max_n trace(G_n) with a mask
-(the gradient is then block-diagonal over the columns), whose steps keep the
-primal-dual product inside the convergence region.  The dual branch runs
-when the mode has an operator, that is, a nonzero regularizer.
+Lipschitz bound, trace(W'W) on dense data and, with a mask, the largest
+absolute row sum max_n ||G_n||_inf of the block-diagonal gradient, whose steps
+keep the primal-dual product inside the convergence region.  The dual branch
+runs when the mode has an operator, that is, a nonzero regularizer.
 """
 
 from dataclasses import dataclass
@@ -41,21 +41,21 @@ def initial_state(F, spec):
     return SubproblemState(F=F, G=np.zeros((F.shape[0], spec.operator.out_cols)))
 
 
-def compute_stepsizes(trace_bound, op_norm):
-    """Step sizes from the Lipschitz trace bound and the operator norm.
+def compute_stepsizes(bound, op_norm):
+    """Step sizes from the Lipschitz bound and the operator norm.
 
-    gamma1 = 0.99 * 2 / trace_bound, and, when op_norm > 0,
-    gamma2 = 1/(gamma1 * op_norm) - trace_bound/(2 * op_norm), which makes
-    gamma1 * (trace_bound/2 + gamma2 * op_norm) == 1 with the 0.99 margin
-    carried inside gamma1 (gamma1 * trace_bound/2 == 0.99).  With
+    gamma1 = 0.99 * 2 / bound, and, when op_norm > 0,
+    gamma2 = 1/(gamma1 * op_norm) - bound/(2 * op_norm), which makes
+    gamma1 * (bound/2 + gamma2 * op_norm) == 1 with the 0.99 margin
+    carried inside gamma1 (gamma1 * bound/2 == 0.99).  With
     op_norm == 0 there is no dual variable and gamma2 = 0.  The formula
     alone: the driver's outer loop checks each visit's bound.
 
     Parameters
     ----------
-    trace_bound : float
+    bound : float
         A positive, finite upper bound on the gradient's Lipschitz
-        constant: trace(W^T W), or with a mask max_n trace(G_n) over the
+        constant: trace(W^T W), or with a mask max_n ||G_n||_inf over the
         per-column Grams G_n = W^T diag(mask[:, n]) W.
     op_norm : float
         Upper bound on ||L*L||, finite; 0 when the mode has no operator.
@@ -64,9 +64,9 @@ def compute_stepsizes(trace_bound, op_norm):
     -------
     (gamma1, gamma2) : tuple of float
     """
-    gamma1 = 0.99 * 2.0 / trace_bound
+    gamma1 = 0.99 * 2.0 / bound
     if op_norm > 0:
-        gamma2 = 1.0 / (gamma1 * op_norm) - trace_bound / (2.0 * op_norm)
+        gamma2 = 1.0 / (gamma1 * op_norm) - bound / (2.0 * op_norm)
     else:
         gamma2 = 0.0
     return gamma1, gamma2

@@ -280,9 +280,9 @@ def test_criterion_5_invariant_suites(monkeypatch):
     checks.append(("prox grid 1e-5", worst <= 1e-5))
 
     # step sizes: the 0.99 margin lives in gamma1 alone
-    # (gamma1 * trace/2 == 0.99), and substituting gamma2 back in gives
-    # gamma1 * (trace/2 + gamma2 * s) = 0.99 + (1 - 0.99) = 1 exactly,
-    # for every positive trace and s; gamma2 is 0 without an operator
+    # (gamma1 * bound/2 == 0.99), and substituting gamma2 back in gives
+    # gamma1 * (bound/2 + gamma2 * s) = 0.99 + (1 - 0.99) = 1 exactly,
+    # for every positive bound and s; gamma2 is 0 without an operator
     worst = 0.0
     zero_ok = True
     for _ in range(25):

@@ -8,6 +8,7 @@ import cpdsplit.admm as admm_mod
 import cpdsplit.driver as driver_mod
 import cpdsplit.pds as pds
 from cpdsplit.admm import ao_admm_factorize
+from cpdsplit.bench import benchmark_mode_dicts, mode_spec_from_dict
 from cpdsplit.driver import DriverConfig, ModeSpec, factorize, init_factors, objective
 from cpdsplit.operators import (
     LinOp,
@@ -16,6 +17,7 @@ from cpdsplit.operators import (
     group_replicate_op,
     identity_op,
     linop_forward,
+    overlapping_group_lasso,
     row_difference_op,
 )
 from cpdsplit.tensor import FactorSet, cp_reconstruct
@@ -208,6 +210,40 @@ def test_masked_visit_builds_one_gram_stack_for_bound_and_solver(masked, monkeyp
             g = driver_mod._tree(mask.astype(float), pairs, d, kept)
             assert g.shape == (len(iu), Y.shape[d])
             assert (g[:, empty] == 0.0).all() and np.delete(g, empty, axis=1).all()
+
+
+@pytest.mark.parametrize("case", ["dense", "masked", "masked-structured"])
+def test_every_visits_bound_is_valid_and_a_masked_bound_is_tight(case, monkeypatch):
+    # the true Lipschitz constant of a visit's gradient is the top eigenvalue
+    # of its Gram, or of its largest block with a mask; the bound must not
+    # fall below it, and a masked bound ||G_n||_inf stays within sqrt(R) of
+    # it (||A||_inf <= sqrt(R) ||A||_2), where a trace is only within R
+    rank = 4
+    Y, _ = oracles.cp_problem(33, (12, 11, 10), rank, noise=0.05)
+    specs = [mode_spec_from_dict(m, n) for m, n in zip(benchmark_mode_dicts(), Y.shape)]
+    mask = None
+    if case != "dense":
+        mask = np.random.default_rng(33).random(Y.shape) < 0.5
+        Y = np.where(mask, Y, 0.0)
+    if case == "masked-structured":
+        c = Projection("nonnegative")
+        specs[0] = ModeSpec(c, ProxFn("l1", 0.3), row_difference_op(Y.shape[0]))
+        specs[1] = ModeSpec(c, *overlapping_group_lasso(((0, 1, 2), (2, 3), (3, 4, 0)), 0.3,
+                                                         Y.shape[1]))
+    visits = oracles.record_visits(monkeypatch, pds, "solve_subproblem")
+    cfg = oracles.fixed_length(rank=rank, n_inner=5, max_outer=4, seed=34)
+    factorize(Y, mask, specs, cfg)
+    start = init_factors(Y.shape, rank, cfg.seed).factors
+    checked = oracles.check_visits(visits, start, Y, mask)
+    assert len(checked) == 12
+    for visit, (W, bound) in enumerate(checked):
+        if mask is None:
+            beta = oracles.largest_eig(W.T @ W)
+        else:
+            Md = oracles.matricize_dense(mask, visit % 3 + 1)
+            beta = max(oracles.largest_eig(g) for g in oracles.column_grams_dense(W, Md))
+            assert bound <= np.sqrt(rank) * beta * (1 + 1e-12), "visit %d" % (visit + 1)
+        assert beta <= bound * (1 + 1e-12), "visit %d" % (visit + 1)
 
 
 @pytest.mark.parametrize(

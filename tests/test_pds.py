@@ -359,11 +359,14 @@ def test_masked_solver_matches_dense_gradient_reference(rank, kind):
         if G_ref is not None:
             assert _close(out.G, G_ref)
 
+        # an all-true Gram stack applies W'W; the two rules' bounds differ
+        # (a fit drops an all-true mask), so both runs take the dense one
         full = np.ones_like(Md)
+        dense = oracles.lipschitz_bound(W)
         unmasked = solve_subproblem(SubproblemState(F0, G0), spec,
                                     *oracles.solver_inputs(W, Yd), 6)
         explicit = solve_subproblem(SubproblemState(F0, G0), spec,
-                                    *oracles.solver_inputs(W, Yd, full), 6)
+                                    *oracles.solver_inputs(W, Yd, full, bound=dense), 6)
         assert _close(explicit.F, unmasked.F)
         if G0 is not None:
             assert _close(explicit.G, unmasked.G)
@@ -372,14 +375,14 @@ def test_masked_solver_matches_dense_gradient_reference(rank, kind):
 @pytest.mark.parametrize("rank", [1, 2, 5, 10])
 def test_masked_step_bound_is_valid(rank):
     # the masked gradient is block-diagonal with blocks W' diag(m_n) W, so
-    # its Lipschitz constant is the largest block's top eigenvalue
+    # its Lipschitz constant is the largest block's top eigenvalue, which
+    # the largest absolute row sum bounds: ||A||_2 <= ||A||_inf for symmetric A
     rng = np.random.default_rng(400 + rank)
     for _ in range(5):
         W = rng.random((30, rank))
         mask = rng.random((30, 8)) < 0.5
         mask[:, 3] = False
-        grams = oracles.column_grams_dense(W, mask)
-        bound = float(np.einsum("nrr->n", grams).max())
+        bound = oracles.lipschitz_bound(W, mask)
         beta = max(
             oracles.largest_eig(W.T @ np.diag(mask[:, n].astype(float)) @ W)
             for n in range(mask.shape[1])
@@ -392,10 +395,13 @@ def test_masked_step_bound_is_valid(rank):
         if rank >= 2:
             assert product < 1.0
         else:
-            # a rank-1 Gram's trace is its eigenvalue: the product is 1
+            # a 1 x 1 Gram's row sum is its eigenvalue: the product is 1
             assert product == pytest.approx(1.0, abs=1e-12)
 
+        # with every entry observed each block is W'W, and the bound its row sum
         full = oracles.column_grams_dense(W, np.ones_like(mask))
-        full_bound = float(np.einsum("nrr->n", full).max())
-        assert full_bound == pytest.approx(float(np.vdot(W, W)), rel=1e-12)
+        A = W.T @ W
+        assert all(_close(block, A) for block in full)
+        full_bound = oracles.lipschitz_bound(W, np.ones_like(mask))
+        assert full_bound == pytest.approx(float(np.abs(A).sum(axis=1).max()), rel=1e-12)
 
