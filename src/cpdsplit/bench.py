@@ -165,8 +165,8 @@ def benchmark_mode_dicts():
 
 
 def init_seed(data_seed):
-    """The driver seed of data seed ``data_seed``: the initial factors draw
-    the truth's uniform stream, so a shared seed starts modes 2-3 at it."""
+    """The driver seed of data seed ``data_seed``: the start draws the PCG64
+    stream of the truth's ``default_rng``, so a shared seed starts modes 2-3 at it."""
     return int(data_seed) + 1
 
 

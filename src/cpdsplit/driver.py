@@ -25,8 +25,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-# numpy imports numpy.random lazily: load it with the package, not in a fit
-from numpy.random import default_rng
 
 from . import pds
 from .metrics import mse
@@ -35,6 +33,7 @@ from .tensor import FactorSet, cp_reconstruct, khatri_rao
 
 STOP_METRICS = ("mse_vs_truth", "objective_rel_change")
 _REL_EPS = 1e-12
+_M32 = (1 << 32) - 1
 
 
 @dataclass(frozen=True)
@@ -135,10 +134,46 @@ def objective(Y, mask, fset, specs):
 
 
 def init_factors(dims, rank, seed):
-    """Uniform(0,1) factor matrices from a seeded generator, drawn in mode
-    order; every entry is feasible for the nonnegativity constraint."""
-    rng = default_rng(seed)
-    return FactorSet(tuple(rng.random((n, rank)) for n in dims))
+    """Uniform(0,1) factor matrices split in mode order from one PCG64
+    stream (:func:`_uniform_stream`), all feasible for nonnegativity."""
+    rows = _uniform_stream(seed, sum(dims) * rank).reshape(-1, rank)
+    return FactorSet(tuple(np.split(rows, np.cumsum(dims)[:-1])))
+
+
+def _uniform_stream(seed, count):
+    """``numpy.random.default_rng(seed).random(count)`` for an int seed >= 0,
+    in-package so that no fit loads numpy.random: SeedSequence's pool and
+    state words, then PCG64's XSL-RR outputs (O'Neill 2014), top 53 bits."""
+    const, step = 0x43B0D7E5, 0x931E8875  # SeedSequence's hash constant, stepped per call
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * step & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+    for src in range(max(4, len(words))):  # pool words, then seed words past 4
+        value = pool[src] if src < 4 else words[src]
+        for dst in (d for d in range(4) if d != src):
+            x = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(value)) & _M32
+            pool[dst] = x ^ x >> 16
+    const, step = 0x8B51F9DD, 0x58F38DED  # generate_state's
+    st = [hashmix(pool[k % 4]) for k in range(8)]
+    s0, s1, i0, i1 = (st[k] | st[k + 1] << 32 for k in (0, 2, 4, 6))
+    mult, m64, m128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 64) - 1, (1 << 128) - 1
+    inc = (i0 << 65 | i1 << 1 | 1) & m128
+    state = ((inc + (s0 << 64 | s1)) * mult + inc) & m128
+
+    def top53(state):
+        while True:
+            state = (state * mult + inc) & m128
+            x = (state >> 64 ^ state) & m64
+            rot = state >> 122
+            yield ((x >> rot | x << (64 - rot)) & m64) >> 11
+    return np.fromiter(top53(state), np.float64, count) * 2.0 ** -53
 
 
 def _converged(trace, cfg):

@@ -373,6 +373,30 @@ def test_init_factors_seeded_uniform():
     assert abs(flat.mean() - 0.5) < 0.01
 
 
+@pytest.mark.parametrize("seed", list(range(64)) + [2**32 - 1, 2**32, 2**64 + 3, 2**130 + 11])
+def test_uniform_stream_is_numpys_pcg64_stream(seed):
+    # numpy.random stays the oracle: the package draws the same doubles
+    # without loading it (2**130 + 11 has 5 words, past SeedSequence's pool)
+    for n in (0, 1, 5000):
+        got = driver_mod._uniform_stream(seed, n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert np.array_equal(got, np.random.Generator(np.random.PCG64(seed)).random(n))
+        assert np.array_equal(got, np.random.default_rng(seed).random(n))
+
+
+@pytest.mark.parametrize("dims, rank, seed", [((100, 100, 100), 10, 3), ((4, 5, 6), 3, 7),
+                                              ((1, 9, 2), 1, 2**64 + 3)])
+def test_init_factors_split_one_stream_in_mode_order(dims, rank, seed):
+    stream = driver_mod._uniform_stream(seed, sum(dims) * rank)
+    rng = np.random.default_rng(seed)
+    start = 0
+    for n, f in zip(dims, init_factors(dims, rank, seed).factors):
+        assert f.shape == (n, rank) and f.flags.c_contiguous
+        assert np.array_equal(f.ravel(), stream[start:start + n * rank])
+        assert np.array_equal(f, rng.random((n, rank)))
+        start += n * rank
+
+
 def test_single_outer_iteration_hits_cap():
     Y, truth = oracles.cp_problem(3, (6, 5, 4), 2)
     cfg = DriverConfig(rank=2, n_inner=2, max_outer=1, stop_tol=1e-12,

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cpdsplit
 from cpdsplit import admm, driver, pds
 
@@ -156,10 +158,10 @@ def test_public_api_is_the_pinned_set():
     assert all(hasattr(cpdsplit, name) for name in PUBLIC_API)
 
 
-def _modules_after_import():
+def _modules_after_import(then="pass"):
     """The names in sys.modules of a fresh interpreter that imported the
-    package."""
-    code = "import sys, cpdsplit; print('\\n'.join(sys.modules))"
+    package and ran the statements ``then``."""
+    code = "import sys, cpdsplit; %s; print('\\n'.join(sys.modules))" % then
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p
@@ -184,9 +186,50 @@ def test_import_does_not_load_scipy():
     loaded = _modules_after_import()
     assert "cpdsplit.admm" in loaded
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
-    # scipy used to load numpy.random; the package now does, so the first
-    # fit does not pay that lazy import
-    assert "numpy.random" in loaded
+    # the seeded start is drawn in-package: numpy.random's extension modules
+    # and the OpenSSL library its ``secrets`` import pulls in through
+    # hashlib cost about 6 MB of every fit process's memory
+    assert "numpy.random" not in loaded
+    assert "_hashlib" not in loaded
+
+
+@pytest.mark.parametrize("fit", ["factorize", "ao_admm_factorize"])
+def test_a_fit_on_given_data_loads_neither_numpy_random_nor_openssl(fit):
+    # both fits draw their start from driver._uniform_stream
+    loaded = _modules_after_import(
+        "import numpy as np; Y = np.arange(60.0).reshape(3, 4, 5) %% 7; "
+        "cpdsplit.%s(Y, None, [cpdsplit.ModeSpec()] * 3, "
+        "cpdsplit.DriverConfig(rank=2, max_outer=3, stop_metric='objective_rel_change', "
+        "seed=5))" % fit)
+    assert "numpy.random" not in loaded
+    assert "_hashlib" not in loaded
+
+
+def _module_level(tree):
+    """The nodes of a module outside its function bodies."""
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            inside.update(id(n) for n in ast.walk(node))
+    return [n for n in ast.walk(tree) if id(n) not in inside]
+
+
+def test_no_module_loads_numpy_random_at_import():
+    # bench and the CLI draw synthetic data through np.random inside their
+    # functions; a module-level import or lookup would load it for every fit
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _module_level(ast.parse(path.read_text(), filename=str(path))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "") + "." + a.name for a in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [node.value.id + "." + node.attr]
+            offenders += ["%s:%d %s" % (path.name, node.lineno, n) for n in names
+                          if n.split(".")[:2] in (["numpy", "random"], ["np", "random"])]
+    assert not offenders, offenders
 
 
 def _names_used(tree, skip=()):
