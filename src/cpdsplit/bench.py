@@ -4,12 +4,13 @@ Generates noisy low-rank tensors with a sparse first factor, runs the two
 solvers over a sweep of inner-iteration counts on bit-identical data, then
 writes one trace CSV and one factor file per arm plus a summary JSON.
 
-Reproducibility: all randomness comes from numpy's default generator
-(PCG64) seeded per spec.  The truth factors consume uniform doubles in
-mode order 1, 2, 3; the zero positions in the sparse factor are then drawn
-without replacement; the noise consumes uniform pairs (u1, u2) mapped
-through z = sqrt(-2*log(1-u1)) * (cos, sin)(2*pi*u2), interleaved cos/sin
-and truncated to the entry count.
+Reproducibility: all synthetic data is drawn by :func:`generate_synthetic`
+from numpy's default generator (PCG64) seeded per spec.  The truth factors
+consume uniform doubles in mode order 1, 2, 3; the zero positions in the
+sparse factor are then drawn without replacement; the noise consumes uniform
+pairs (u1, u2) mapped through z = sqrt(-2*log(1-u1)) * (cos, sin)(2*pi*u2),
+interleaved cos/sin and truncated to the entry count.  An observed mask
+comes from a second generator seeded with seed + 2, so Y does not depend on it.
 """
 
 import csv
@@ -27,6 +28,7 @@ from .driver import DriverConfig, ModeSpec, TraceRecord, factorize
 from .metrics import factor_match_score
 from .operators import LinOp, ProxFn, Projection, as_amount, as_count, overlapping_group_lasso
 from .tensor import FactorSet, cp_reconstruct
+from .tensorio import write_factors
 
 # the solvers by their arm names, in the default sweep's order
 SOLVERS = {"aopds": factorize, "aoadmm": ao_admm_factorize}
@@ -77,18 +79,21 @@ def gaussian_from_uniform(rng, count):
     return z[:count]
 
 
-def generate_synthetic(spec):
+def generate_synthetic(spec, observed=None):
     """Noisy CP tensor with a sparsified factor.
 
     Truth factors are uniform on (0,1); exactly round(sparsity * N_d * R)
     entries of the sparse mode's factor are zeroed at positions drawn
     without replacement; the output is the reconstruction plus
-    noise_sigma * standard Gaussian noise; the mask is all-true.
+    noise_sigma * standard Gaussian noise, unmasked; the mask is all-true,
+    or observes each entry with probability ``observed`` in (0, 1].
 
     Returns
     -------
     (Y, truth, mask)
     """
+    if observed is not None and not 0 < as_amount("observed", observed) <= 1:
+        raise ValueError("observed must be in (0, 1], got %r" % (observed,))
     rng = np.random.default_rng(spec.seed)
     factors = [rng.random((n, spec.rank)) for n in spec.dims]
     sparse = factors[spec.sparse_mode - 1]
@@ -101,8 +106,9 @@ def generate_synthetic(spec):
     if spec.noise_sigma > 0:
         noise = gaussian_from_uniform(rng, Y.size).reshape(Y.shape)
         Y = Y + spec.noise_sigma * noise
-    mask = np.ones(spec.dims, dtype=np.bool_)
-    return Y, truth, mask
+    if observed is None:
+        return Y, truth, np.ones(spec.dims, dtype=np.bool_)
+    return Y, truth, np.random.default_rng(spec.seed + 2).random(spec.dims) < observed
 
 
 # -- mode specs from config dicts -----------------------------------------
@@ -167,7 +173,7 @@ def benchmark_mode_dicts():
 def init_seed(data_seed):
     """The driver seed of data seed ``data_seed``: the start draws the PCG64
     stream of the truth's ``default_rng``, so a shared seed starts modes 2-3 at it."""
-    return int(data_seed) + 1
+    return as_count("seed", data_seed, 0) + 1
 
 
 def _named(label, build, *args, **kwargs):
@@ -338,7 +344,7 @@ def run_experiment(cfg, data=None):
     shape ``cfg.synthetic.dims``, for which the modes were validated (mask and
     truth may be None), in which case the summary's ``config.synthetic`` is
     null.  Writes ``<out_dir>/<algo>_n<k>.csv`` and the final factors
-    ``<out_dir>/<algo>_n<k>.npz`` (``f1``, ``f2``, ``f3``) per arm, and
+    ``<out_dir>/<algo>_n<k>.npz`` (a factor archive) per arm, and
     ``<out_dir>/summary.json``, all once every arm is fitted, and returns the
     summary dict.  What needs no fit is refused before the first: ADMM's
     :func:`check_supported` when listed, and an out_dir that is or lies
@@ -367,8 +373,7 @@ def run_experiment(cfg, data=None):
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, result, _ in fits:
         write_trace_csv(out_dir / (name + ".csv"), result.trace)
-        f1, f2, f3 = result.factors.factors
-        np.savez(out_dir / (name + ".npz"), f1=f1, f2=f2, f3=f3)
+        write_factors(out_dir / (name + ".npz"), result.factors)
     config = cfg.to_dict()
     if data is not None:
         config["synthetic"] = None

@@ -4,8 +4,6 @@ import argparse
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .bench import (
     ALGORITHMS,
     CONFIG_KEYS,
@@ -16,8 +14,7 @@ from .bench import (
     run_experiment,
 )
 from .driver import STOP_METRICS
-from .tensor import FactorSet
-from .tensorio import read_mask, read_tensor, write_mask, write_tensor
+from .tensorio import read_factors, read_mask, read_tensor, write_factors, write_mask, write_tensor
 
 
 def _load_config(path):
@@ -67,32 +64,15 @@ def _experiment_config(args, data=None, **defaults):
 
 
 def _cmd_generate(args):
-    spec = _experiment_config(args).synthetic
-    if args.observed is not None and not 0.0 < args.observed <= 1.0:
-        raise SystemExit("error: --observed must be in (0, 1]")
+    # a refused --observed leaves no directory behind
+    Y, truth, mask = generate_synthetic(_experiment_config(args).synthetic, args.observed)
     out = Path(args.data_dir)
     out.mkdir(parents=True, exist_ok=True)
-    Y, truth, mask = generate_synthetic(spec)
-    if args.observed is not None:
-        # separate stream so the tensor matches the fully observed run
-        rng = np.random.default_rng(spec.seed + 2)
-        mask = rng.random(mask.shape) < args.observed
     write_tensor(out / "tensor.tns3", Y)
     write_mask(out / "mask.msk3", mask)
-    np.savez(out / "truth.npz", f1=truth.factors[0], f2=truth.factors[1], f3=truth.factors[2])
+    write_factors(out / "truth.npz", truth)
     print("wrote %s, %s, %s" % (out / "tensor.tns3", out / "mask.msk3", out / "truth.npz"))
     return 0
-
-
-def _load_truth(path):
-    data = np.load(path)
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise ValueError("%s is not an .npz archive of f1, f2, f3" % path)
-    with data:
-        missing = [k for k in ("f1", "f2", "f3") if k not in data]
-        if missing:
-            raise ValueError("%s lacks the arrays %s" % (path, ", ".join(missing)))
-        return FactorSet((data["f1"], data["f2"], data["f3"]))
 
 
 def _cmd_run(args):
@@ -111,7 +91,7 @@ def _cmd_run(args):
         data = (
             read_tensor(tensor),
             read_mask(args.mask) if args.mask else None,
-            _load_truth(args.truth) if args.truth else None,
+            read_factors(args.truth) if args.truth else None,
         )
     cfg = _experiment_config(args, data, **args.defaults)
     summary = run_experiment(cfg, data)

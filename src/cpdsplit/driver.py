@@ -136,7 +136,7 @@ def objective(Y, mask, fset, specs):
 def init_factors(dims, rank, seed):
     """Uniform(0,1) factor matrices split in mode order from one PCG64
     stream (:func:`_uniform_stream`), all feasible for nonnegativity."""
-    rows = _uniform_stream(seed, sum(dims) * rank).reshape(-1, rank)
+    rows = _uniform_stream(as_count("seed", seed, 0), sum(dims) * rank).reshape(-1, rank)
     return FactorSet(tuple(np.split(rows, np.cumsum(dims)[:-1])))
 
 

@@ -1,13 +1,14 @@
-"""Binary file formats for third-order tensors and sampling masks.
+"""File formats for third-order tensors, sampling masks and CP factors.
 
-Both formats are self-describing and little-endian:
+The tensor and mask formats are self-describing and little-endian:
 
 * tensor: magic ``TNS3``, one version byte (1), three uint64 dims,
   then N1*N2*N3 IEEE-754 doubles in C order (last index fastest);
 * mask:   magic ``MSK3``, one version byte (1), three uint64 dims,
   then one byte per entry (0 or 1) in the same order.
 
-Round trips are bit-exact.
+A factor archive is numpy's ``.npz`` with the arrays ``f1``, ``f2``, ``f3``,
+the N_d x R factor of each mode.  Round trips are bit-exact.
 """
 
 import os
@@ -15,9 +16,12 @@ import struct
 
 import numpy as np
 
+from .tensor import FactorSet
+
 _TENSOR_MAGIC = b"TNS3"
 _MASK_MAGIC = b"MSK3"
 _VERSION = 1
+_FACTOR_KEYS = ("f1", "f2", "f3")
 _HEADER = struct.Struct("<4sB3Q")
 
 
@@ -97,3 +101,20 @@ def read_mask(path):
     if (m > 1).any():
         raise ValueError("%s: mask byte out of {0, 1}" % path)
     return m.view(np.bool_)
+
+
+def write_factors(path, factors):
+    """Write a FactorSet, or three factor matrices, as a factor archive."""
+    np.savez(path, **dict(zip(_FACTOR_KEYS, FactorSet(factors).factors)))
+
+
+def read_factors(path):
+    """The FactorSet of a factor archive; a non-archive or a missing array is refused."""
+    data = np.load(path)
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError("%s is not an .npz archive of %s" % (path, ", ".join(_FACTOR_KEYS)))
+    with data:
+        missing = [k for k in _FACTOR_KEYS if k not in data]
+        if missing:
+            raise ValueError("%s lacks the arrays %s" % (path, ", ".join(missing)))
+        return FactorSet(tuple(data[k] for k in _FACTOR_KEYS))

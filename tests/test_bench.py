@@ -22,10 +22,12 @@ from cpdsplit.bench import (
     run_experiment,
     write_trace_csv,
 )
+from cpdsplit.cli import main
 from cpdsplit.driver import DriverConfig, ModeSpec, TraceRecord, init_factors
 from cpdsplit.operators import LinOp, ProxFn, Projection
 from cpdsplit.metrics import factor_match_score
 from cpdsplit.tensor import FactorSet, cp_reconstruct
+from cpdsplit.tensorio import read_mask
 
 import oracles
 
@@ -96,6 +98,23 @@ def test_synthetic_data_is_deterministic():
         assert _digest(a) == _digest(b)
     Y3, _, _ = generate_synthetic(SyntheticSpec(dims=(12, 10, 8), rank=3, seed=43))
     assert _digest(Y3) != _digest(Y1)
+
+
+def test_an_observed_fraction_draws_only_the_mask(tmp_path):
+    # the mask has its own stream at seed + 2: Y and the truth are those of
+    # the fully observed draw, and the CLI writes this very mask
+    spec = SyntheticSpec(dims=(10, 9, 8), rank=2, seed=3)
+    Y, truth, full = generate_synthetic(spec)
+    Y_obs, truth_obs, mask = generate_synthetic(spec, observed=0.7)
+    assert full.all() and _digest(Y_obs) == _digest(Y)
+    assert [_digest(f) for f in truth_obs.factors] == [_digest(f) for f in truth.factors]
+    assert np.array_equal(mask, np.random.default_rng(5).random((10, 9, 8)) < 0.7)
+    main(["generate", "--dims", "10,9,8", "--rank", "2", "--seed", "3", "--observed", "0.7",
+          "--out-dir", str(tmp_path)])
+    assert np.array_equal(read_mask(tmp_path / "mask.msk3"), mask)
+    for bad in (0, 1.5, float("nan"), True):
+        with pytest.raises(ValueError, match="^observed must be "):
+            generate_synthetic(spec, observed=bad)
 
 
 def test_gaussian_transform_statistics_and_shape():
@@ -310,6 +329,11 @@ def test_default_driver_seed_never_starts_at_the_truth():
     )
     explicit = ExperimentConfig.from_dict({"synthetic": syn, "driver": {"seed": 9}})
     assert explicit.driver.seed == 9
+    # init_seed takes a data seed as SyntheticSpec does, not truncated
+    assert init_seed(np.int64(3)) == 4
+    for bad in (2.7, -1, True):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
+            init_seed(bad)
 
 
 def _mild_mode_dicts():

@@ -71,8 +71,9 @@ def test_generate_observed_fraction_masks_entries(tmp_path):
               "--tensor", str(out / "tensor.tns3"),
               "--mask", str(out / "mask.msk3"),
               "--rank", "2", "--out-dir", str(tmp_path / "fit2")])
-    for frac in ("0", "1.5"):
-        with pytest.raises(SystemExit, match=r"^error: --observed must be in \(0, 1\]$"):
+    for frac, got in (("0", r"0\.0"), ("1.5", r"1\.5")):
+        want = r"^error: observed must be in \(0, 1\], got %s$" % got
+        with pytest.raises(SystemExit, match=want):
             main(["generate", "--dims", "6,5,4", "--observed", frac,
                   "--out-dir", str(tmp_path / "x")])
     assert not (tmp_path / "x").exists()

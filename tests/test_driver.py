@@ -373,6 +373,18 @@ def test_init_factors_seeded_uniform():
     assert abs(flat.mean() - 0.5) < 0.01
 
 
+def test_init_factors_takes_any_integer_seed_and_refuses_the_rest():
+    # the seed door DriverConfig applies: numpy integers are the int they
+    # hold, and a negative, float or bool seed is refused, not truncated
+    want = init_factors((3, 4, 5), 2, 7).factors
+    for seed in (np.int64(7), np.uint32(7)):
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(init_factors((3, 4, 5), 2, seed).factors, want))
+    for seed in (-1, 2.0, True):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+            init_factors((3, 4, 5), 2, seed)
+
+
 @pytest.mark.parametrize("seed", list(range(64)) + [2**32 - 1, 2**32, 2**64 + 3, 2**130 + 11])
 def test_uniform_stream_is_numpys_pcg64_stream(seed):
     # numpy.random stays the oracle: the package draws the same doubles

@@ -215,8 +215,8 @@ def _module_level(tree):
 
 
 def test_no_module_loads_numpy_random_at_import():
-    # bench and the CLI draw synthetic data through np.random inside their
-    # functions; a module-level import or lookup would load it for every fit
+    # bench draws synthetic data through np.random inside a function; a
+    # module-level import or lookup would load it for every fit
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         for node in _module_level(ast.parse(path.read_text(), filename=str(path))):
@@ -229,6 +229,35 @@ def test_no_module_loads_numpy_random_at_import():
                 names = [node.value.id + "." + node.attr]
             offenders += ["%s:%d %s" % (path.name, node.lineno, n) for n in names
                           if n.split(".")[:2] in (["numpy", "random"], ["np", "random"])]
+    assert not offenders, offenders
+
+
+def test_each_artifact_has_one_home():
+    # the factor archive is saved and loaded by tensorio alone, the synthetic
+    # streams (the observed mask's too) are drawn by bench.generate_synthetic
+    # alone, and the CLI parses arguments and calls the package: it imports
+    # neither numpy nor FactorSet
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        within = {id(node): fn.name for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
+            if path.name == "cli.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                offenders += ["%s imports %s" % (where, n) for n in names
+                              if n.split(".")[0] == "numpy" or n == "FactorSet"]
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            call = node.func.attr
+            if (call in ("save", "savez", "savez_compressed", "load")
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                    and path.name != "tensorio.py"):
+                offenders.append("%s calls np.%s" % (where, call))
+            if call == "default_rng" and (path.name, within.get(id(node))) != (
+                    "bench.py", "generate_synthetic"):
+                offenders.append("%s calls default_rng" % where)
     assert not offenders, offenders
 
 

@@ -1,11 +1,20 @@
 import os
+import re
 import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cpdsplit.tensorio import read_mask, read_tensor, write_mask, write_tensor
+from cpdsplit.tensor import FactorSet
+from cpdsplit.tensorio import (
+    read_factors,
+    read_mask,
+    read_tensor,
+    write_factors,
+    write_mask,
+    write_tensor,
+)
 
 
 def test_tensor_round_trip_is_bit_exact(tmp_path):
@@ -129,3 +138,28 @@ def test_formats_are_not_interchangeable(tmp_path):
         read_mask(tpath)
     with pytest.raises(ValueError, match="magic"):
         read_tensor(mpath)
+
+
+def test_factor_archive_round_trip_is_bit_exact(tmp_path):
+    path = tmp_path / "truth.npz"
+    factors = FactorSet(tuple(np.random.default_rng(0).standard_normal((n, 3))
+                              for n in (5, 4, 6)))
+    factors.factors[0][:2, 0] = (-0.0, 5e-324)
+    write_factors(path, factors)
+    with np.load(path) as data:
+        assert data.files == ["f1", "f2", "f3"]
+    back = read_factors(path)
+    assert isinstance(back, FactorSet)
+    for got, want in zip(back.factors, factors.factors):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_factor_archive_reader_refuses_what_is_not_one(tmp_path):
+    f1, f2 = np.ones((4, 2)), np.ones((3, 2))
+    np.savez(tmp_path / "bad.npz", f1=f1, f2=f2)
+    np.save(tmp_path / "t.npy", f1)  # one array, not an archive
+    for name, why in (("bad.npz", " lacks the arrays f3"),
+                      ("t.npy", " is not an .npz archive of f1, f2, f3")):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(str(tmp_path / name) + why)):
+            read_factors(tmp_path / name)
