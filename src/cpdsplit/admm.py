@@ -1,14 +1,14 @@
 """The ADMM inner solver, the comparison baseline.
 
 It plugs into the driver's outer loop (:func:`cpdsplit.driver.alternate`)
-with the primal-dual solver's call and state, :class:`SubproblemState`:
-F is the scaled form's feasible variable and G its scaled dual.  Each
-visit takes the MTTKRP B = W^T Y_d and the bound trace(W^T W) from the
-outer loop, as the primal-dual solver does, and solves the mode's
-subproblem with a Cholesky factorization L L^T = W^T W + rho I computed
-once and reused by every inner iteration; the least-squares iterate lives
-only within the visit.  The factor is applied through its inverse, so each
-visit pays the matrix inversion that the primal-dual solver does without.
+with the primal-dual solver's call on a mode's pair (F, G): F is the scaled
+form's feasible variable and G its scaled dual.  Each visit takes the
+MTTKRP B = W^T Y_d and the bound trace(W^T W) from the outer loop, as the
+primal-dual solver does, and solves the mode's subproblem with a Cholesky
+factorization L L^T = W^T W + rho I computed once and reused by every
+inner iteration; the least-squares iterate lives only within the visit.
+The factor is applied through its inverse, so each visit pays the matrix
+inversion that the primal-dual solver does without.
 The feasible variable absorbs both the regularizer and the hard constraint,
 which restricts this solver to separable regularizers composed with the
 identity: structured operators and masked data are rejected, that is the
@@ -19,7 +19,6 @@ import numpy as np
 
 from .driver import alternate, as_mask
 from .operators import project, prox_apply
-from .pds import SubproblemState
 from .tensor import khatri_rao  # noqa: F401  (perfbench/worker.py traces admm.khatri_rao)
 
 _SUPPORTED_PROX = ("zero", "l1", "squared_frobenius")
@@ -62,19 +61,15 @@ def _composite_prox(spec, x, rho):
     return project(spec.projection, prox_apply(spec.regularizer, x, 1.0 / rho))
 
 
-def initial_state(F, spec):
-    """A fit's start from the R x N factor F: a zero scaled dual."""
-    return SubproblemState(F=F, G=np.zeros_like(F))
-
-
 def solve_subproblem_admm(state, spec, W, B, grams, bound, n_inner):
     """Advance one mode's ADMM state by n_inner iterations with the penalty
     rho = bound / R.
 
     Parameters
     ----------
-    state : SubproblemState
-        Feasible variable F and scaled dual G, both R x N.
+    state : (F, G)
+        Feasible variable F and scaled dual G, both R x N; G is None at the
+        mode's first visit: the zero dual.
     spec : ModeSpec
         Admitted by :func:`check_supported`, which :func:`ao_admm_factorize`
         calls before its loop.
@@ -92,19 +87,21 @@ def solve_subproblem_admm(state, spec, W, B, grams, bound, n_inner):
 
     Returns
     -------
-    SubproblemState
+    (F, G)
         F is the feasible factor estimate.
     """
     rank = W.shape[1]
     rho = bound / rank
     gram = W.T @ W
     factor = cho_factor(gram + rho * np.eye(rank))
-    F, G = state.F, state.G
+    F, G = state
+    if G is None:
+        G = np.zeros_like(F)
     for _ in range(n_inner):
         X = cho_solve(factor, B + rho * (F - G))
         F = _composite_prox(spec, X + G, rho)
         G = G + X - F
-    return SubproblemState(F, G)
+    return F, G
 
 
 def ao_admm_factorize(Y, mask, specs, cfg, truth=None):
@@ -125,6 +122,6 @@ def ao_admm_factorize(Y, mask, specs, cfg, truth=None):
         visit.
     """
     check_supported(specs, mask, np.shape(Y))
-    result = alternate(Y, mask, specs, cfg, truth, initial_state, solve_subproblem_admm)
+    result = alternate(Y, mask, specs, cfg, truth, solve_subproblem_admm)
     result.counters["cholesky_factorizations"] = 3 * result.outer_iterations
     return result

@@ -2,21 +2,20 @@
 front end.
 
 :func:`alternate` is the one outer loop; an inner solver plugs into it with
-its ``initial_state`` and its ``solve`` (:mod:`cpdsplit.pds`, or the ADMM
-baseline in :mod:`cpdsplit.admm`), which turns each visit's bound into its
-own steps or penalty.  Both solvers carry one state per mode,
-:class:`cpdsplit.pds.SubproblemState`, whose F is the factor the fit
-exposes.  Each outer iteration visits modes 1..3 in order.  A visit
-rebuilds the Khatri-Rao product W of the other two factors (ascending mode
-order) and the Lipschitz bound of its least-squares gradient: trace(W^T W)
-on dense data; with a mask the per-column Grams G_n = W^T diag(m_n) W and
-their largest absolute row sum max_n ||G_n||_inf >= max_n ||G_n||_2.  One
-dimension tree (Phan, Tichavsky & Cichocki, IEEE TSP 2013), :func:`_tree`,
-gives the MTTKRP B_d = W^T Y_(d) with no matricized copy of Y, and the
-Grams, whose upper triangles are the mask's MTTKRP against the pair factors
+one ``solve`` on a mode's (factor, dual) pair (:mod:`cpdsplit.pds`, or the
+ADMM baseline in :mod:`cpdsplit.admm`), which turns each visit's bound into
+its own steps or penalty.  Each outer iteration visits modes 1..3 in
+order.  A visit rebuilds the Khatri-Rao product W of the other two factors
+(ascending mode order) and the Lipschitz bound of its least-squares
+gradient: trace(W^T W) on dense data; with a mask the per-column Grams
+G_n = W^T diag(m_n) W and their largest absolute row sum
+max_n ||G_n||_inf >= max_n ||G_n||_2.  One dimension tree (Phan,
+Tichavsky & Cichocki, IEEE TSP 2013), :func:`_tree`, gives the MTTKRP
+B_d = W^T Y_(d) with no matricized copy of Y, and the Grams, whose upper
+triangles are the mask's MTTKRP against the pair factors
 P_d = F_d[:, iu] * F_d[:, ju] (the column-pair products of khatri_rao(F_i,
 F_j) are khatri_rao(P_i, P_j)).
-The visit hands B and the mode's warm-started state to the inner solver.
+The visit hands B and the mode's warm-started pair to the inner solver.
 One trace row (wall-clock seconds, objective, factor MSE when the ground
 truth is known) is recorded per outer iteration.
 """
@@ -29,7 +28,7 @@ import numpy as np
 from . import pds
 from .metrics import mse
 from .operators import LinOp, ProxFn, Projection, as_amount, as_count, linop_forward, prox_value
-from .tensor import FactorSet, cp_reconstruct, khatri_rao
+from .tensor import FactorSet, as_real, cp_reconstruct, khatri_rao
 
 STOP_METRICS = ("mse_vs_truth", "objective_rel_change")
 _REL_EPS = 1e-12
@@ -113,7 +112,8 @@ def objective(Y, mask, fset, specs):
     entries of Y, which must be finite everywhere: NaN times 0 is NaN.
     Like :func:`factorize` it refuses, by mode, a spec list that is not
     three long or an operator whose width is not its mode's size, and a
-    mask that :func:`as_mask` refuses."""
+    mask that :func:`as_mask` refuses, and a Y or factor that is not real."""
+    Y = as_real("Y", Y)
     fset = FactorSet(fset)
     recon = cp_reconstruct(fset)
     if recon.shape != np.shape(Y):
@@ -210,9 +210,7 @@ def _check_specs(specs, shape):
 
 
 def _prepare(Y, mask, specs, cfg, truth):
-    Y = np.asarray(Y)
-    if Y.dtype.kind not in "biuf":
-        raise ValueError("Y must hold real numbers, got dtype %s" % Y.dtype)
+    Y = as_real("Y", Y)
     if Y.ndim != 3:
         raise ValueError("Y must be a third-order tensor, got ndim=%d" % Y.ndim)
     if 0 in Y.shape:
@@ -294,26 +292,25 @@ def _tree(X, A, d, kept):
     return np.matmul(A[1][:, None, :], U)[:, 0, :]
 
 
-def alternate(Y, mask, specs, cfg, truth, start, solve):
+def alternate(Y, mask, specs, cfg, truth, solve):
     """The outer loop shared by every inner solver.
 
     Parameters
     ----------
     Y, mask, specs, cfg, truth : as in :func:`factorize`.
-    start : callable (F0, spec) -> pds.SubproblemState
-        The solver's ``initial_state`` from the seeded R x N_d factor.
-    solve : callable (state, spec, W, B, grams, bound, n_inner) -> pds.SubproblemState
+    solve : callable (state, spec, W, B, grams, bound, n_inner) -> (F, G)
         The solver's one call per mode visit, all seven arguments
-        positional: advance the warm-started state by n_inner =
-        cfg.n_inner iterations against the Khatri-Rao product W of the
-        other factors, the R x N_d MTTKRP B = W^T Y_(d) and the exactly
-        symmetric (N_d, R, R) stack of Grams G_n = W^T diag(m_n) W (None on
-        dense data), both from :func:`_tree`, and the positive, finite
-        Lipschitz bound, trace(W^T W) or max_n ||G_n||_inf, from which the
-        solver derives its steps or penalty.
-        The state's F is the feasible R x N_d factor the fit exposes, G
-        its dual; the loop raises FloatingPointError, naming the mode and
-        the outer iteration, when a visit leaves either non-finite.
+        positional: advance the mode's warm-started pair state = (F, G) by
+        n_inner = cfg.n_inner iterations against the Khatri-Rao product W
+        of the other factors, the R x N_d MTTKRP B = W^T Y_(d) and the
+        exactly symmetric (N_d, R, R) stack of Grams G_n = W^T diag(m_n) W
+        (None on dense data), both from :func:`_tree`, and the positive,
+        finite Lipschitz bound, trace(W^T W) or max_n ||G_n||_inf, from
+        which the solver derives its steps or penalty.
+        F is the feasible R x N_d factor the fit exposes, G its dual: None
+        at the mode's first visit, where the solver starts from its zero
+        dual.  The loop raises FloatingPointError, naming the mode and the
+        outer iteration, when a visit leaves either non-finite.
 
     Returns
     -------
@@ -323,13 +320,11 @@ def alternate(Y, mask, specs, cfg, truth, start, solve):
     if mask is not None:  # one C-ordered float copy of the mask, for the Gram GEMMs
         M = np.ascontiguousarray(mask, dtype=Y.dtype)
         iu, ju = np.triu_indices(cfg.rank)
-    init = init_factors(Y.shape, cfg.rank, cfg.seed)
-    states = [
-        start(np.ascontiguousarray(f.T), spec) for f, spec in zip(init.factors, specs)
-    ]
+    F = [np.ascontiguousarray(f.T) for f in init_factors(Y.shape, cfg.rank, cfg.seed).factors]
+    G = [None] * 3
 
     def factors():
-        return FactorSet(tuple(np.ascontiguousarray(s.F.T) for s in states))
+        return FactorSet(tuple(np.ascontiguousarray(f.T) for f in F))
 
     started = time.perf_counter()
     trace = []
@@ -337,7 +332,6 @@ def alternate(Y, mask, specs, cfg, truth, start, solve):
     kept_y, kept_m = [], []
     for k in range(1, cfg.max_outer + 1):
         for d in range(3):
-            F = [s.F for s in states]
             W = khatri_rao(*(F[a].T for a in range(3) if a != d))
             B = _tree(Y, F, d, kept_y)
             if mask is None:
@@ -350,8 +344,8 @@ def alternate(Y, mask, specs, cfg, truth, start, solve):
                 # ||A||_inf >= ||A||_2; dense keeps the trace, where the row sum stops 36% later
                 bound = np.abs(grams).sum(axis=2).max()
             bound = _positive_bound(bound, d)
-            states[d] = solve(states[d], specs[d], W, B, grams, bound, cfg.n_inner)
-            if not all(np.isfinite(a).all() for a in (states[d].F, states[d].G) if a is not None):
+            F[d], G[d] = solve((F[d], G[d]), specs[d], W, B, grams, bound, cfg.n_inner)
+            if not all(np.isfinite(a).all() for a in (F[d], G[d]) if a is not None):
                 raise FloatingPointError("mode %d iterate became non-finite at iteration %d"
                                          % (d + 1, k))
         trace.append(_trace_entry(k, started, Y, mask, factors(), specs, truth))
@@ -360,7 +354,7 @@ def alternate(Y, mask, specs, cfg, truth, start, solve):
             break
     return FitResult(
         factors=factors(),
-        duals=[s.G for s in states],
+        duals=G,
         trace=trace,
         outer_iterations=len(trace),
         stop_reason=stop_reason,
@@ -393,4 +387,4 @@ def factorize(Y, mask, specs, cfg, truth=None):
         per-outer-iteration trace, and the stop reason ('converged' or
         'iteration_cap').
     """
-    return alternate(Y, mask, specs, cfg, truth, pds.initial_state, pds.solve_subproblem)
+    return alternate(Y, mask, specs, cfg, truth, pds.solve_subproblem)

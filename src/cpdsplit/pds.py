@@ -16,29 +16,9 @@ keep the primal-dual product inside the convergence region.  The dual branch
 runs when the mode has an operator, that is, a nonzero regularizer.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .operators import linop_adjoint, linop_forward, project, prox_conjugate
-
-
-@dataclass
-class SubproblemState:
-    """Warm-startable inner-solver state of both solvers: the feasible
-    primal F (R x N_d, the transposed factor) and its dual G.  Here G
-    matches the operator's output shape, or is None when the mode has no
-    regularizer; the ADMM baseline keeps its R x N_d scaled dual in G."""
-
-    F: np.ndarray
-    G: np.ndarray = None
-
-
-def initial_state(F, spec):
-    """A fit's start from the R x N factor F: a zero dual shaped as L(F), if any."""
-    if spec.operator is None:
-        return SubproblemState(F=F)
-    return SubproblemState(F=F, G=np.zeros((F.shape[0], spec.operator.out_cols)))
 
 
 def compute_stepsizes(bound, op_norm):
@@ -90,9 +70,10 @@ def solve_subproblem(state, spec, W, B, grams, bound, n_inner):
 
     Parameters
     ----------
-    state : SubproblemState
-        Current (F, G); G is ignored and stays None when the mode has no
-        regularizer.
+    state : (F, G)
+        The R x N primal F and the dual G shaped as L(F), None at the mode's
+        first visit: the zero dual.  G is ignored and stays as given when
+        the mode has no regularizer.
     spec : ModeSpec
         Projection, regularizer, and operator for this mode.
     W : ndarray, shape (P, R)
@@ -110,12 +91,13 @@ def solve_subproblem(state, spec, W, B, grams, bound, n_inner):
 
     Returns
     -------
-    SubproblemState
-        Updated state; F satisfies the hard constraint exactly.
+    (F, G)
+        The updated pair; F satisfies the hard constraint exactly.
     """
-    F = state.F
-    G = state.G
+    F, G = state
     has_dual = spec.operator is not None
+    if has_dual and G is None:
+        G = np.zeros((F.shape[0], spec.operator.out_cols))
     gamma1, gamma2 = compute_stepsizes(bound, spec.operator.norm_bound if has_dual else 0.0)
     gram = _gram_product(W, grams)
     for _ in range(n_inner):
@@ -130,4 +112,4 @@ def solve_subproblem(state, spec, W, B, grams, bound, n_inner):
                 gamma2,
             )
         F = F_new
-    return SubproblemState(F=F, G=G)
+    return F, G

@@ -36,6 +36,14 @@ def khatri_rao(x, y):
     return (x[:, None, :] * y[None, :, :]).reshape(m * n, k)
 
 
+def as_real(name, a):
+    """``a`` as an array, refused unless its dtype is boolean, integer or floating."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf":
+        raise ValueError("%s must hold real numbers, got dtype %s" % (name, a.dtype))
+    return a
+
+
 @dataclass(eq=False)
 class FactorSet:
     """Factor matrices (F_1, F_2, F_3) of a rank-R CP model, each N_d x R.
@@ -46,7 +54,7 @@ class FactorSet:
 
     def __post_init__(self):
         given = self.factors.factors if isinstance(self.factors, FactorSet) else self.factors
-        factors = tuple(np.asarray(f) for f in given)
+        factors = tuple(as_real("factor %d" % d, f) for d, f in enumerate(given, 1))
         if len(factors) != 3:
             raise ValueError("FactorSet needs exactly 3 factor matrices")
         ranks = {f.shape[1] if f.ndim == 2 else -1 for f in factors}

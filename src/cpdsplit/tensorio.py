@@ -117,4 +117,7 @@ def read_factors(path):
         missing = [k for k in _FACTOR_KEYS if k not in data]
         if missing:
             raise ValueError("%s lacks the arrays %s" % (path, ", ".join(missing)))
-        return FactorSet(tuple(data[k] for k in _FACTOR_KEYS))
+        try:
+            return FactorSet(tuple(data[k] for k in _FACTOR_KEYS))
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (path, exc)) from None

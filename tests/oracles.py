@@ -15,7 +15,6 @@ from collections import namedtuple
 import numpy as np
 
 from cpdsplit.driver import DriverConfig
-from cpdsplit.pds import SubproblemState
 from cpdsplit.tensor import FactorSet, cp_reconstruct
 
 
@@ -234,15 +233,16 @@ def record_visits(monkeypatch, module, name):
     return the list it fills with one :data:`Visit` per call, in visit
     order.  Every array is copied as the call starts or returns, so a later
     write into a state the fit keeps does not change the record.  A call
-    must pass its arguments positionally and return a SubproblemState."""
+    must pass its arguments positionally, the mode's pair (F, G) first, and
+    return the updated pair."""
     visits = []
     solve = getattr(module, name)
 
     def recorded(state, spec, *args):
-        before = (_kept(state.F), _kept(state.G), tuple(_kept(a) for a in args))
+        before = (*map(_kept, state), tuple(_kept(a) for a in args))
         out = solve(state, spec, *args)
-        assert type(out) is SubproblemState, "a visit returned a %s" % type(out).__name__
-        visits.append(Visit(*before, _kept(out.F), _kept(out.G)))
+        assert type(out) is tuple and len(out) == 2, "a visit returned %r" % (out,)
+        visits.append(Visit(*before, *map(_kept, out)))
         return out
 
     monkeypatch.setattr(module, name, recorded)

@@ -33,7 +33,7 @@ from cpdsplit.operators import (
     prox_conjugate,
     row_difference_op,
 )
-from cpdsplit.pds import SubproblemState, compute_stepsizes, initial_state, solve_subproblem
+from cpdsplit.pds import compute_stepsizes, solve_subproblem
 from cpdsplit.tensor import FactorSet, cp_reconstruct, khatri_rao
 
 import oracles
@@ -147,12 +147,12 @@ def test_criterion_3_subproblem_oracle_equivalence():
                     )
                 else:
                     spec = ModeSpec(projection=Projection(proj_kind))
-                state = initial_state(np.zeros((3, 8)), spec)
-                out = solve_subproblem(state, spec, *oracles.solver_inputs(W, Yd), 5000)
+                state = (np.zeros((3, 8)), None)
+                F, _ = solve_subproblem(state, spec, *oracles.solver_inputs(W, Yd), 5000)
                 ref = oracles.proximal_gradient(
                     W, Yd, l1_weight=lam, nonneg=(proj_kind == "nonnegative")
                 )
-                got = oracles.composite_objective(W, Yd, out.F, l1_weight=lam)
+                got = oracles.composite_objective(W, Yd, F, l1_weight=lam)
                 want = oracles.composite_objective(W, Yd, ref, l1_weight=lam)
                 rel = abs(got - want) / max(1.0, abs(want))
                 worst = max(worst, rel)
@@ -363,7 +363,7 @@ def test_criterion_6_gradient_finite_differences():
             fun = lambda X: 0.5 * float(np.sum((Yd - W @ X) ** 2))
         # the gradient a fit applies, read off one plain unconstrained step
         inputs = oracles.solver_inputs(W, Yd, mask)
-        F1 = solve_subproblem(SubproblemState(F), ModeSpec(), *inputs, 1).F
+        F1, _ = solve_subproblem((F, None), ModeSpec(), *inputs, 1)
         g = (F - F1) / compute_stepsizes(oracles.lipschitz_bound(W, mask), 0.0)[0]
         direction = rng.standard_normal((3, 5))
         fd = oracles.fd_directional(fun, F, direction)

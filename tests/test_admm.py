@@ -18,7 +18,7 @@ from cpdsplit.operators import (
     identity_op,
     row_difference_op,
 )
-from cpdsplit.pds import SubproblemState, solve_subproblem
+from cpdsplit.pds import solve_subproblem
 
 import oracles
 
@@ -96,11 +96,11 @@ def test_admm_reaches_least_squares_solution():
     Yd = rng.standard_normal((12, 4))
     spec = ModeSpec()
     inputs = oracles.solver_inputs(W, Yd)
-    state = admm_mod.initial_state(np.zeros((3, 4)), spec)
+    state = (np.zeros((3, 4)), None)
     for _ in range(200):
         state = solve_subproblem_admm(state, spec, *inputs, 5)
     want = np.linalg.solve(W.T @ W, W.T @ Yd)
-    assert np.allclose(state.F, want, atol=1e-6)
+    assert np.allclose(state[0], want, atol=1e-6)
 
 
 def test_admm_agrees_with_prox_gradient_and_pds():
@@ -111,19 +111,16 @@ def test_admm_agrees_with_prox_gradient_and_pds():
     spec = ModeSpec(projection=Projection("nonnegative"),
                     regularizer=ProxFn("l1", lam), operator=identity_op(4))
     inputs = oracles.solver_inputs(W, Yd)
-    state = SubproblemState(F=np.zeros((3, 4)), G=np.zeros((3, 4)))
+    state = (np.zeros((3, 4)), np.zeros((3, 4)))
     for _ in range(400):
         state = solve_subproblem_admm(state, spec, *inputs, 10)
     ref = oracles.proximal_gradient(W, Yd, l1_weight=lam, nonneg=True)
-    got = oracles.composite_objective(W, Yd, state.F, l1_weight=lam)
+    got = oracles.composite_objective(W, Yd, state[0], l1_weight=lam)
     want = oracles.composite_objective(W, Yd, ref, l1_weight=lam)
     assert abs(got - want) <= 1e-5 * max(1.0, abs(want))
 
-    pds_state = solve_subproblem(
-        SubproblemState(F=np.zeros((3, 4)), G=np.zeros((3, 4))),
-        spec, *inputs, 20000,
-    )
-    pds_obj = oracles.composite_objective(W, Yd, pds_state.F, l1_weight=lam)
+    pds_F, _ = solve_subproblem((np.zeros((3, 4)), np.zeros((3, 4))), spec, *inputs, 20000)
+    pds_obj = oracles.composite_objective(W, Yd, pds_F, l1_weight=lam)
     assert abs(pds_obj - got) <= 1e-5 * max(1.0, abs(got))
 
 
@@ -174,7 +171,7 @@ def test_a_visit_factors_once_and_solves_once_per_inner_iteration(monkeypatch):
     spy("cho_solve")
     rng = np.random.default_rng(0)
     W, Yd = rng.random((12, 3)), rng.random((12, 4))
-    state = SubproblemState(F=np.zeros((3, 4)), G=np.zeros((3, 4)))
+    state = (np.zeros((3, 4)), np.zeros((3, 4)))
     solve_subproblem_admm(state, _l1_specs()[0], *oracles.solver_inputs(W, Yd, bound=3.0), 7)
     assert calls == {"cho_factor": 1, "cho_solve": 7}
 

@@ -652,6 +652,22 @@ def test_truth_archive_missing_a_factor_is_refused(tmp_path):
         assert not (tmp_path / "out").exists()
 
 
+def test_truth_archive_of_factors_that_are_not_real_is_refused(tmp_path):
+    # one error line naming the file, not a ComplexWarning and a ufunc traceback
+    data = tmp_path / "data"
+    main(["generate", "--dims", "6,5,4", "--rank", "2", "--out-dir", str(data)])
+    with np.load(data / "truth.npz") as truth:
+        f1, f2, f3 = truth["f1"], truth["f2"], truth["f3"]
+    for bad in ((f1 + 1j * f1, f2 + 0j, f3 + 0j), (f1.astype(str), f2, f3)):
+        path = tmp_path / ("%s.npz" % bad[0].dtype.kind)
+        np.savez(path, f1=bad[0], f2=bad[1], f3=bad[2])
+        why = "%s: factor 1 must hold real numbers, got dtype %s" % (path, bad[0].dtype)
+        with pytest.raises(SystemExit, match="^%s$" % re.escape("error: " + why)):
+            main(["factorize", "--tensor", str(data / "tensor.tns3"),
+                  "--truth", str(path), "--out-dir", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
+
 def test_degenerate_small_problem_points_at_mode_weights(tmp_path):
     # the default mode weights are sized for the 100^3 stock problem
     data = tmp_path / "data"

@@ -153,6 +153,26 @@ def test_objective_refuses_factors_of_other_dims():
         objective(Y[:, :, :3], None, truth, _plain_specs())
 
 
+def test_objective_and_the_fits_refuse_what_is_not_real():
+    # factorize's dtype rule everywhere: a complex factor is not read as its
+    # real part, and a complex, string or object Y or truth is refused by
+    # its dtype, not by a ufunc error
+    Y, truth = oracles.cp_problem(25, (6, 5, 4), 2)
+    cfg = DriverConfig(rank=2)
+    for bad in (Y.astype(complex), Y.astype(str), Y.astype(object)):
+        with pytest.raises(ValueError, match="^Y must hold real numbers, got dtype %s$"
+                                             % re.escape(str(bad.dtype))):
+            objective(bad, None, truth, _plain_specs())
+    f1, f2, f3 = truth.factors
+    for bad in (f2 + 1j * f2, f2.astype(str), f2.astype(object)):
+        want = "^factor 2 must hold real numbers, got dtype %s$" % re.escape(str(bad.dtype))
+        with pytest.raises(ValueError, match=want):
+            objective(Y, None, (f1, bad, f3), _plain_specs())
+        for fit in (factorize, ao_admm_factorize):
+            with pytest.raises(ValueError, match=want):
+                fit(Y, None, _plain_specs(), cfg, truth=(f1, bad, f3))
+
+
 def test_objective_rejects_malformed_mask():
     Y, truth = oracles.cp_problem(21, (6, 5, 4), 2)
     with pytest.raises(ValueError, match="mask"):

@@ -119,15 +119,20 @@ def test_the_per_iteration_primitives_raise_nothing():
 
 
 def test_both_inner_solvers_plug_into_the_outer_loop_with_one_call():
-    # alternate takes each solver's initial_state and solve as they are:
-    # the same call for both, and no adapter closure in either fit; nor a
-    # raise, since a refusal written in a fit's body cannot be checked by
-    # run_experiment before its first fit
+    # alternate takes each solver's solve as it is, on the mode's (F, G)
+    # pair: the same call for both, no start function or state class, and
+    # no adapter closure in either fit; nor a raise, since a refusal written
+    # in a fit's body cannot be checked by run_experiment before its first fit
     assert (list(inspect.signature(pds.solve_subproblem).parameters)
             == list(inspect.signature(admm.solve_subproblem_admm).parameters)
             == ["state", "spec", "W", "B", "grams", "bound", "n_inner"])
+    assert list(inspect.signature(driver.alternate).parameters)[-1] == "solve"
     for module in (pds, admm):
-        assert list(inspect.signature(module.initial_state).parameters) == ["F", "spec"]
+        assert not hasattr(module, "initial_state"), module.__name__
+    defined = ["%s:%d" % (path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef) and node.name == "SubproblemState"]
+    assert not defined, defined
     offenders = []
     for module, name in ((driver, "factorize"), (admm, "ao_admm_factorize")):
         tree = ast.parse(inspect.getsource(getattr(module, name)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cpdsplit.admm as admm
 import cpdsplit.pds as pds
 from cpdsplit.driver import DriverConfig, ModeSpec, factorize
 from cpdsplit.operators import (
@@ -14,12 +15,7 @@ from cpdsplit.operators import (
     prox_conjugate,
     row_difference_op,
 )
-from cpdsplit.pds import (
-    SubproblemState,
-    compute_stepsizes,
-    initial_state,
-    solve_subproblem,
-)
+from cpdsplit.pds import compute_stepsizes, solve_subproblem
 from cpdsplit.tensor import khatri_rao
 
 import oracles
@@ -62,7 +58,7 @@ def _applied_gradient(F, W, Yd, mask=None):
     """The least-squares gradient solve_subproblem applies, read off one
     plain unconstrained step F1 = F - gamma1 * g."""
     inputs = oracles.solver_inputs(W, Yd, mask)
-    F1 = solve_subproblem(SubproblemState(F), ModeSpec(), *inputs, 1).F
+    F1, _ = solve_subproblem((F, None), ModeSpec(), *inputs, 1)
     return (F - F1) / compute_stepsizes(oracles.lipschitz_bound(W, mask), 0.0)[0]
 
 
@@ -113,10 +109,10 @@ def test_unconstrained_solver_reaches_least_squares_solution():
     W = rng.standard_normal((12, 3))
     Yd = rng.standard_normal((12, 4))
     spec = ModeSpec()
-    state = SubproblemState(F=np.zeros((3, 4)))
-    out = solve_subproblem(state, spec, *oracles.solver_inputs(W, Yd), 2000)
+    state = (np.zeros((3, 4)), None)
+    F, _ = solve_subproblem(state, spec, *oracles.solver_inputs(W, Yd), 2000)
     want = np.linalg.solve(W.T @ W, W.T @ Yd)
-    assert np.allclose(out.F, want, atol=1e-6)
+    assert np.allclose(F, want, atol=1e-6)
 
 
 def test_regularized_solver_matches_proximal_gradient_oracle():
@@ -129,22 +125,22 @@ def test_regularized_solver_matches_proximal_gradient_oracle():
         regularizer=ProxFn("l1", lam),
         operator=identity_op(4),
     )
-    state = SubproblemState(F=np.zeros((3, 4)), G=np.zeros((3, 4)))
-    out = solve_subproblem(state, spec, *oracles.solver_inputs(W, Yd), 20000)
+    state = (np.zeros((3, 4)), np.zeros((3, 4)))
+    F, _ = solve_subproblem(state, spec, *oracles.solver_inputs(W, Yd), 20000)
     ref = oracles.proximal_gradient(W, Yd, l1_weight=lam, nonneg=True)
-    got = oracles.composite_objective(W, Yd, out.F, l1_weight=lam)
+    got = oracles.composite_objective(W, Yd, F, l1_weight=lam)
     want = oracles.composite_objective(W, Yd, ref, l1_weight=lam)
     assert got <= want + 1e-6 * max(1.0, abs(want))
-    assert (out.F >= 0).all()
+    assert (F >= 0).all()
 
 
 def test_inner_iteration_count_is_enforced():
     rng = np.random.default_rng(7)
     W = rng.standard_normal((6, 2))
     Yd = rng.standard_normal((6, 3))
-    state = SubproblemState(F=np.ones((2, 3)))
-    out = solve_subproblem(state, ModeSpec(), *oracles.solver_inputs(W, Yd), 1)
-    assert not np.array_equal(out.F, state.F)
+    state = (np.ones((2, 3)), None)
+    F, _ = solve_subproblem(state, ModeSpec(), *oracles.solver_inputs(W, Yd), 1)
+    assert not np.array_equal(F, state[0])
 
 
 def test_solver_fixed_point_is_stationary():
@@ -157,12 +153,12 @@ def test_solver_fixed_point_is_stationary():
         regularizer=ProxFn("l1", lam),
         operator=identity_op(3),
     )
-    state = SubproblemState(F=np.zeros((2, 3)), G=np.zeros((2, 3)))
+    state = (np.zeros((2, 3)), np.zeros((2, 3)))
     inputs = oracles.solver_inputs(W, Yd)
     settled = solve_subproblem(state, spec, *inputs, 100000)
     moved = solve_subproblem(settled, spec, *inputs, 1)
-    assert float(np.abs(moved.F - settled.F).max()) <= 1e-8
-    got = oracles.composite_objective(W, Yd, settled.F, l1_weight=lam)
+    assert float(np.abs(moved[0] - settled[0]).max()) <= 1e-8
+    got = oracles.composite_objective(W, Yd, settled[0], l1_weight=lam)
     ref = oracles.proximal_gradient(W, Yd, l1_weight=lam, nonneg=True)
     want = oracles.composite_objective(W, Yd, ref, l1_weight=lam)
     assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
@@ -173,13 +169,13 @@ def test_plain_gradient_descent_decreases_objective():
     W = rng.standard_normal((8, 3))
     Yd = rng.standard_normal((8, 2))
     spec = ModeSpec()
-    state = SubproblemState(F=rng.standard_normal((3, 2)))
-    prev = oracles.composite_objective(W, Yd, state.F)
+    state = (rng.standard_normal((3, 2)), None)
+    prev = oracles.composite_objective(W, Yd, state[0])
     inputs = oracles.solver_inputs(W, Yd)
     for _ in range(30):
         state = solve_subproblem(state, spec, *inputs, 1)
-        cur = oracles.composite_objective(W, Yd, state.F)
-        grad = _applied_gradient(state.F, W, Yd)
+        cur = oracles.composite_objective(W, Yd, state[0])
+        grad = _applied_gradient(state[0], W, Yd)
         if float(np.abs(grad).max()) <= 1e-9:
             break
         assert cur < prev
@@ -195,12 +191,12 @@ def test_warm_start_determinism():
         regularizer=ProxFn("l1", 0.2),
         operator=identity_op(3),
     )
-    start = SubproblemState(F=rng.random((2, 3)), G=np.zeros((2, 3)))
+    F0, G0 = rng.random((2, 3)), np.zeros((2, 3))
     inputs = oracles.solver_inputs(W, Yd)
-    a = solve_subproblem(SubproblemState(start.F.copy(), start.G.copy()), spec, *inputs, 7)
-    b = solve_subproblem(SubproblemState(start.F.copy(), start.G.copy()), spec, *inputs, 7)
-    assert np.array_equal(a.F, b.F)
-    assert np.array_equal(a.G, b.G)
+    a = solve_subproblem((F0.copy(), G0.copy()), spec, *inputs, 7)
+    b = solve_subproblem((F0.copy(), G0.copy()), spec, *inputs, 7)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_divergent_steps_raise_floating_point_error(monkeypatch):
@@ -211,9 +207,9 @@ def test_divergent_steps_raise_floating_point_error(monkeypatch):
     rng = np.random.default_rng(14)
     W, Yd = rng.standard_normal((20, 2)), rng.standard_normal((20, 6))
     with np.errstate(over="ignore", invalid="ignore"):
-        out = solve_subproblem(SubproblemState(np.zeros((2, 6))), ModeSpec(),
-                               *oracles.solver_inputs(W, Yd, bound=insane), 400)
-    assert not np.isfinite(out.F).all()
+        F, _ = solve_subproblem((np.zeros((2, 6)), None), ModeSpec(),
+                                *oracles.solver_inputs(W, Yd, bound=insane), 400)
+    assert not np.isfinite(F).all()
     real = pds.compute_stepsizes
     monkeypatch.setattr(pds, "compute_stepsizes", lambda bound, op_norm: real(insane, op_norm))
     Y = np.random.default_rng(11).standard_normal((6, 5, 4))
@@ -250,11 +246,11 @@ def test_hard_constraint_holds_after_every_call():
     W = rng.standard_normal((9, 3))
     Yd = rng.standard_normal((9, 4))
     spec = ModeSpec(projection=Projection("box", 0.0, 0.5))
-    state = SubproblemState(F=rng.standard_normal((3, 4)))
+    state = (rng.standard_normal((3, 4)), None)
     inputs = oracles.solver_inputs(W, Yd)
     for _ in range(5):
         state = solve_subproblem(state, spec, *inputs, 3)
-        assert (state.F >= 0.0).all() and (state.F <= 0.5).all()
+        assert (state[0] >= 0.0).all() and (state[0] <= 0.5).all()
 
 
 def test_dual_branch_handles_structured_operator():
@@ -267,13 +263,35 @@ def test_dual_branch_handles_structured_operator():
         regularizer=ProxFn("l1", 0.5),
         operator=op,
     )
-    state = initial_state(rng.random((2, 6)), spec)
-    assert state.G.shape == (2, 5) and not state.G.any()
-    out = solve_subproblem(state, spec, *oracles.solver_inputs(W, Yd), 50)
-    assert out.F.shape == (2, 6)
-    assert out.G.shape == (2, 5)
-    assert (out.F >= 0).all()
-    assert np.isfinite(out.G).all()
+    F, G = solve_subproblem((rng.random((2, 6)), None), spec, *oracles.solver_inputs(W, Yd), 50)
+    assert F.shape == (2, 6)
+    assert G.shape == (2, 5)
+    assert (F >= 0).all()
+    assert np.isfinite(G).all()
+
+
+@pytest.mark.parametrize("kind", ["none", "l1", "tv", "group", "admm"])
+def test_a_first_visit_without_a_dual_starts_from_the_zero_dual(kind):
+    # the loop starts every dual at None: the primal-dual solver reads it as
+    # zeros shaped as L(F) (None without an operator), ADMM as zeros_like(F)
+    rng = np.random.default_rng(16)
+    W, Yd = rng.standard_normal((30, 3)), rng.standard_normal((30, 6))
+    F0 = rng.random((3, 6))
+    spec = _masked_spec("l1" if kind == "admm" else kind, 6)
+    if kind == "admm":
+        solve, G0 = admm.solve_subproblem_admm, np.zeros_like(F0)
+    else:
+        solve = solve_subproblem
+        G0 = None if spec.operator is None else np.zeros((3, spec.operator.out_cols))
+    inputs = oracles.solver_inputs(W, Yd)
+    F, G = solve((F0.copy(), None), spec, *inputs, 4)
+    F_ref, G_ref = solve((F0.copy(), G0), spec, *inputs, 4)
+    assert np.array_equal(F.view(np.uint64), F_ref.view(np.uint64))
+    if kind == "none":
+        assert G is None and G_ref is None
+    else:
+        assert G.shape == G0.shape
+        assert np.array_equal(G.view(np.uint64), G_ref.view(np.uint64))
 
 
 def _masked_mode_problems(rank, seed, dims=(5, 6, 7)):
@@ -307,7 +325,7 @@ def _masked_spec(kind, n):
 
 def _reference_inner_loop(state, spec, W, Yd, mask, steps, n_inner):
     """solve_subproblem's iteration with the dense oracle gradient."""
-    F, G = state.F, state.G
+    F, G = state
     gamma1, gamma2 = steps
     has_dual = spec.operator is not None
     for _ in range(n_inner):
@@ -350,26 +368,23 @@ def test_masked_solver_matches_dense_gradient_reference(rank, kind):
         assert (grad[:, empty] == 0.0).all()
 
         inputs = oracles.solver_inputs(W, Yd, Md)
-        out = solve_subproblem(SubproblemState(F0, G0), spec, *inputs, 6)
-        F_ref, G_ref = _reference_inner_loop(
-            SubproblemState(F0, G0), spec, W, Yd, Md, steps, 6
-        )
-        assert _close(out.F, F_ref)
-        assert (out.G is None) == (G_ref is None)
+        F, G = solve_subproblem((F0, G0), spec, *inputs, 6)
+        F_ref, G_ref = _reference_inner_loop((F0, G0), spec, W, Yd, Md, steps, 6)
+        assert _close(F, F_ref)
+        assert (G is None) == (G_ref is None)
         if G_ref is not None:
-            assert _close(out.G, G_ref)
+            assert _close(G, G_ref)
 
         # an all-true Gram stack applies W'W; the two rules' bounds differ
         # (a fit drops an all-true mask), so both runs take the dense one
         full = np.ones_like(Md)
         dense = oracles.lipschitz_bound(W)
-        unmasked = solve_subproblem(SubproblemState(F0, G0), spec,
-                                    *oracles.solver_inputs(W, Yd), 6)
-        explicit = solve_subproblem(SubproblemState(F0, G0), spec,
+        unmasked = solve_subproblem((F0, G0), spec, *oracles.solver_inputs(W, Yd), 6)
+        explicit = solve_subproblem((F0, G0), spec,
                                     *oracles.solver_inputs(W, Yd, full, bound=dense), 6)
-        assert _close(explicit.F, unmasked.F)
+        assert _close(explicit[0], unmasked[0])
         if G0 is not None:
-            assert _close(explicit.G, unmasked.G)
+            assert _close(explicit[1], unmasked[1])
 
 
 @pytest.mark.parametrize("rank", [1, 2, 5, 10])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,17 @@ def test_factorset_validation_and_props():
         FactorSet((np.ones((2, 2)), np.ones((2, 2))))
     with pytest.raises(ValueError):
         FactorSet((np.ones(2), np.ones(2), np.ones(2)))
+
+
+def test_factorset_refuses_factors_that_are_not_real():
+    good = np.ones((3, 2))
+    for bad in (good.astype(complex), good.astype(str), good.astype(object)):
+        with pytest.raises(ValueError, match="^factor 2 must hold real numbers, got dtype %s$"
+                                             % re.escape(str(bad.dtype))):
+            FactorSet((good, bad, good))
+    # boolean, integer and floating factors are real
+    for dtype in (bool, np.uint8, np.int32, np.float32):
+        assert FactorSet((good.astype(dtype),) * 3).rank == 2
 
 
 def test_factor_sets_compare_by_identity():

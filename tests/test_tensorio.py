@@ -163,3 +163,13 @@ def test_factor_archive_reader_refuses_what_is_not_one(tmp_path):
                       ("t.npy", " is not an .npz archive of f1, f2, f3")):
         with pytest.raises(ValueError, match="^%s$" % re.escape(str(tmp_path / name) + why)):
             read_factors(tmp_path / name)
+
+
+def test_factor_archive_reader_names_the_file_of_a_factor_that_is_not_real(tmp_path):
+    f = np.ones((4, 2))
+    for bad in (f + 1j * f, f.astype(str)):
+        path = tmp_path / ("%s.npz" % bad.dtype.kind)
+        np.savez(path, f1=f, f2=f, f3=bad)
+        why = ": factor 3 must hold real numbers, got dtype %s" % bad.dtype
+        with pytest.raises(ValueError, match="^%s$" % re.escape(str(path) + why)):
+            read_factors(path)
