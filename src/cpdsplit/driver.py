@@ -215,9 +215,6 @@ def _prepare(Y, mask, specs, cfg, truth):
         raise ValueError("Y must be a third-order tensor, got ndim=%d" % Y.ndim)
     if 0 in Y.shape:
         raise ValueError("mode %d of Y is empty: shape %r" % (Y.shape.index(0) + 1, Y.shape))
-    # one float64 copy at most: the tree's reshapes are free views of a
-    # C-ordered Y, and its GEMMs would cast any other dtype on every call
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
     _check_specs(specs, Y.shape)
     if mask is not None:
         mask = as_mask(mask, Y.shape)
@@ -322,10 +319,6 @@ def alternate(Y, mask, specs, cfg, truth, solve):
         iu, ju = np.triu_indices(cfg.rank)
     F = [np.ascontiguousarray(f.T) for f in init_factors(Y.shape, cfg.rank, cfg.seed).factors]
     G = [None] * 3
-
-    def factors():
-        return FactorSet(tuple(np.ascontiguousarray(f.T) for f in F))
-
     started = time.perf_counter()
     trace = []
     stop_reason = "iteration_cap"
@@ -348,12 +341,13 @@ def alternate(Y, mask, specs, cfg, truth, solve):
             if not all(np.isfinite(a).all() for a in (F[d], G[d]) if a is not None):
                 raise FloatingPointError("mode %d iterate became non-finite at iteration %d"
                                          % (d + 1, k))
-        trace.append(_trace_entry(k, started, Y, mask, factors(), specs, truth))
+        fset = FactorSet(tuple(f.T for f in F))
+        trace.append(_trace_entry(k, started, Y, mask, fset, specs, truth))
         if _converged(trace, cfg):
             stop_reason = "converged"
             break
     return FitResult(
-        factors=factors(),
+        factors=fset,
         duals=G,
         trace=trace,
         outer_iterations=len(trace),

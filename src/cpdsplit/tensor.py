@@ -1,6 +1,7 @@
-"""Dense third-order tensor primitives.
+"""Dense third-order tensor primitives, and the package's one dtype rule,
+:func:`as_real`: a real array is handed on as C-ordered float64.
 
-Tensors are C-ordered float arrays of shape (N1, N2, N3); the last index
+Tensors are C-ordered float64 arrays of shape (N1, N2, N3); the last index
 varies fastest in memory.  The mode-d matricization T_(d) stacks the
 remaining axes in ascending order with the later axis fastest along the
 rows, which is exactly the ordering for which
@@ -37,16 +38,18 @@ def khatri_rao(x, y):
 
 
 def as_real(name, a):
-    """``a`` as an array, refused unless its dtype is boolean, integer or floating."""
+    """``a`` as a C-ordered float64 array, refused unless its dtype is
+    boolean, integer or floating; a C-ordered float64 ``a`` is not copied."""
     a = np.asarray(a)
     if a.dtype.kind not in "biuf":
         raise ValueError("%s must hold real numbers, got dtype %s" % (name, a.dtype))
-    return a
+    return np.asarray(a, dtype=np.float64, order="C")
 
 
 @dataclass(eq=False)
 class FactorSet:
-    """Factor matrices (F_1, F_2, F_3) of a rank-R CP model, each N_d x R.
+    """Factor matrices (F_1, F_2, F_3) of a rank-R CP model, each N_d x R
+    and held as :func:`as_real` returns it: a C-ordered float64 array.
     ``FactorSet(x)`` takes another FactorSet's factors or any three arrays.
     Sets compare by identity: ``==`` on their arrays is elementwise."""
 

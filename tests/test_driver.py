@@ -144,6 +144,18 @@ def test_objective_takes_factors_as_three_arrays():
     want = objective(Y, None, truth, specs)
     for form in (tuple, list):
         assert objective(Y, None, form(truth.factors), specs) == want
+    # and on every dtype a FactorSet admits, as on its float64 cast
+    rng = np.random.default_rng(24)
+    for dtype in (bool, np.uint8, np.int32, np.int64):
+        given = tuple(rng.integers(0, 2 if dtype is bool else 4, f.shape).astype(dtype)
+                      for f in truth.factors)
+        f1, f2, f3 = cast = tuple(f.astype(np.float64) for f in given)
+        want = objective(Y, None, cast, specs)
+        assert objective(Y, None, given, specs) == want
+        r = Y - oracles.cp_dense(cast)
+        tv = f3.T @ oracles.difference_matrix(4).T
+        dense = 0.5 * np.sum(r * r) + 0.5 * np.abs(f1).sum() + 2.0 * np.sum(tv * tv)
+        assert want == pytest.approx(dense, rel=1e-12)
 
 
 def test_objective_refuses_factors_of_other_dims():

@@ -306,3 +306,29 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
                 continue
             unused.append("%s:%d %s" % (path.name, node.lineno, node.name))
     assert not unused, unused
+
+
+def _is_float64(node):
+    return isinstance(node, ast.Attribute) and node.attr == "float64"
+
+
+def test_the_float64_decision_has_one_home():
+    # tensor.as_real hands on every real array as C-ordered float64, and the
+    # tensor file reader returns its payload as float64; no other function
+    # converts to float64, by ``.astype(np.float64, ...)`` or ``dtype=np.float64``
+    homes = {("tensor.py", "as_real"), ("tensorio.py", "read_tensor")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        within = {id(node): fn.name for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            astype = (isinstance(node.func, ast.Attribute) and node.func.attr == "astype"
+                      and node.args and _is_float64(node.args[0]))
+            keyword = any(k.arg == "dtype" and _is_float64(k.value) for k in node.keywords)
+            if astype or keyword:
+                found.append((path.name, within.get(id(node)), node.lineno))
+    assert {(name, fn) for name, fn, _ in found} == homes, found
+    assert len(found) == len(homes), found

@@ -165,6 +165,27 @@ def test_accepts_plain_factor_sequences():
     assert mse(as_list, truth) == 0.0
 
 
+def test_metrics_compute_on_boolean_and_integer_factors():
+    # a boolean set is not summed in logic, nor an unsigned difference
+    # wrapped around: each metric reads the float64 cast
+    rng = np.random.default_rng(12)
+    for dtype in (bool, np.uint8, np.int32, np.int64):
+        est, truth = (tuple(rng.integers(0, 2 if dtype is bool else 4, (n, 3)).astype(dtype)
+                            for n in (5, 4, 3)) for _ in range(2))
+        cast = [tuple(f.astype(np.float64) for f in s) for s in (est, truth)]
+        raw, aligned = mse(est, truth), mse(est, truth, aligned=True)
+        assert raw == mse(*cast) == pytest.approx(oracles.mse_dense(*cast), rel=1e-12)
+        assert aligned == mse(*cast, aligned=True)
+        assert aligned == pytest.approx(oracles.aligned_mse_dense(*cast), rel=1e-12)
+        assert np.array_equal(best_column_permutation(est, truth),
+                              best_column_permutation(*cast))
+        score = factor_match_score(est, truth)
+        assert score == factor_match_score(*cast)
+        assert score == pytest.approx(oracles.factor_match_score_dense(*cast), rel=1e-12)
+        ones = tuple(np.ones((n, 2), dtype) for n in (5, 4, 3))
+        assert factor_match_score(ones, ones) == pytest.approx(1.0, abs=1e-15)
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
 def test_factor_match_score_matches_brute_force(rank):
     rng = np.random.default_rng(300 + rank)

@@ -98,9 +98,20 @@ def test_factorset_refuses_factors_that_are_not_real():
         with pytest.raises(ValueError, match="^factor 2 must hold real numbers, got dtype %s$"
                                              % re.escape(str(bad.dtype))):
             FactorSet((good, bad, good))
-    # boolean, integer and floating factors are real
+    # boolean, integer and floating factors are real, held as C-ordered
+    # float64: a boolean reconstruction is not a logical OR of ANDs
+    mixed = np.array([[1, 0], [1, 1], [0, 1]])
     for dtype in (bool, np.uint8, np.int32, np.float32):
         assert FactorSet((good.astype(dtype),) * 3).rank == 2
+        given = tuple(np.asfortranarray(f.astype(dtype)) for f in (mixed, mixed[::-1], good))
+        held = FactorSet(given).factors
+        assert all(f.dtype == np.float64 and f.flags.c_contiguous for f in held)
+        assert all(np.array_equal(f, g) for f, g in zip(held, given))
+        want = oracles.cp_dense([f.astype(np.float64) for f in given])
+        assert want.max() == 2.0
+        assert np.array_equal(cp_reconstruct(given), want)
+    # C-ordered float64 factors are held as given, not copied
+    assert FactorSet((good,) * 3).factors[1] is good
 
 
 def test_factor_sets_compare_by_identity():

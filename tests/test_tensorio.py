@@ -153,6 +153,14 @@ def test_factor_archive_round_trip_is_bit_exact(tmp_path):
     for got, want in zip(back.factors, factors.factors):
         assert got.dtype == np.float64 and got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # every archive holds float64 factors, whatever real dtype they were given in
+    for dtype in (np.float32, np.int32, np.uint8, bool):
+        given = tuple(np.abs(4.0 * f).astype(dtype) for f in factors.factors)
+        write_factors(path, given)
+        with np.load(path) as data:
+            for key, f in zip(("f1", "f2", "f3"), given):
+                assert data[key].dtype == np.float64
+                assert np.array_equal(data[key], f.astype(np.float64))
 
 
 def test_factor_archive_reader_refuses_what_is_not_one(tmp_path):
