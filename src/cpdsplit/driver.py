@@ -210,7 +210,8 @@ def _check_specs(specs, shape):
 
 
 def _prepare(Y, mask, specs, cfg, truth):
-    Y = as_real("Y", Y)
+    given = np.asarray(Y)
+    Y = as_real("Y", given)
     if Y.ndim != 3:
         raise ValueError("Y must be a third-order tensor, got ndim=%d" % Y.ndim)
     if 0 in Y.shape:
@@ -226,8 +227,12 @@ def _prepare(Y, mask, specs, cfg, truth):
                 if not seen.all():
                     raise ValueError("mode %d index %d has no observed entry"
                                      % (d + 1, seen.argmin()))
-            if np.any(Y, where=~mask):  # the products W^T Y_d read every entry
-                Y = np.where(mask, Y, 0.0)
+            hidden = ~mask
+            if np.logical_and(Y, hidden).any():  # the products W^T Y_d read every entry
+                if np.may_share_memory(Y, given):  # the caller's Y is never written
+                    Y = np.where(mask, Y, 0.0)
+                else:  # as_real's own copy
+                    Y[hidden] = 0.0
     if not np.isfinite(Y).all():  # a NaN or inf left unobserved was zeroed above
         raise ValueError("Y contains non-finite values at an observed entry")
     if truth is not None:
@@ -338,6 +343,7 @@ def alternate(Y, mask, specs, cfg, truth, solve):
                 bound = np.abs(grams).sum(axis=2).max()
             bound = _positive_bound(bound, d)
             F[d], G[d] = solve((F[d], G[d]), specs[d], W, B, grams, bound, cfg.n_inner)
+            del W  # freed before the next visit's W and the trace's reconstruction
             if not all(np.isfinite(a).all() for a in (F[d], G[d]) if a is not None):
                 raise FloatingPointError("mode %d iterate became non-finite at iteration %d"
                                          % (d + 1, k))

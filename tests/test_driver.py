@@ -307,18 +307,22 @@ def test_every_visit_gets_the_mttkrp_of_its_khatri_rao_product(module, name, fit
 
 
 @pytest.mark.parametrize(
-    "fit, masked, most",
-    [(factorize, False, 1.5), (ao_admm_factorize, False, 1.5), (factorize, True, 3.5)],
+    "fit, masked, tensors",
+    [(factorize, False, 1), (ao_admm_factorize, False, 1), (factorize, True, 3)],
     ids=["pds-dense", "admm-dense", "pds-masked"],
 )
-def test_fit_holds_no_matricized_copy_of_the_data(fit, masked, most):
+def test_fit_holds_no_matricized_copy_of_the_data(fit, masked, tensors):
     # a dense fit's one tensor-sized temporary is the objective's
-    # reconstruction; a matricized copy of Y would add another Y.nbytes
+    # reconstruction; a masked fit adds the zeroed copy of Y and the float
+    # mask.  Besides those, a visit holds at most two blocks of N1*N2*R
+    # floats (mode 1's W and the tree's kept product; mode 3's W and its
+    # contraction), never a third, and never a matricized copy of Y
     rng = np.random.default_rng(29)
     Y, _ = oracles.cp_problem(29, (60, 50, 40), 4, noise=0.1)
     # the raw masked data: the fit zeroes the unobserved entries in a copy
     mask = rng.random(Y.shape) < 0.5 if masked else None
     cfg = oracles.fixed_length(rank=4, n_inner=2, max_outer=3, seed=30)
+    block = Y.shape[0] * Y.shape[1] * cfg.rank * 8
     tracemalloc.start()
     try:
         res = fit(Y, mask, _nonneg_specs(), cfg)
@@ -326,7 +330,28 @@ def test_fit_holds_no_matricized_copy_of_the_data(fit, masked, most):
     finally:
         tracemalloc.stop()
     assert res.outer_iterations == 3
-    assert peak < most * Y.nbytes
+    assert peak < tensors * Y.nbytes + 1.5 * block
+
+
+def test_masked_data_is_converted_and_zeroed_in_one_copy():
+    # a float32 Y that hides nonzeros: as_real's float64 copy is zeroed in
+    # place, so the peak is that copy plus mask-sized temporaries, and the
+    # caller's Y is not written
+    rng = np.random.default_rng(31)
+    Y = rng.standard_normal((60, 50, 40)).astype(np.float32)
+    kept = Y.copy()
+    mask = rng.random(Y.shape) < 0.5
+    cfg = DriverConfig(rank=2, stop_metric="objective_rel_change")
+    tracemalloc.start()
+    try:
+        Z, _, _ = driver_mod._prepare(Y, mask, _plain_specs(), cfg, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(Y, kept)
+    assert Z.dtype == np.float64 and Z.flags.c_contiguous
+    assert np.array_equal(Z, np.where(mask, Y.astype(np.float64), 0.0))
+    assert peak < Z.nbytes + 3 * mask.nbytes
 
 
 def test_masked_fit_does_not_depend_on_the_mask_layout():
@@ -663,6 +688,22 @@ def test_unobserved_entries_are_ignored():
         assert np.array_equal(dirty, kept, equal_nan=True)
         for fa, fb in zip(a.factors.factors, b.factors.factors):
             assert np.array_equal(fa, fb)
+        assert [t.objective for t in a.trace] == [t.objective for t in b.trace]
+    # one hidden entry holding a value the hidden-entry scan must see (a
+    # subnormal, a NaN) or may pass over (-0.0)
+    one = np.ones(Y.shape, dtype=bool)
+    one[3, 4, 5] = False
+    clean = np.where(one, Y, 0.0)
+    b = factorize(clean, one, _nonneg_specs(), cfg, truth)
+    for fill in (5e-324, np.nan, -0.0):
+        dirty = clean.copy()
+        dirty[3, 4, 5] = fill
+        kept = dirty.copy()
+        a = factorize(dirty, one, _nonneg_specs(), cfg, truth)
+        assert np.array_equal(dirty, kept, equal_nan=True)
+        assert a.outer_iterations == b.outer_iterations
+        for fa, fb in zip(a.factors.factors, b.factors.factors):
+            assert fa.tobytes() == fb.tobytes()
         assert [t.objective for t in a.trace] == [t.objective for t in b.trace]
 
 
