@@ -282,8 +282,8 @@ def _tree(X, A, d, kept):
     A[k] of the other two modes: entry (r, n) sums X over those modes
     weighted by their rows r, which is W^T X_(d) when A holds the factors.
     X x_3 A[2], made at mode 1, waits in ``kept`` for mode 2 and the A[0]
-    that mode 1 just updated; mode 2 pops it, so it is freed before mode 3
-    and the trace, which set the peak memory.  Mode 3 contracts X x_1 A[0]."""
+    that mode 1 just updated; mode 2 pops it, freeing it before mode 3 and
+    the trace, where a dense fit peaks.  Mode 3 contracts X x_1 A[0]."""
     N1, N2, N3 = X.shape
     if d == 0:
         kept.append((A[2] @ X.reshape(-1, N3).T).reshape(-1, N1, N2))
@@ -319,8 +319,7 @@ def alternate(Y, mask, specs, cfg, truth, solve):
     FitResult
     """
     Y, mask, truth = _prepare(Y, mask, specs, cfg, truth)
-    if mask is not None:  # one C-ordered float copy of the mask, for the Gram GEMMs
-        M = np.ascontiguousarray(mask, dtype=Y.dtype)
+    if mask is not None:
         iu, ju = np.triu_indices(cfg.rank)
     F = [np.ascontiguousarray(f.T) for f in init_factors(Y.shape, cfg.rank, cfg.seed).factors]
     G = [None] * 3
@@ -336,7 +335,11 @@ def alternate(Y, mask, specs, cfg, truth, solve):
                 # W is column-major here: vdot would copy it, einsum reads it in place
                 grams, bound = None, np.einsum("pr,pr->", W, W)
             else:  # a block-diagonal gradient: bound the largest block
+                if d == 0:  # a C-ordered float mask for the Gram GEMMs, freed before the trace
+                    M = np.ascontiguousarray(mask, dtype=Y.dtype)
                 g = _tree(M, [f[iu] * f[ju] for f in F], d, kept_m)
+                if d == 2:
+                    del M
                 grams = np.empty((g.shape[1], cfg.rank, cfg.rank))
                 grams[:, iu, ju] = grams[:, ju, iu] = g.T
                 # ||A||_inf >= ||A||_2; dense keeps the trace, where the row sum stops 36% later

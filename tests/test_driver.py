@@ -307,30 +307,46 @@ def test_every_visit_gets_the_mttkrp_of_its_khatri_rao_product(module, name, fit
 
 
 @pytest.mark.parametrize(
-    "fit, masked, tensors",
-    [(factorize, False, 1), (ao_admm_factorize, False, 1), (factorize, True, 3)],
+    "fit, masked",
+    [(factorize, False), (ao_admm_factorize, False), (factorize, True)],
     ids=["pds-dense", "admm-dense", "pds-masked"],
 )
-def test_fit_holds_no_matricized_copy_of_the_data(fit, masked, tensors):
+def test_fit_holds_no_matricized_copy_of_the_data(fit, masked, monkeypatch):
     # a dense fit's one tensor-sized temporary is the objective's
-    # reconstruction; a masked fit adds the zeroed copy of Y and the float
-    # mask.  Besides those, a visit holds at most two blocks of N1*N2*R
-    # floats (mode 1's W and the tree's kept product; mode 3's W and its
-    # contraction), never a third, and never a matricized copy of Y
+    # reconstruction, and besides it a visit holds at most two blocks of
+    # N1*N2*R floats (mode 1's W and the tree's kept product; mode 3's W and
+    # its contraction), never a third, and never a matricized copy of Y.
+    # A masked fit peaks while mode 2 builds its W, beside the zeroed copy
+    # of Y, the float mask and the roots mode 1 keeps for mode 2 (R rows of
+    # N1*N2 floats for Y, R(R+1)/2 for the mask); when a trace row's
+    # objective starts, the zeroed copy is its one tensor, the float mask gone
     rng = np.random.default_rng(29)
     Y, _ = oracles.cp_problem(29, (60, 50, 40), 4, noise=0.1)
     # the raw masked data: the fit zeroes the unobserved entries in a copy
     mask = rng.random(Y.shape) < 0.5 if masked else None
     cfg = oracles.fixed_length(rank=4, n_inner=2, max_outer=3, seed=30)
-    block = Y.shape[0] * Y.shape[1] * cfg.rank * 8
+    R, row = cfg.rank, Y.shape[0] * Y.shape[1] * 8
+    block = R * row
+    if masked:  # both roots, and 3 blocks for mode 2's W, khatri_rao's temporaries and the rest
+        budget = 2 * Y.nbytes + (R + R * (R + 1) // 2) * row + 3 * block
+    else:
+        budget = Y.nbytes + 1.5 * block
+    held = []
+
+    def watched(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return objective(*args)
+
+    monkeypatch.setattr(driver_mod, "objective", watched)
     tracemalloc.start()
     try:
         res = fit(Y, mask, _nonneg_specs(), cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.outer_iterations == 3
-    assert peak < tensors * Y.nbytes + 1.5 * block
+    assert len(held) == res.outer_iterations == 3
+    assert peak < budget
+    assert max(held) < masked * Y.nbytes + block
 
 
 def test_masked_data_is_converted_and_zeroed_in_one_copy():
@@ -356,8 +372,8 @@ def test_masked_data_is_converted_and_zeroed_in_one_copy():
 
 def test_masked_fit_does_not_depend_on_the_mask_layout():
     # the fit reads one C-ordered float64 Y, converted once from any other
-    # layout or dtype, and its own C-ordered float copy of the mask for the
-    # Grams; dense data too
+    # layout or dtype, and for the Grams a C-ordered float copy of the mask,
+    # made afresh at each outer iteration's mode-1 visit; dense data too
     rng = np.random.default_rng(31)
     Y, _ = oracles.cp_problem(31, (7, 6, 5), 2, noise=0.05)
     Y = Y.astype(np.float32).astype(np.float64)  # the float64 cast of a float32 Y
