@@ -20,6 +20,7 @@ import numpy as np
 def khatri_rao(x, y):
     """Column-wise Kronecker product of two matrices.  Called on every mode
     visit, it checks nothing: its callers pass two factors of one CP model.
+    It allocates only its output: one einsum writes each product into it.
 
     Parameters
     ----------
@@ -32,9 +33,7 @@ def khatri_rao(x, y):
         Column j is ``kron(x[:, j], y[:, j])``; the row index of ``y``
         varies fastest along the output rows.
     """
-    m, k = x.shape
-    n = y.shape[0]
-    return (x[:, None, :] * y[None, :, :]).reshape(m * n, k)
+    return np.einsum("ir,jr->ijr", x, y).reshape(-1, x.shape[1])
 
 
 def as_real(name, a):

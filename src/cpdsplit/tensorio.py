@@ -43,9 +43,12 @@ def _unpack_header(buf, magic, path):
 
 def _write_payload(path, magic, name, a, dtype):
     """Write the 3-D array ``a`` as a TNS3/MSK3 file: the header, then its
-    entries as ``dtype`` in C order."""
+    entries as ``dtype`` in C order.  An empty mode is refused before the
+    file opens, as the reader refuses it."""
     if a.ndim != 3:
         raise ValueError("%s must be 3-D, got ndim=%d" % (name, a.ndim))
+    if 0 in a.shape:
+        raise ValueError("%s has an empty mode, shape %r" % (name, a.shape))
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(magic, _VERSION, *a.shape))
         fh.write(np.ascontiguousarray(a, dtype=dtype).tobytes())
@@ -104,8 +107,11 @@ def read_mask(path):
 
 
 def write_factors(path, factors):
-    """Write a FactorSet, or three factor matrices, as a factor archive."""
-    np.savez(path, **dict(zip(_FACTOR_KEYS, FactorSet(factors).factors)))
+    """Write a FactorSet, or three factor matrices, as a factor archive at
+    ``path`` itself: an open file keeps ``np.savez`` from appending ``.npz``."""
+    arrays = dict(zip(_FACTOR_KEYS, FactorSet(factors).factors))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def read_factors(path):

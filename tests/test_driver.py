@@ -318,8 +318,10 @@ def test_fit_holds_no_matricized_copy_of_the_data(fit, masked, monkeypatch):
     # its contraction), never a third, and never a matricized copy of Y.
     # A masked fit peaks while mode 2 builds its W, beside the zeroed copy
     # of Y, the float mask and the roots mode 1 keeps for mode 2 (R rows of
-    # N1*N2 floats for Y, R(R+1)/2 for the mask); when a trace row's
-    # objective starts, the zeroed copy is its one tensor, the float mask gone
+    # N1*N2 floats for Y, R(R+1)/2 for the mask): khatri_rao allocates only
+    # W, so that moment holds one block and little else.  When a trace
+    # row's objective starts, the zeroed copy is its one tensor, the float
+    # mask gone
     rng = np.random.default_rng(29)
     Y, _ = oracles.cp_problem(29, (60, 50, 40), 4, noise=0.1)
     # the raw masked data: the fit zeroes the unobserved entries in a copy
@@ -327,8 +329,8 @@ def test_fit_holds_no_matricized_copy_of_the_data(fit, masked, monkeypatch):
     cfg = oracles.fixed_length(rank=4, n_inner=2, max_outer=3, seed=30)
     R, row = cfg.rank, Y.shape[0] * Y.shape[1] * 8
     block = R * row
-    if masked:  # both roots, and 3 blocks for mode 2's W, khatri_rao's temporaries and the rest
-        budget = 2 * Y.nbytes + (R + R * (R + 1) // 2) * row + 3 * block
+    if masked:  # both roots, and 1.5 blocks for mode 2's W and the rest
+        budget = 2 * Y.nbytes + (R + R * (R + 1) // 2) * row + 1.5 * block
     else:
         budget = Y.nbytes + 1.5 * block
     held = []

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,29 @@ def test_khatri_rao_second_factor_varies_fastest():
     x = np.array([[2.0], [3.0]])
     y = np.array([[5.0], [7.0]])
     assert np.array_equal(khatri_rao(x, y), [[10.0], [14.0], [15.0], [21.0]])
+
+
+@pytest.mark.parametrize("m, n, r", [(60, 40, 4), (100, 100, 10)])
+@pytest.mark.parametrize("views", [False, True])
+def test_khatri_rao_allocates_only_its_output(m, n, r, views):
+    # the driver passes transposed views of its R x N factors and gets an
+    # F-contiguous product; cp_reconstruct passes C-ordered factors and gets
+    # a C-contiguous one.  The GEMMs downstream read that layout, and no
+    # temporary beside the output is made
+    rng = np.random.default_rng(11)
+    if views:
+        x, y = rng.random((r, m)).T, rng.random((r, n)).T
+    else:
+        x, y = rng.random((m, r)), rng.random((n, r))
+    tracemalloc.start()
+    try:
+        w = khatri_rao(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(w, oracles.khatri_rao_dense(x, y))
+    assert w.strides == ((8, 8 * m * n) if views else (8 * r, 8))
+    assert peak < 1.05 * w.nbytes
 
 
 def test_matricization_khatri_rao_identity():

@@ -48,6 +48,17 @@ def test_tensor_write_rejects_bad_arrays(tmp_path):
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         write_tensor(path, bad)
+    assert not path.exists()
+
+
+def test_an_array_with_an_empty_mode_is_refused_before_its_file_opens(tmp_path):
+    # the readers refuse a zero dimension, so the writers write none
+    for shape in ((0, 2, 2), (2, 0, 2), (2, 2, 0)):
+        for write, a, name in ((write_tensor, np.zeros(shape), "t.tns3"),
+                               (write_mask, np.zeros(shape, dtype=bool), "m.msk3")):
+            with pytest.raises(ValueError, match="empty mode"):
+                write(tmp_path / name, a)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_tensor_read_rejects_corrupted_files(tmp_path):
@@ -161,6 +172,17 @@ def test_factor_archive_round_trip_is_bit_exact(tmp_path):
             for key, f in zip(("f1", "f2", "f3"), given):
                 assert data[key].dtype == np.float64
                 assert np.array_equal(data[key], f.astype(np.float64))
+
+
+def test_factor_archive_is_written_at_the_path_given(tmp_path):
+    # np.savez would append .npz to a path without it; read_factors reads the path as given
+    path = tmp_path / "truth"
+    factors = FactorSet(tuple(np.random.default_rng(1).standard_normal((n, 2))
+                              for n in (3, 4, 5)))
+    write_factors(path, factors)
+    assert [p.name for p in tmp_path.iterdir()] == ["truth"]
+    for got, want in zip(read_factors(path).factors, factors.factors):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_factor_archive_reader_refuses_what_is_not_one(tmp_path):
